@@ -70,6 +70,3 @@ class NegotiationError(PlannerError):
 class ComparisonError(PlannerError):
     """Oracle and trajectory disagree on horizon or boundary data."""
 
-
-class OracleInfeasibleWarning(UserWarning):
-    """The penalty oracle finished with residual constraint penetration."""

@@ -3,9 +3,11 @@
 A junction is an instant where an obstacle constraint becomes active and
 immediately inactive again: the path touches the inflated circle and
 leaves. Fixing the junctions (which obstacle, where on the circle, and
-when) makes the whole trajectory the solution of one block linear
-system, because position, velocity, and control continuity plus the
-boundary conditions are all linear in the cubic coefficients.
+when) makes the whole trajectory the solution of one linear system,
+because position, velocity, and control continuity plus the boundary
+conditions are all linear in the cubic coefficients. The two axes share
+one scalar matrix A_s(t), so the system is solved once with an x and a
+y right-hand-side column: A_s(t) X = B(theta).
 
 The two remaining optimality conditions per junction are nonlinear in
 the contact angle and time:
@@ -15,9 +17,11 @@ the contact angle and time:
              is constant on each segment.
 
 An outer damped least-squares iteration drives both residuals to zero
-over the stacked (theta_k, t_k) parameters, with Jacobians from forward
-finite differences. Activation sequences are discovered greedily: plan,
-find the first violated obstacle, seed a junction there, replan.
+over the stacked (theta_k, t_k) parameters. Its Jacobian is exact: the
+coefficient derivatives come from implicit differentiation of
+A_s(t) X = B(theta), one factorization with two right-hand sides per
+parameter. Activation sequences are discovered greedily: plan, find the
+first violated obstacle, seed a junction there, replan.
 """
 
 from __future__ import annotations
@@ -89,15 +93,14 @@ class JunctionSolveConfig:
 
     residual_tol: float = 1e-7
     max_iterations: int = 200
-    fd_step: float = 1e-6
     sample_count: int = 2001
     max_junctions: int = 8
     time_margin: float = 1e-3
 
     def __post_init__(self):
         for name in (
-            "residual_tol", "max_iterations", "fd_step",
-            "sample_count", "max_junctions", "time_margin",
+            "residual_tol", "max_iterations", "sample_count",
+            "max_junctions", "time_margin",
         ):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -148,27 +151,18 @@ def _ctrl_row(t: float) -> np.ndarray:
     return np.array([6.0 * t, 2.0, 0.0, 0.0])
 
 
-def _place(matrix: np.ndarray, row: int, seg: int, scalar_row: np.ndarray,
-           sign: float = 1.0) -> None:
-    block = sign * np.kron(scalar_row, np.eye(2))
-    matrix[row : row + 2, 8 * seg : 8 * seg + 8] = (
-        matrix[row : row + 2, 8 * seg : 8 * seg + 8] + block
-    )
-
-
-def assemble_system(
+def _scalar_system(
     agent: AgentSpec, junctions: tuple[Junction, ...], scenario: Scenario
-):
-    """Build the square block system for all segment coefficients.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar junction matrix A_s and its (x, y) right-hand side.
 
-    With n junctions there are n+1 segments and 8(n+1) unknowns. Rows:
-    boundary position/velocity at t0 and tf, and per junction the
-    position of both adjacent segments pinned to the contact point plus
-    velocity and control continuity. Constraint satisfaction at the
-    junction holds identically because the contact point lies on the
-    inflated circle.
+    With n junctions there are n+1 segments and 4(n+1) scalar unknowns
+    per axis, segment k owning columns 4k..4k+3 (c1..c4). Rows: boundary
+    position/velocity at t0, then per junction the position of both
+    adjacent segments pinned to the contact point plus velocity and
+    control continuity, then boundary position/velocity at tf. Both axes
+    share A_s; the right-hand side has one column per axis.
     """
-    junctions = tuple(junctions)
     times = [j.time for j in junctions]
     if any(not agent.t0 < t < agent.tf_nominal for t in times):
         raise OrderingError(
@@ -177,42 +171,59 @@ def assemble_system(
         )
     if any(t_next <= t_prev for t_prev, t_next in zip(times, times[1:])):
         raise OrderingError(f"junction times {times} must be strictly increasing")
-    n = len(junctions)
-    size = 8 * (n + 1)
+    size = 4 * (len(junctions) + 1)
     a = np.zeros((size, size))
-    b = np.zeros(size)
-    _place(a, 0, 0, _pos_row(agent.t0))
-    b[0:2] = agent.start.p
-    _place(a, 2, 0, _vel_row(agent.t0))
-    b[2:4] = agent.start.v
-    row = 4
+    b = np.zeros((size, 2))
+    a[0, 0:4] = _pos_row(agent.t0)
+    b[0] = agent.start.p
+    a[1, 0:4] = _vel_row(agent.t0)
+    b[1] = agent.start.v
     for k, junction in enumerate(junctions):
         obstacle = scenario.obstacle(junction.obstacle_id)
-        contact = contact_point(
+        row, col, t = 2 + 4 * k, 4 * k, junction.time
+        b[row] = b[row + 1] = contact_point(
             obstacle, inflated_radius(obstacle, agent), junction.theta
         )
-        t = junction.time
-        _place(a, row, k, _pos_row(t))
-        b[row : row + 2] = contact
-        _place(a, row + 2, k + 1, _pos_row(t))
-        b[row + 2 : row + 4] = contact
-        _place(a, row + 4, k, _vel_row(t))
-        _place(a, row + 4, k + 1, _vel_row(t), sign=-1.0)
-        _place(a, row + 6, k, _ctrl_row(t))
-        _place(a, row + 6, k + 1, _ctrl_row(t), sign=-1.0)
-        row += 8
-    _place(a, row, n, _pos_row(agent.tf_nominal))
-    b[row : row + 2] = agent.goal.p
-    _place(a, row + 2, n, _vel_row(agent.tf_nominal))
-    b[row + 2 : row + 4] = agent.goal.v
+        a[row, col : col + 4] = _pos_row(t)
+        a[row + 1, col + 4 : col + 8] = _pos_row(t)
+        a[row + 2, col : col + 4] = _vel_row(t)
+        a[row + 2, col + 4 : col + 8] = -_vel_row(t)
+        a[row + 3, col : col + 4] = _ctrl_row(t)
+        a[row + 3, col + 4 : col + 8] = -_ctrl_row(t)
+    a[-2, -4:] = _pos_row(agent.tf_nominal)
+    b[-2] = agent.goal.p
+    a[-1, -4:] = _vel_row(agent.tf_nominal)
+    b[-1] = agent.goal.v
     return a, b
+
+
+def assemble_system(
+    agent: AgentSpec, junctions: tuple[Junction, ...], scenario: Scenario
+):
+    """Build the square block system for all segment coefficients.
+
+    With n junctions there are n+1 segments and 8(n+1) unknowns, the
+    coefficients of segment k at 8k..8k+7 as (c1, c2, c3, c4), each an
+    (x, y) pair. The matrix is kron(A_s, I2) of the scalar system that
+    solve_coefficients solves directly. Constraint satisfaction at the
+    junction holds identically because the contact point lies on the
+    inflated circle.
+    """
+    a, b = _scalar_system(agent, tuple(junctions), scenario)
+    return np.kron(a, np.eye(2)), b.reshape(-1)
 
 
 def solve_coefficients(
     agent: AgentSpec, junctions: tuple[Junction, ...], scenario: Scenario
 ) -> PiecewiseTrajectory:
-    """Solve the block system and split the result at junction times."""
-    a, b = assemble_system(agent, junctions, scenario)
+    """Solve the junction system and split the result at junction times.
+
+    One refined solve of the scalar system covers both axes. Its
+    condition number equals that of the block system, whose singular
+    values are those of A_s, each repeated.
+    """
+    junctions = tuple(junctions)
+    a, b = _scalar_system(agent, junctions, scenario)
     condition = np.linalg.cond(a)
     if not condition < CONDITION_LIMIT:
         raise ConditioningError(
@@ -223,10 +234,10 @@ def solve_coefficients(
     knots = [agent.t0] + [j.time for j in junctions] + [agent.tf_nominal]
     segments = []
     for k in range(len(junctions) + 1):
-        c = coeffs[8 * k : 8 * (k + 1)]
+        c = coeffs[4 * k : 4 * (k + 1)]
         segments.append(
             CubicSegment(
-                c1=c[0:2], c2=c[2:4], c3=c[4:6], c4=c[6:8],
+                c1=c[0], c2=c[1], c3=c[2], c4=c[3],
                 t_start=knots[k], t_end=knots[k + 1],
             )
         )
@@ -254,6 +265,63 @@ def residuals(
     junctions = tuple(junctions)
     traj = solve_coefficients(agent, junctions, scenario)
     return _junction_residuals(traj, junctions)
+
+
+def _residual_jacobian(
+    agent: AgentSpec,
+    junctions: tuple[Junction, ...],
+    scenario: Scenario,
+    traj: PiecewiseTrajectory,
+) -> np.ndarray:
+    """Exact Jacobian of the junction residuals at the solved trajectory.
+
+    Columns follow the stacked parameters (theta_0, t_0, theta_1, ...).
+    Differentiating A_s(t) X = B(theta) gives A_s dX = dB - dA X: theta_k
+    moves the contact rows of B by r * (-sin, cos), and t_k touches only
+    junction k's four rows of A_s, where dA/dt_k X is the segment-k and
+    segment-(k+1) velocities at t_k, the control jump u_k - u_(k+1) and
+    6 (c1_k - c1_(k+1)). One solve with two columns per parameter gives
+    every coefficient derivative. Velocities are read on the later
+    segment, as in the residuals, which adds the explicit dv/dt_k = u.
+    """
+    n = len(junctions)
+    a, _ = _scalar_system(agent, junctions, scenario)
+    t = np.array([j.time for j in junctions])[:, None]
+    theta = np.array([j.theta for j in junctions])
+    normal = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    d_normal = np.stack([-normal[:, 1], normal[:, 0]], axis=1)
+    combined = np.array([
+        inflated_radius(scenario.obstacle(j.obstacle_id), agent) for j in junctions
+    ])
+    # c[segment, coefficient, axis]
+    c = np.array([[s.c1, s.c2, s.c3, s.c4] for s in traj.segments])
+    before, after = c[:-1], c[1:]
+    v_before = 3.0 * before[:, 0] * t**2 + 2.0 * before[:, 1] * t + before[:, 2]
+    v_after = 3.0 * after[:, 0] * t**2 + 2.0 * after[:, 1] * t + after[:, 2]
+    u_before = 6.0 * before[:, 0] * t + 2.0 * before[:, 1]
+    u_after = 6.0 * after[:, 0] * t + 2.0 * after[:, 1]
+    k = np.arange(n)
+    row = 2 + 4 * k
+    rhs = np.zeros((a.shape[0], 2 * n, 2))
+    rhs[row, 2 * k] = rhs[row + 1, 2 * k] = combined[:, None] * d_normal
+    rhs[row, 2 * k + 1] = -v_before
+    rhs[row + 1, 2 * k + 1] = -v_after
+    rhs[row + 2, 2 * k + 1] = u_after - u_before
+    rhs[row + 3, 2 * k + 1] = 6.0 * (after[:, 0] - before[:, 0])
+    # dc[segment, coefficient, parameter, axis]
+    dc = np.linalg.solve(a, rhs.reshape(a.shape[0], -1)).reshape(n + 1, 4, 2 * n, 2)
+    t = t[:, :, None]
+    dv = 3.0 * dc[1:, 0] * t**2 + 2.0 * dc[1:, 1] * t + dc[1:, 2]
+    dv[k, 2 * k + 1] += u_after
+    jump = 6.0 * (before[:, 0] - after[:, 0])
+    d_jump = 6.0 * (dc[:-1, 0] - dc[1:, 0])
+    jac = np.empty((2 * n, 2 * n))
+    jac[0::2] = np.einsum("kpa,ka->kp", dv, normal)
+    jac[2 * k, 2 * k] += np.einsum("ka,ka->k", v_after, d_normal)
+    jac[1::2] = (
+        np.einsum("kpa,ka->kp", d_jump, v_after) + np.einsum("kpa,ka->kp", dv, jump)
+    )
+    return jac
 
 
 def _clamp_times(
@@ -294,10 +362,13 @@ def solve_junctions(
     """Damped least-squares iteration over junction parameters.
 
     Gauss-Newton steps on the stacked (tangency, jump) residuals with
-    adaptive Levenberg damping; the Jacobian comes from forward finite
-    differences. Proposed junction times are clamped to keep the
-    configured margin from the horizon and from each other. Convergence
-    is a residual 2-norm at or below the configured tolerance.
+    adaptive Levenberg damping. The Jacobian is exact, by implicit
+    differentiation of the junction system, and is recomputed only after
+    an accepted step, so each iteration costs one candidate solve plus
+    at most one extra factorization. Proposed junction times are clamped
+    to keep the configured margin from the horizon and from each other.
+    Convergence is a residual 2-norm at or below the configured
+    tolerance.
     """
     junctions = tuple(initial_junctions)
     t0, tf = agent.t0, agent.tf_nominal
@@ -343,27 +414,7 @@ def solve_junctions(
     while iterations < config.max_iterations and norm > config.residual_tol:
         iterations += 1
         if jac is None:
-            jac = np.empty((2 * n, 2 * n))
-            for i in range(2 * n):
-                probe = params.copy()
-                probe[i] += config.fd_step
-                if i % 2 == 1:
-                    probe[1::2] = _clamp_times(probe[1::2], t0, tf, margin)
-                    if probe[i] == params[i]:
-                        # Pinned against a neighbor margin; probe backward.
-                        probe = params.copy()
-                        probe[i] -= config.fd_step
-                        probe[1::2] = _clamp_times(probe[1::2], t0, tf, margin)
-                delta = probe[i] - params[i]
-                if delta == 0.0:
-                    jac[:, i] = 0.0
-                    continue
-                try:
-                    _, res_probe = evaluate(_params_to_junctions(probe, junctions))
-                except ConditioningError:
-                    jac[:, i] = 0.0
-                    continue
-                jac[:, i] = (res_probe - res) / delta
+            jac = _residual_jacobian(agent, junctions, scenario, traj)
         gram = jac.T @ jac
         rhs = -jac.T @ res
         # Marquardt scaling keeps the damping visible whatever the

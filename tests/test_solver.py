@@ -28,6 +28,7 @@ from junctionplan import (
     solve_coefficients,
     solve_junctions,
 )
+from junctionplan.solver import _params_to_junctions, _residual_jacobian
 from junctionplan.trajectory import boundary_matrix
 from junctionplan.world import ViolationRecord
 
@@ -41,6 +42,28 @@ def symmetric_agent_and_obstacle():
                       t0=0.0, tf_nominal=10.0)
     obstacle = Obstacle(id=0, center=(5.0, 0.0), radius=0.75)
     return agent, Scenario(agents=(agent,), obstacles=(obstacle,))
+
+
+def corridor_agent_and_obstacles():
+    agent = AgentSpec(id=0, radius=0.2, start=rest(0, 0), goal=rest(20, 0),
+                      t0=0.0, tf_nominal=20.0)
+    obstacles = (
+        Obstacle(id=0, center=(6.0, 0.0), radius=0.8),
+        Obstacle(id=1, center=(14.0, 0.0), radius=0.8),
+        Obstacle(id=2, center=(10.0, 1.0), radius=0.5),
+    )
+    return agent, Scenario(agents=(agent,), obstacles=obstacles)
+
+
+def assert_matches_dense_block_solve(agent, junctions, scen):
+    """The per-axis solve agrees with a dense solve of the block system."""
+    a, b = assemble_system(agent, junctions, scen)
+    dense = np.linalg.solve(a, b)
+    traj = solve_coefficients(agent, junctions, scen)
+    coeffs = np.concatenate(
+        [np.concatenate([s.c1, s.c2, s.c3, s.c4]) for s in traj.segments]
+    )
+    assert np.abs(coeffs - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 class TestContactPoint:
@@ -75,12 +98,14 @@ class TestAssembleSystem:
             [agent.start.p, agent.start.v, agent.goal.p, agent.goal.v]
         )
         assert np.array_equal(b, expected_rhs)
+        assert_matches_dense_block_solve(agent, (), scen)
 
     def test_one_junction_continuity(self):
         agent, scen = symmetric_agent_and_obstacle()
         junction = Junction(obstacle_id=0, theta=math.pi / 2, time=5.0)
         a, _ = assemble_system(agent, (junction,), scen)
         assert a.shape == (16, 16)
+        assert_matches_dense_block_solve(agent, (junction,), scen)
         traj = solve_coefficients(agent, (junction,), scen)
         pa, va, ua = eval_segment(traj.segments[0], 5.0)
         pb, vb, ub = eval_segment(traj.segments[1], 5.0)
@@ -102,6 +127,7 @@ class TestAssembleSystem:
         )
         a, _ = assemble_system(agent, junctions, scen)
         assert a.shape == (24, 24)
+        assert_matches_dense_block_solve(agent, junctions, scen)
         traj = solve_coefficients(agent, junctions, scen)
         for junction in junctions:
             obs = scen.obstacle(junction.obstacle_id)
@@ -179,6 +205,44 @@ class TestResiduals:
         res = residuals(agent, (junction,), scen)
         assert res.shape == (2,)
         assert abs(res[0]) < 1e-9  # tangency vanishes by symmetry
+
+
+class TestResidualJacobian:
+    @staticmethod
+    def central_differences(agent, junctions, scen, step=1e-6):
+        params = np.array([v for j in junctions for v in (j.theta, j.time)])
+        jac = np.empty((params.size, params.size))
+        for i in range(params.size):
+            up, down = params.copy(), params.copy()
+            up[i] += step
+            down[i] -= step
+            jac[:, i] = (
+                residuals(agent, _params_to_junctions(up, junctions), scen)
+                - residuals(agent, _params_to_junctions(down, junctions), scen)
+            ) / (2.0 * step)
+        return jac
+
+    @pytest.mark.parametrize("case", ["one", "two", "three_crowded"])
+    def test_matches_central_differences(self, case):
+        if case == "one":
+            agent, scen = symmetric_agent_and_obstacle()
+            junctions = (Junction(0, math.pi / 2 + 0.4, 4.1),)
+        else:
+            agent, scen = corridor_agent_and_obstacles()
+            junctions = (Junction(0, 1.2, 6.3), Junction(1, 1.8, 13.6))
+            if case == "three_crowded":
+                # 1.5 time margins after its neighbour
+                margin = JunctionSolveConfig().time_margin
+                junctions = junctions[:1] + (
+                    Junction(2, 1.0, 6.3 + 1.5 * margin),
+                ) + junctions[1:]
+        traj = solve_coefficients(agent, junctions, scen)
+        exact = _residual_jacobian(agent, junctions, scen, traj)
+        approx = self.central_differences(agent, junctions, scen)
+        assert exact.shape == (2 * len(junctions),) * 2
+        # relative to each residual's own gradient scale
+        error = np.abs(exact - approx).max(axis=1)
+        assert np.all(error <= 1e-5 * np.abs(exact).max(axis=1))
 
 
 class TestSolveJunctions:
