@@ -161,44 +161,53 @@ def _trajectory_rows(agent_id: int, traj, samples: int) -> list[tuple]:
     return [(agent_id, times[k], p[k], v[k], u[k]) for k in range(len(times))]
 
 
+def _plan_result(agent: AgentSpec, scenario, config):
+    """Plan one agent and build its report entry.
+
+    Returns (trajectory or None, entry, converged). A converged entry
+    carries the agent's message under "message".
+    """
+    started = time.perf_counter()
+    try:
+        traj, report = plan_agent(agent, scenario, config)
+    except PlanningFailure as exc:
+        # best infeasible iterate: the inner solve may have converged
+        # but the plan as a whole did not
+        traj, report = exc.trajectory, exc.report
+        converged = False
+    else:
+        converged = report.converged
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    entry = {
+        "id": agent.id,
+        "converged": converged,
+        "residual": report.residual_norm if report else None,
+        "iterations": report.iterations if report else None,
+        "energy": report.energy if report else None,
+        "junction_count": len(report.junction_sequence) if report else None,
+        "junctions": report.to_json()["junctions"] if report else [],
+        "tf": agent.tf_nominal,
+        "wall_clock_ms": elapsed_ms,
+    }
+    if converged:
+        entry["message"] = message_to_json(encode_message(agent, report))
+    return traj, entry, converged
+
+
 def cmd_plan(args) -> int:
     scenario = load_scenario(args.scenario)
     config = _solver_config(args)
+    negotiation_config = _negotiation_config(args)
     agents = sorted(scenario.agents, key=lambda a: a.id)
 
     results: dict[int, dict] = {}
     trajectories: dict[int, object] = {}
     all_converged = True
     for agent in agents:
-        started = time.perf_counter()
-        try:
-            traj, report = plan_agent(agent, scenario, config)
-        except PlanningFailure as exc:
-            # best infeasible iterate: the inner solve may have converged
-            # but the plan as a whole did not
-            traj, report = exc.trajectory, exc.report
-            converged = False
-        else:
-            converged = report.converged
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        traj, results[agent.id], converged = _plan_result(agent, scenario, config)
         all_converged = all_converged and converged
-        results[agent.id] = {
-            "id": agent.id,
-            "converged": converged,
-            "residual": report.residual_norm if report else None,
-            "iterations": report.iterations if report else None,
-            "energy": report.energy if report else None,
-            "junction_count": len(report.junction_sequence) if report else None,
-            "junctions": report.to_json()["junctions"] if report else [],
-            "tf": agent.tf_nominal,
-            "wall_clock_ms": elapsed_ms,
-        }
         if traj is not None:
             trajectories[agent.id] = traj
-        if converged:
-            results[agent.id]["message"] = message_to_json(
-                encode_message(agent, report)
-            )
 
     negotiation = None
     conflicts = []
@@ -211,7 +220,7 @@ def cmd_plan(args) -> int:
         if conflicts:
             try:
                 arrival = negotiate_arrival_times(
-                    scenario, _negotiation_config(args), config
+                    scenario, negotiation_config, config
                 )
             except (NegotiationError, PlannerError) as exc:
                 print(f"negotiation failed: {exc}", file=sys.stderr)
@@ -226,25 +235,11 @@ def cmd_plan(args) -> int:
                         goal=agent.goal, t0=agent.t0,
                         tf_nominal=arrival[agent.id],
                     )
-                    started = time.perf_counter()
-                    traj, report = plan_agent(shifted, scenario, config)
-                    elapsed_ms = (time.perf_counter() - started) * 1000.0
-                    trajectories[agent.id] = traj
-                    results[agent.id].update(
-                        {
-                            "converged": report.converged,
-                            "residual": report.residual_norm,
-                            "iterations": report.iterations,
-                            "energy": report.energy,
-                            "junction_count": len(report.junction_sequence),
-                            "junctions": report.to_json()["junctions"],
-                            "tf": arrival[agent.id],
-                            "wall_clock_ms": elapsed_ms,
-                            "message": message_to_json(
-                                encode_message(shifted, report)
-                            ),
-                        }
+                    traj, results[agent.id], converged = _plan_result(
+                        shifted, scenario, config
                     )
+                    all_converged = all_converged and converged
+                    trajectories[agent.id] = traj
                 conflicts = _conflicts_between(
                     [(a.id, a.radius, trajectories[a.id]) for a in agents],
                     args.samples,
@@ -423,6 +418,7 @@ def cmd_bench(args) -> int:
         raise SchemaError("--repeat must be at least 1")
     scenario = load_scenario(args.scenario)
     config = _solver_config(args)
+    negotiation_config = _negotiation_config(args)
     agents = sorted(scenario.agents, key=lambda a: a.id)
     phases = {"unconstrained_ms": [], "junction_ms": [], "negotiation_ms": []}
     for _ in range(args.repeat):
@@ -442,9 +438,7 @@ def cmd_bench(args) -> int:
         if len(agents) > 1:
             msgs = [encode_message(a, plans[a.id][1]) for a in agents]
             if detect_conflicts(msgs, scenario, args.samples):
-                negotiate_arrival_times(
-                    scenario, _negotiation_config(args), config
-                )
+                negotiate_arrival_times(scenario, negotiation_config, config)
         phases["negotiation_ms"].append((time.perf_counter() - started) * 1e3)
     doc = {
         "repeat": args.repeat,

@@ -6,14 +6,16 @@ short list of real numbers instead of a sampled path. Receivers rebuild
 the exact trajectory with one linear solve. Conflicts between agents
 are resolved by shifting arrival times: the accepted assignment is the
 smallest total deviation (on a fixed grid) that makes every pairwise
-separation safe.
+separation safe. The search samples each pair of shifted plans at most
+once, caching the verdict, and enumerates joint assignments lazily in
+acceptance order, pruning a partial assignment as soon as one of its
+pairs is unsafe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -256,6 +258,38 @@ def payoff(
     return Payoff(value=trajectory_energy(traj))
 
 
+def _ordered_assignments(count: int, m: int, accept):
+    """Tick tuples in negotiation order whose every prefix is accepted.
+
+    The order is total |tick|, then max |tick|, then lexicographic. Each
+    (total, max) level is a depth-first search over positions with ticks
+    rising from -max to max; a prefix is extended only when the rest of
+    the level can still be met and ``accept(prefix)`` holds, so nothing
+    of size (2m+1)**count is ever built.
+    """
+
+    def extend(prefix, rest, d, has_d):
+        if len(prefix) == count:
+            yield prefix
+            return
+        left = count - len(prefix) - 1
+        for t in range(-d, d + 1):
+            remaining = rest - abs(t)
+            hit = has_d or abs(t) == d
+            if not 0 <= remaining <= left * d:
+                continue
+            if not hit and (left == 0 or remaining < d):
+                continue
+            candidate = prefix + (t,)
+            if accept(candidate):
+                yield from extend(candidate, remaining, d, hit)
+
+    for total in range(count * m + 1):
+        for d in range(min(total, m) + 1):
+            if d * count >= total:
+                yield from extend((), total, d, False)
+
+
 def negotiate_arrival_times(
     scenario: Scenario,
     config: NegotiationConfig = NegotiationConfig(),
@@ -270,6 +304,13 @@ def negotiate_arrival_times(
     agent id, and accepts the first assignment whose replanned
     trajectories are conflict-free. Requires all goals at rest so
     finished agents can hold their goal state.
+
+    Whether a pair conflicts depends only on that pair's two deviations,
+    so each pair verdict is sampled once and cached, and the enumeration
+    is a lazy depth-first search over agents in id order that drops a
+    partial assignment as soon as its newest agent has no converged plan
+    or conflicts with an earlier one. Memory grows with the agent count
+    and the verdict cache, not with the number of joint assignments.
     """
     agents = sorted(scenario.agents, key=lambda a: a.id)
     for agent in agents:
@@ -280,6 +321,7 @@ def negotiate_arrival_times(
             )
     m = int(round(config.max_deviation / config.step))
     plan_cache: dict[tuple[int, int], PiecewiseTrajectory | None] = {}
+    verdicts: dict[tuple[int, int, int, int], bool] = {}
 
     def plan_with_deviation(agent: AgentSpec, ticks: int):
         key = (agent.id, ticks)
@@ -296,6 +338,24 @@ def negotiate_arrival_times(
                 plan_cache[key] = None
         return plan_cache[key]
 
+    def pair_safe(i: int, tick_i: int, j: int, tick_j: int) -> bool:
+        key = (i, tick_i, j, tick_j)
+        if key not in verdicts:
+            a, b = agents[i], agents[j]
+            _, d_min = _pair_min_separation(
+                plan_with_deviation(a, tick_i), plan_with_deviation(b, tick_j),
+                config.sample_count,
+            )
+            penetration = (a.radius + b.radius) - d_min
+            verdicts[key] = not penetration > SEPARATION_TOL
+        return verdicts[key]
+
+    def accept(prefix: tuple[int, ...]) -> bool:
+        k = len(prefix) - 1
+        if plan_with_deviation(agents[k], prefix[k]) is None:
+            return False
+        return all(pair_safe(i, prefix[i], k, prefix[k]) for i in range(k))
+
     # Nominal plans must exist; surface their failure immediately.
     for agent in agents:
         nominal = plan_with_deviation(agent, 0)
@@ -304,30 +364,15 @@ def negotiate_arrival_times(
                 f"agent {agent.id} has no converged plan at its nominal horizon"
             )
 
-    candidates = sorted(
-        product(range(-m, m + 1), repeat=len(agents)),
-        key=lambda ticks: (
-            sum(abs(t) for t in ticks),
-            max(abs(t) for t in ticks),
-            ticks,
-        ),
-    )
-    for ticks in candidates:
-        entries = []
-        for agent, tick in zip(agents, ticks):
-            traj = plan_with_deviation(agent, tick)
-            if traj is None:
-                break
-            entries.append((agent.id, agent.radius, traj))
-        else:
-            if not _conflicts_between(entries, config.sample_count):
-                return {
-                    agent.id: agent.tf_nominal + tick * config.step
-                    for agent, tick in zip(agents, ticks)
-                }
-    raise NegotiationError(
-        f"no conflict-free assignment within +/-{config.max_deviation} s"
-    )
+    ticks = next(_ordered_assignments(len(agents), m, accept), None)
+    if ticks is None:
+        raise NegotiationError(
+            f"no conflict-free assignment within +/-{config.max_deviation} s"
+        )
+    return {
+        agent.id: agent.tf_nominal + tick * config.step
+        for agent, tick in zip(agents, ticks)
+    }
 
 
 # --- JSON ------------------------------------------------------------------

@@ -12,7 +12,13 @@ from junctionplan import (
     plan_agent,
     save_scenario,
 )
-from junctionplan.cli import main, CSV_HEADER, _write_trajectory_csv, _trajectory_rows
+from junctionplan.cli import (
+    CSV_HEADER,
+    EXIT_INPUT,
+    _trajectory_rows,
+    _write_trajectory_csv,
+    main,
+)
 
 
 def rest(x, y):
@@ -119,6 +125,23 @@ class TestPlan:
         assert report["conflicts"] == []
         msg = json.loads((out / "message_1.json").read_text())
         assert msg["tf"] == 8.0
+
+    @pytest.mark.parametrize("command", ["plan", "bench"])
+    @pytest.mark.parametrize("grid", [["--step", 0],
+                                      ["--step", 0.5, "--max-dev", 1.2]])
+    def test_invalid_grid_rejected_without_conflicts(self, tmp_path,
+                                                     command, grid):
+        # separated corridors never need negotiation; the grid is still checked
+        agents = (
+            AgentSpec(id=0, radius=0.5, start=rest(0, 0), goal=rest(10, 0),
+                      t0=0.0, tf_nominal=10.0),
+            AgentSpec(id=1, radius=0.5, start=rest(0, 50), goal=rest(10, 50),
+                      t0=0.0, tf_nominal=10.0),
+        )
+        path = write_scenario(tmp_path, Scenario(agents=agents, obstacles=()))
+        out = tmp_path / "run"
+        assert run([command, path, "--out", out, *grid]) == EXIT_INPUT
+        assert not (out / "report.json").exists()
 
     def test_planning_failure_writes_partial_outputs(self, tmp_path):
         # two separated blocking obstacles but a budget of one junction

@@ -1,9 +1,11 @@
 import json
 import math
-from itertools import product
+import random
+from itertools import islice, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from junctionplan import (
     AgentSpec,
@@ -32,7 +34,8 @@ from junctionplan import (
     solve_boundary,
     trajectory_energy,
 )
-from junctionplan.game import _conflicts_between
+from junctionplan import game
+from junctionplan.game import _conflicts_between, _ordered_assignments
 
 
 def rest(x, y):
@@ -261,6 +264,34 @@ def brute_force_negotiation(scenario, config, solver_config):
     }, feasible
 
 
+def negotiation_order(ticks):
+    return (sum(abs(x) for x in ticks), max(abs(x) for x in ticks), ticks)
+
+
+class TestOrderedAssignments:
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(1, 4), m=st.integers(0, 3),
+           seed=st.integers(0, 2**32), rate=st.floats(0.3, 1.0))
+    def test_matches_sorted_product_filtered_by_prefixes(self, count, m,
+                                                         seed, rate):
+        def accept(prefix):
+            return random.Random(f"{seed}:{prefix}").random() < rate
+
+        expected = [
+            ticks
+            for ticks in sorted(product(range(-m, m + 1), repeat=count),
+                                key=negotiation_order)
+            if all(accept(ticks[:k]) for k in range(1, count + 1))
+        ]
+        assert list(_ordered_assignments(count, m, accept)) == expected
+
+    def test_lazy_on_a_huge_grid(self):
+        # 21**12 (about 7e15) assignments: only the first few are built
+        first = list(islice(_ordered_assignments(12, 10, lambda p: True), 3))
+        zeros = (0,) * 12
+        assert first == [zeros, (-1,) + zeros[1:], (0, -1) + zeros[2:]]
+
+
 class TestNegotiation:
     def test_no_conflict_keeps_nominal(self):
         a = AgentSpec(id=0, radius=0.5, start=rest(0, 0), goal=rest(10, 0),
@@ -308,6 +339,58 @@ class TestNegotiation:
         arrival = negotiate_arrival_times(scen, config, solver_config)
         expected, _ = brute_force_negotiation(scen, config, solver_config)
         assert arrival == expected
+
+    def test_pair_verdicts_are_cached(self, monkeypatch):
+        # the ring of test_three_agents_match_grid_oracle
+        angles = [2 * math.pi * k / 3 for k in range(3)]
+        agents = tuple(
+            AgentSpec(id=k, radius=0.6, start=rest(6 * math.cos(a), 6 * math.sin(a)),
+                      goal=rest(-6 * math.cos(a), -6 * math.sin(a)),
+                      t0=0.0, tf_nominal=10.0)
+            for k, a in enumerate(angles)
+        )
+        scen = Scenario(agents=agents, obstacles=())
+        solver_config = JunctionSolveConfig(sample_count=501)
+        config = NegotiationConfig(step=2.0, max_deviation=4.0,
+                                   sample_count=501)
+        # the oracle samples pairs too, so it runs before the counter is in
+        expected, _ = brute_force_negotiation(scen, config, solver_config)
+
+        # an agent is known by its goal, a tick by the arrival time
+        def identify(traj):
+            goal = game.sample_positions_held(traj, np.array([traj.t_end]))[0]
+            return tuple(np.round(goal, 6)), traj.t_end
+
+        checked = []
+        original = game._pair_min_separation
+
+        def counting(traj_a, traj_b, sample_count):
+            checked.append((identify(traj_a), identify(traj_b)))
+            return original(traj_a, traj_b, sample_count)
+
+        monkeypatch.setattr(game, "_pair_min_separation", counting)
+        arrival = negotiate_arrival_times(scen, config, solver_config)
+        assert arrival == expected
+        assert len(checked) == len(set(checked))
+        assert 0 < len(checked) <= 3 * 25
+
+    def test_six_agents_negotiate_only_the_crossing_pair(
+        self, crossing_scenario
+    ):
+        # ids 0 and 3-5 travel far from the crossing and from each other
+        far = tuple(
+            AgentSpec(id=agent_id, radius=0.75, start=rest(-5, y),
+                      goal=rest(5, y), t0=0.0, tf_nominal=10.0)
+            for agent_id, y in ((0, 40), (3, 80), (4, -40), (5, -80))
+        )
+        scen = Scenario(agents=crossing_scenario.agents + far, obstacles=())
+        solver_config = JunctionSolveConfig()
+        config = NegotiationConfig(step=1.0, max_deviation=3.0)
+        pair = negotiate_arrival_times(crossing_scenario, config,
+                                       solver_config)
+        arrival = negotiate_arrival_times(scen, config, solver_config)
+        assert arrival == {**pair, **{a.id: a.tf_nominal for a in far}}
+        assert pair != {1: 10.0, 2: 10.0}
 
     def test_nonzero_goal_velocity_rejected(self):
         a = AgentSpec(id=0, radius=0.5, start=rest(0, 0),
