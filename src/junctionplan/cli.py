@@ -23,6 +23,7 @@ from .errors import (
     NegotiationError,
     PlannerError,
     PlanningFailure,
+    ScenarioLookupError,
     SchemaError,
 )
 from .game import (
@@ -507,7 +508,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, GenerationError, FileNotFoundError, ValueError) as exc:
+    except (
+        SchemaError, ScenarioLookupError, GenerationError, FileNotFoundError, ValueError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PlanningFailure as exc:

@@ -17,17 +17,21 @@ the contact angle and time:
              is constant on each segment.
 
 An outer damped least-squares iteration drives both residuals to zero
-over the stacked (theta_k, t_k) parameters. Its Jacobian is exact: the
-coefficient derivatives come from implicit differentiation of
-A_s(t) X = B(theta), one factorization with two right-hand sides per
-parameter. Activation sequences are discovered greedily: plan, find the
-first violated obstacle, seed a junction there, replan.
+over the stacked (theta_k, t_k) parameters. Its iterate is plain arrays:
+the parameter vector, A_s, the coefficient rows X and the residuals read
+from X; Junction objects and the PiecewiseTrajectory are built once, when
+the solve returns. The Jacobian is exact: the coefficient derivatives
+come from implicit differentiation of A_s(t) X = B(theta), one
+factorization with two right-hand sides per parameter. Activation
+sequences are discovered greedily: plan, find the first violated
+obstacle, seed a junction there, replan.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -152,7 +156,7 @@ def _ctrl_row(t: float) -> np.ndarray:
 
 
 def _scalar_system(
-    agent: AgentSpec, junctions: tuple[Junction, ...], scenario: Scenario
+    agent: AgentSpec, times: list[float], contacts: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scalar junction matrix A_s and its (x, y) right-hand side.
 
@@ -163,7 +167,6 @@ def _scalar_system(
     control continuity, then boundary position/velocity at tf. Both axes
     share A_s; the right-hand side has one column per axis.
     """
-    times = [j.time for j in junctions]
     if any(not agent.t0 < t < agent.tf_nominal for t in times):
         raise OrderingError(
             f"junction times {times} must lie strictly inside "
@@ -171,19 +174,16 @@ def _scalar_system(
         )
     if any(t_next <= t_prev for t_prev, t_next in zip(times, times[1:])):
         raise OrderingError(f"junction times {times} must be strictly increasing")
-    size = 4 * (len(junctions) + 1)
+    size = 4 * (len(times) + 1)
     a = np.zeros((size, size))
     b = np.zeros((size, 2))
     a[0, 0:4] = _pos_row(agent.t0)
     b[0] = agent.start.p
     a[1, 0:4] = _vel_row(agent.t0)
     b[1] = agent.start.v
-    for k, junction in enumerate(junctions):
-        obstacle = scenario.obstacle(junction.obstacle_id)
-        row, col, t = 2 + 4 * k, 4 * k, junction.time
-        b[row] = b[row + 1] = contact_point(
-            obstacle, inflated_radius(obstacle, agent), junction.theta
-        )
+    for k, (t, contact) in enumerate(zip(times, contacts)):
+        row, col = 2 + 4 * k, 4 * k
+        b[row] = b[row + 1] = contact
         a[row, col : col + 4] = _pos_row(t)
         a[row + 1, col + 4 : col + 8] = _pos_row(t)
         a[row + 2, col : col + 4] = _vel_row(t)
@@ -195,6 +195,47 @@ def _scalar_system(
     a[-1, -4:] = _vel_row(agent.tf_nominal)
     b[-1] = agent.goal.v
     return a, b
+
+
+def _solve_system(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Refined solve of A_s X = B for both axes, rejecting ill-conditioned A_s.
+
+    The condition number of A_s equals that of the block system, whose
+    singular values are those of A_s, each repeated.
+    """
+    condition = np.linalg.cond(a)
+    if not condition < CONDITION_LIMIT:
+        raise ConditioningError(
+            f"block system condition {condition:.3e} exceeds {CONDITION_LIMIT:.0e}; "
+            "junction times too close together or to the boundary"
+        )
+    return solve_refined(a, b)
+
+
+def _trajectory(
+    agent: AgentSpec, times: list[float], x: np.ndarray
+) -> PiecewiseTrajectory:
+    """Split the coefficient rows X into cubic segments at the junction times."""
+    knots = [agent.t0, *times, agent.tf_nominal]
+    return PiecewiseTrajectory(segments=tuple(
+        CubicSegment(*x[4 * k : 4 * k + 4], t_start=knots[k], t_end=knots[k + 1])
+        for k in range(len(knots) - 1)
+    ))
+
+
+def _junction_system(
+    agent: AgentSpec, junctions: tuple[Junction, ...], scenario: Scenario
+):
+    """Junction times, angles and the scalar system of a junction sequence."""
+    times = [j.time for j in junctions]
+    thetas = [j.theta for j in junctions]
+    contacts = []
+    for junction in junctions:
+        obstacle = scenario.obstacle(junction.obstacle_id)
+        contacts.append(
+            contact_point(obstacle, inflated_radius(obstacle, agent), junction.theta)
+        )
+    return times, thetas, *_scalar_system(agent, times, contacts)
 
 
 def assemble_system(
@@ -209,7 +250,7 @@ def assemble_system(
     junction holds identically because the contact point lies on the
     inflated circle.
     """
-    a, b = _scalar_system(agent, tuple(junctions), scenario)
+    _, _, a, b = _junction_system(agent, tuple(junctions), scenario)
     return np.kron(a, np.eye(2)), b.reshape(-1)
 
 
@@ -218,43 +259,27 @@ def solve_coefficients(
 ) -> PiecewiseTrajectory:
     """Solve the junction system and split the result at junction times.
 
-    One refined solve of the scalar system covers both axes. Its
-    condition number equals that of the block system, whose singular
-    values are those of A_s, each repeated.
+    One refined solve of the scalar system covers both axes.
     """
-    junctions = tuple(junctions)
-    a, b = _scalar_system(agent, junctions, scenario)
-    condition = np.linalg.cond(a)
-    if not condition < CONDITION_LIMIT:
-        raise ConditioningError(
-            f"block system condition {condition:.3e} exceeds {CONDITION_LIMIT:.0e}; "
-            "junction times too close together or to the boundary"
-        )
-    coeffs = solve_refined(a, b)
-    knots = [agent.t0] + [j.time for j in junctions] + [agent.tf_nominal]
-    segments = []
-    for k in range(len(junctions) + 1):
-        c = coeffs[4 * k : 4 * (k + 1)]
-        segments.append(
-            CubicSegment(
-                c1=c[0], c2=c[1], c3=c[2], c4=c[3],
-                t_start=knots[k], t_end=knots[k + 1],
-            )
-        )
-    return PiecewiseTrajectory(segments=tuple(segments))
+    times, _, a, b = _junction_system(agent, tuple(junctions), scenario)
+    return _trajectory(agent, times, _solve_system(a, b))
 
 
 def _junction_residuals(
-    traj: PiecewiseTrajectory, junctions: tuple[Junction, ...]
+    x: np.ndarray, times: list[float], thetas: list[float]
 ) -> np.ndarray:
-    res = np.empty(2 * len(junctions))
-    for k, junction in enumerate(junctions):
-        seg_before = traj.segments[k]
-        seg_after = traj.segments[k + 1]
-        _, v, _ = eval_trajectory(traj, junction.time)
-        normal = np.array([math.cos(junction.theta), math.sin(junction.theta)])
+    """(tangency, jump) residuals read from the coefficient rows X.
+
+    The velocity at t_k is taken on the later segment, as eval_trajectory
+    does at a knot.
+    """
+    res = np.empty(2 * len(times))
+    for k, (t, theta) in enumerate(zip(times, thetas)):
+        c1_before, c1, c2, c3 = x[4 * k], x[4 * k + 4], x[4 * k + 5], x[4 * k + 6]
+        v = 3.0 * c1 * t**2 + 2.0 * c2 * t + c3
+        normal = np.array([math.cos(theta), math.sin(theta)])
         res[2 * k] = v @ normal
-        res[2 * k + 1] = 6.0 * (seg_before.c1 - seg_after.c1) @ v
+        res[2 * k + 1] = 6.0 * (c1_before - c1) @ v
     return res
 
 
@@ -262,18 +287,18 @@ def residuals(
     agent: AgentSpec, junctions: tuple[Junction, ...], scenario: Scenario
 ) -> np.ndarray:
     """Optimality residuals (tangency, jump) for each junction."""
-    junctions = tuple(junctions)
-    traj = solve_coefficients(agent, junctions, scenario)
-    return _junction_residuals(traj, junctions)
+    times, thetas, a, b = _junction_system(agent, tuple(junctions), scenario)
+    return _junction_residuals(_solve_system(a, b), times, thetas)
 
 
 def _residual_jacobian(
-    agent: AgentSpec,
-    junctions: tuple[Junction, ...],
-    scenario: Scenario,
-    traj: PiecewiseTrajectory,
+    a: np.ndarray,
+    x: np.ndarray,
+    times: Sequence[float],
+    thetas: Sequence[float],
+    radii: Sequence[float],
 ) -> np.ndarray:
-    """Exact Jacobian of the junction residuals at the solved trajectory.
+    """Exact Jacobian of the junction residuals at the solution X of A_s X = B.
 
     Columns follow the stacked parameters (theta_0, t_0, theta_1, ...).
     Differentiating A_s(t) X = B(theta) gives A_s dX = dB - dA X: theta_k
@@ -284,17 +309,14 @@ def _residual_jacobian(
     every coefficient derivative. Velocities are read on the later
     segment, as in the residuals, which adds the explicit dv/dt_k = u.
     """
-    n = len(junctions)
-    a, _ = _scalar_system(agent, junctions, scenario)
-    t = np.array([j.time for j in junctions])[:, None]
-    theta = np.array([j.theta for j in junctions])
+    n = len(times)
+    t = np.array(times)[:, None]
+    theta = np.array(thetas)
     normal = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     d_normal = np.stack([-normal[:, 1], normal[:, 0]], axis=1)
-    combined = np.array([
-        inflated_radius(scenario.obstacle(j.obstacle_id), agent) for j in junctions
-    ])
+    combined = np.array(radii)
     # c[segment, coefficient, axis]
-    c = np.array([[s.c1, s.c2, s.c3, s.c4] for s in traj.segments])
+    c = x.reshape(n + 1, 4, 2)
     before, after = c[:-1], c[1:]
     v_before = 3.0 * before[:, 0] * t**2 + 2.0 * before[:, 1] * t + before[:, 2]
     v_after = 3.0 * after[:, 0] * t**2 + 2.0 * after[:, 1] * t + after[:, 2]
@@ -344,15 +366,6 @@ def _clamp_times(
     return clamped
 
 
-def _params_to_junctions(
-    params: np.ndarray, junctions: tuple[Junction, ...]
-) -> tuple[Junction, ...]:
-    return tuple(
-        replace(j, theta=_wrap_angle(float(params[2 * k])), time=float(params[2 * k + 1]))
-        for k, j in enumerate(junctions)
-    )
-
-
 def solve_junctions(
     agent: AgentSpec,
     initial_junctions: tuple[Junction, ...],
@@ -362,51 +375,43 @@ def solve_junctions(
     """Damped least-squares iteration over junction parameters.
 
     Gauss-Newton steps on the stacked (tangency, jump) residuals with
-    adaptive Levenberg damping. The Jacobian is exact, by implicit
-    differentiation of the junction system, and is recomputed only after
-    an accepted step, so each iteration costs one candidate solve plus
-    at most one extra factorization. Proposed junction times are clamped
-    to keep the configured margin from the horizon and from each other.
-    Convergence is a residual 2-norm at or below the configured
-    tolerance.
+    adaptive Levenberg damping. The iterate is the parameter vector
+    (theta_0, t_0, theta_1, ...); each evaluation builds A_s and B once,
+    solves for the coefficient rows X and reads the residuals from X.
+    The Jacobian is exact, by implicit differentiation of the junction
+    system, and is recomputed only after an accepted step, from that
+    step's A_s, so each iteration costs one candidate solve plus at most
+    one extra factorization. Proposed junction times are clamped to keep
+    the configured margin from the horizon and from each other, and
+    angles are wrapped into [-pi, pi). Convergence is a residual 2-norm
+    at or below the configured tolerance. The Junction objects and the
+    trajectory are built once, from the final iterate.
     """
     junctions = tuple(initial_junctions)
     t0, tf = agent.t0, agent.tf_nominal
     margin = config.time_margin
-    if junctions:
-        times = _clamp_times(
-            np.array([j.time for j in junctions], dtype=float), t0, tf, margin
-        )
-        junctions = tuple(
-            replace(j, time=float(t)) for j, t in zip(junctions, times)
-        )
+    params = np.array([v for j in junctions for v in (j.theta, j.time)], dtype=float)
+    params[1::2] = _clamp_times(params[1::2], t0, tf, margin)
+    obstacles = [scenario.obstacle(j.obstacle_id) for j in junctions]
+    radii = [inflated_radius(obstacle, agent) for obstacle in obstacles]
 
-    def evaluate(curr: tuple[Junction, ...]):
-        traj = solve_coefficients(agent, curr, scenario)
-        return traj, _junction_residuals(traj, curr)
+    def evaluate(p: np.ndarray):
+        times, thetas = p[1::2].tolist(), p[0::2].tolist()
+        contacts = [
+            contact_point(obstacle, r, theta)
+            for obstacle, r, theta in zip(obstacles, radii, thetas)
+        ]
+        a, b = _scalar_system(agent, times, contacts)
+        x = _solve_system(a, b)
+        return a, x, _junction_residuals(x, times, thetas)
 
     try:
-        traj, res = evaluate(junctions)
+        a, x, res = evaluate(params)
     except ConditioningError:
         # One retry with times nudged off the degenerate geometry.
-        times = _clamp_times(
-            np.array([j.time for j in junctions]) + 10.0 * margin, t0, tf, margin
-        )
-        junctions = tuple(replace(j, time=float(t)) for j, t in zip(junctions, times))
-        traj, res = evaluate(junctions)
+        params[1::2] = _clamp_times(params[1::2] + 10.0 * margin, t0, tf, margin)
+        a, x, res = evaluate(params)
 
-    n = len(junctions)
-    if n == 0:
-        report = SolveReport(
-            converged=True, residual_norm=0.0, iterations=0,
-            junction_sequence=(), energy=trajectory_energy(traj),
-        )
-        return traj, report
-
-    params = np.empty(2 * n)
-    for k, j in enumerate(junctions):
-        params[2 * k] = j.theta
-        params[2 * k + 1] = j.time
     norm = float(np.linalg.norm(res))
     damping = 1e-3
     iterations = 0
@@ -414,7 +419,7 @@ def solve_junctions(
     while iterations < config.max_iterations and norm > config.residual_tol:
         iterations += 1
         if jac is None:
-            jac = _residual_jacobian(agent, junctions, scenario, traj)
+            jac = _residual_jacobian(a, x, params[1::2], params[0::2], radii)
         gram = jac.T @ jac
         rhs = -jac.T @ res
         # Marquardt scaling keeps the damping visible whatever the
@@ -427,22 +432,25 @@ def solve_junctions(
             continue
         candidate = params + step
         candidate[1::2] = _clamp_times(candidate[1::2], t0, tf, margin)
+        candidate[0::2] = [_wrap_angle(v) for v in candidate[0::2]]
         try:
-            cand_junctions = _params_to_junctions(candidate, junctions)
-            cand_traj, cand_res = evaluate(cand_junctions)
+            cand_a, cand_x, cand_res = evaluate(candidate)
             cand_norm = float(np.linalg.norm(cand_res))
         except (ConditioningError, OrderingError):
             cand_norm = math.inf
         if cand_norm < norm:
-            params = candidate
-            params[0::2] = [_wrap_angle(v) for v in params[0::2]]
-            junctions = _params_to_junctions(params, junctions)
-            traj, res, norm = cand_traj, cand_res, cand_norm
+            params, a, x, res, norm = candidate, cand_a, cand_x, cand_res, cand_norm
             damping = max(damping * 0.3, 1e-12)
             jac = None
         else:
             damping = min(damping * 10.0, 1e12)
 
+    times = params[1::2].tolist()
+    traj = _trajectory(agent, times, x)
+    junctions = tuple(
+        Junction(obstacle_id=j.obstacle_id, theta=theta, time=t)
+        for j, theta, t in zip(junctions, params[0::2].tolist(), times)
+    )
     degenerate = tuple(
         k for k, j in enumerate(junctions)
         if float(np.linalg.norm(eval_trajectory(traj, j.time)[1])) < DEGENERATE_SPEED

@@ -216,6 +216,18 @@ class TestCheck:
     def test_missing_file(self, symmetric_file, tmp_path):
         assert run(["check", symmetric_file, tmp_path / "nope.csv"]) == 2
 
+    def test_unknown_agent_is_input_error(self, symmetric_file, tmp_path):
+        out = tmp_path / "run"
+        assert run(["plan", symmetric_file, "--out", out]) == 0
+        csv_path = out / "trajectories.csv"
+        with open(csv_path) as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            row[0] = "99"
+        with open(csv_path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert run(["check", symmetric_file, csv_path]) == EXIT_INPUT
+
 
 class TestOracleCommand:
     def test_symmetric_gap_within_two_percent(self, symmetric_file, capsys):
@@ -248,6 +260,9 @@ class TestOracleCommand:
 
     def test_multi_agent_requires_agent_flag(self, crossing_file):
         assert run(["oracle", crossing_file]) == 2
+
+    def test_unknown_agent_is_input_error(self, symmetric_file):
+        assert run(["oracle", symmetric_file, "--agent", 99]) == EXIT_INPUT
 
     def test_oracle_csv_export(self, symmetric_file, tmp_path, capsys):
         out = tmp_path / "oracle_out"

@@ -16,6 +16,7 @@ from junctionplan import (
     KinematicState,
     Message,
     NegotiationConfig,
+    Obstacle,
     Payoff,
     Scenario,
     SolveReport,
@@ -111,11 +112,21 @@ class TestEncode:
 class TestDecode:
     def test_round_trip_reproduces_coefficients(self, symmetric_plan):
         scen, _, traj, _, msg = symmetric_plan
-        rebuilt = decode_message(msg, scen)
-        assert len(rebuilt.segments) == len(traj.segments)
-        for a, b in zip(traj.segments, rebuilt.segments):
-            for name in ("c1", "c2", "c3", "c4"):
-                assert np.abs(getattr(a, name) - getattr(b, name)).max() < 1e-9
+        corridor_agent = AgentSpec(id=0, radius=0.2, start=rest(0, 0),
+                                   goal=rest(20, 0), t0=0.0, tf_nominal=20.0)
+        corridor = Scenario(agents=(corridor_agent,), obstacles=(
+            Obstacle(id=0, center=(6.0, 0.0), radius=0.8),
+            Obstacle(id=1, center=(14.0, 0.0), radius=0.8),
+        ))
+        corridor_traj, _, corridor_msg = plan_and_encode(corridor_agent, corridor)
+        assert len(corridor_msg.junctions) == 2
+        for scenario, planned, message in ((scen, traj, msg),
+                                           (corridor, corridor_traj, corridor_msg)):
+            rebuilt = decode_message(message, scenario)
+            assert len(rebuilt.segments) == len(planned.segments)
+            for a, b in zip(planned.segments, rebuilt.segments):
+                for name in ("c1", "c2", "c3", "c4"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_empty_junctions_equals_boundary_solve(self):
         agent = AgentSpec(id=3, radius=0.5, start=rest(0, 0), goal=rest(4, 2),

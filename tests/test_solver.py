@@ -28,7 +28,7 @@ from junctionplan import (
     solve_coefficients,
     solve_junctions,
 )
-from junctionplan.solver import _params_to_junctions, _residual_jacobian
+from junctionplan.solver import _residual_jacobian
 from junctionplan.trajectory import boundary_matrix
 from junctionplan.world import ViolationRecord
 
@@ -211,14 +211,20 @@ class TestResidualJacobian:
     @staticmethod
     def central_differences(agent, junctions, scen, step=1e-6):
         params = np.array([v for j in junctions for v in (j.theta, j.time)])
+
+        def at(p):
+            return tuple(
+                Junction(j.obstacle_id, float(p[2 * k]), float(p[2 * k + 1]))
+                for k, j in enumerate(junctions)
+            )
+
         jac = np.empty((params.size, params.size))
         for i in range(params.size):
             up, down = params.copy(), params.copy()
             up[i] += step
             down[i] -= step
             jac[:, i] = (
-                residuals(agent, _params_to_junctions(up, junctions), scen)
-                - residuals(agent, _params_to_junctions(down, junctions), scen)
+                residuals(agent, at(up), scen) - residuals(agent, at(down), scen)
             ) / (2.0 * step)
         return jac
 
@@ -236,8 +242,15 @@ class TestResidualJacobian:
                 junctions = junctions[:1] + (
                     Junction(2, 1.0, 6.3 + 1.5 * margin),
                 ) + junctions[1:]
+        block, _ = assemble_system(agent, junctions, scen)
         traj = solve_coefficients(agent, junctions, scen)
-        exact = _residual_jacobian(agent, junctions, scen, traj)
+        x = np.array([[s.c1, s.c2, s.c3, s.c4] for s in traj.segments]).reshape(-1, 2)
+        radii = [inflated_radius(scen.obstacle(j.obstacle_id), agent) for j in junctions]
+        # A_s is every other row and column of kron(A_s, I2)
+        exact = _residual_jacobian(
+            block[::2, ::2], x, [j.time for j in junctions],
+            [j.theta for j in junctions], radii,
+        )
         approx = self.central_differences(agent, junctions, scen)
         assert exact.shape == (2 * len(junctions),) * 2
         # relative to each residual's own gradient scale
