@@ -22,13 +22,6 @@ from junctionplan import (
 )
 
 
-def replan(agent, scenario, tf):
-    shifted = AgentSpec(id=agent.id, radius=agent.radius, start=agent.start,
-                        goal=agent.goal, t0=agent.t0, tf_nominal=tf)
-    traj, report = plan_agent(shifted, scenario)
-    return shifted, traj, report
-
-
 def main():
     a1 = AgentSpec(id=1, radius=0.75,
                    start=KinematicState.at_rest(-5.0, 0.0),
@@ -56,16 +49,13 @@ def main():
               f"{payoff(msg, messages, scenario).to_json()}")
 
     config = NegotiationConfig(step=2.0, max_deviation=4.0)
-    arrival = negotiate_arrival_times(scenario, config, JunctionSolveConfig())
-    print(f"  negotiated arrivals       {arrival}")
+    negotiated = negotiate_arrival_times(scenario, config, JunctionSolveConfig())
+    print(f"  negotiated arrivals       {negotiated.arrival_times}")
 
-    plans = {}
-    final_messages = []
-    for agent in (a1, a2):
-        shifted, traj, report = replan(agent, scenario, arrival[agent.id])
-        plans[agent.id] = traj
-        final_messages.append(encode_message(shifted, report))
-    t_min, dist = min_separation(plans[1], plans[2])
+    plans = negotiated.plans
+    final_messages = [encode_message(plan.spec, plan.report)
+                      for plan in plans.values()]
+    t_min, dist = min_separation(plans[1].trajectory, plans[2].trajectory)
     print(f"  post-negotiation minimum  {dist:.3f} m at t={t_min:.2f} "
           f"(margin {dist - required:+.3f} m)")
     for msg in final_messages:

@@ -45,7 +45,6 @@ from .world import (
     gen_world,
     inflated_radius,
     load_scenario,
-    min_separation,
     save_scenario,
     scenario_from_json,
     scenario_to_json,
@@ -74,6 +73,7 @@ from .game import (
     message_int_count,
     message_real_count,
     message_to_json,
+    min_separation,
     negotiate_arrival_times,
     payoff,
 )

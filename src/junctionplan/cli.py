@@ -39,6 +39,7 @@ from .oracle import OracleConfig, compare, discrete_min_energy_constrained
 from .solver import JunctionSolveConfig, plan_agent
 from .trajectory import KinematicState, sample_trajectory, solve_boundary
 from .world import (
+    DEFAULT_SAMPLE_COUNT,
     AgentSpec,
     Bounds,
     gen_world,
@@ -64,7 +65,7 @@ def _fmt(x: float) -> str:
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-7,
                         help="junction residual tolerance")
-    parser.add_argument("--samples", type=int, default=2001,
+    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT,
                         help="uniform samples for violation checks and CSV output")
     parser.add_argument("--max-junctions", type=int, default=8)
     parser.add_argument("--step", type=float, default=0.5,
@@ -162,23 +163,10 @@ def _trajectory_rows(agent_id: int, traj, samples: int) -> list[tuple]:
     return [(agent_id, times[k], p[k], v[k], u[k]) for k in range(len(times))]
 
 
-def _plan_result(agent: AgentSpec, scenario, config):
-    """Plan one agent and build its report entry.
-
-    Returns (trajectory or None, entry, converged). A converged entry
-    carries the agent's message under "message".
-    """
-    started = time.perf_counter()
-    try:
-        traj, report = plan_agent(agent, scenario, config)
-    except PlanningFailure as exc:
-        # best infeasible iterate: the inner solve may have converged
-        # but the plan as a whole did not
-        traj, report = exc.trajectory, exc.report
-        converged = False
-    else:
-        converged = report.converged
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
+def _plan_entry(agent: AgentSpec, report, converged: bool,
+                elapsed_ms: float) -> dict:
+    """One agent's report entry. A converged entry carries the agent's
+    message under "message"; report is None when no solve finished."""
     entry = {
         "id": agent.id,
         "converged": converged,
@@ -192,7 +180,7 @@ def _plan_result(agent: AgentSpec, scenario, config):
     }
     if converged:
         entry["message"] = message_to_json(encode_message(agent, report))
-    return traj, entry, converged
+    return entry
 
 
 def cmd_plan(args) -> int:
@@ -205,22 +193,34 @@ def cmd_plan(args) -> int:
     trajectories: dict[int, object] = {}
     all_converged = True
     for agent in agents:
-        traj, results[agent.id], converged = _plan_result(agent, scenario, config)
+        started = time.perf_counter()
+        try:
+            traj, report = plan_agent(agent, scenario, config)
+        except PlanningFailure as exc:
+            # best infeasible iterate: the inner solve may have converged
+            # but the plan as a whole did not
+            traj, report = exc.trajectory, exc.report
+            converged = False
+        else:
+            converged = report.converged
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        results[agent.id] = _plan_entry(agent, report, converged, elapsed_ms)
         all_converged = all_converged and converged
         if traj is not None:
             trajectories[agent.id] = traj
+
+    def current_conflicts():
+        entries = [(a.id, a.radius, trajectories[a.id]) for a in agents]
+        return _conflicts_between(entries, args.samples)
 
     negotiation = None
     conflicts = []
     negotiation_failed = False
     if all_converged and len(agents) > 1:
-        entries = [
-            (a.id, a.radius, trajectories[a.id]) for a in agents
-        ]
-        conflicts = _conflicts_between(entries, args.samples)
+        conflicts = current_conflicts()
         if conflicts:
             try:
-                arrival = negotiate_arrival_times(
+                negotiated = negotiate_arrival_times(
                     scenario, negotiation_config, config
                 )
             except (NegotiationError, PlannerError) as exc:
@@ -228,23 +228,16 @@ def cmd_plan(args) -> int:
                 negotiation_failed = True
             else:
                 negotiation = negotiation_to_json(
-                    arrival, {a.id: a.tf_nominal for a in agents}
+                    negotiated.arrival_times,
+                    {a.id: a.tf_nominal for a in agents},
                 )
-                for agent in agents:
-                    shifted = AgentSpec(
-                        id=agent.id, radius=agent.radius, start=agent.start,
-                        goal=agent.goal, t0=agent.t0,
-                        tf_nominal=arrival[agent.id],
+                for agent_id, plan in negotiated.plans.items():
+                    results[agent_id] = _plan_entry(
+                        plan.spec, plan.report, plan.report.converged,
+                        plan.wall_clock_ms,
                     )
-                    traj, results[agent.id], converged = _plan_result(
-                        shifted, scenario, config
-                    )
-                    all_converged = all_converged and converged
-                    trajectories[agent.id] = traj
-                conflicts = _conflicts_between(
-                    [(a.id, a.radius, trajectories[a.id]) for a in agents],
-                    args.samples,
-                )
+                    trajectories[agent_id] = plan.trajectory
+                conflicts = current_conflicts()
 
     args.out.mkdir(parents=True, exist_ok=True)
     rows = []

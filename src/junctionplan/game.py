@@ -9,13 +9,20 @@ smallest total deviation (on a fixed grid) that makes every pairwise
 separation safe. The search samples each pair of shifted plans at most
 once, caching the verdict, and enumerates joint assignments lazily in
 acceptance order, pruning a partial assignment as soon as one of its
-pairs is unsafe.
+pairs is unsafe. It hands back the plans it chose along with the
+arrival times, so callers need not plan the shifted agents again.
+
+This module owns the sampled inter-agent separation (`min_separation`)
+and the one penetration test built on it, shared by conflict detection,
+payoffs and negotiation.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +31,7 @@ from .errors import (
     EncodingError,
     NegotiationError,
     PlannerError,
+    ScenarioLookupError,
     SchemaError,
     UnsupportedScenarioError,
     ValidationError,
@@ -42,6 +50,7 @@ from .trajectory import (
     trajectory_energy,
 )
 from .world import (
+    DEFAULT_SAMPLE_COUNT,
     AgentSpec,
     Scenario,
     first_violation,
@@ -55,8 +64,6 @@ from .world import (
 # Penetration of the required separation deeper than this counts as a
 # conflict; consistent with the world-model safety tolerance.
 SEPARATION_TOL = 1e-9
-
-DEFAULT_SAMPLE_COUNT = 2001
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +183,7 @@ def decode_message(msg: Message, scenario: Scenario) -> PiecewiseTrajectory:
         radius = scenario.agent(msg.agent_id).radius
         for junction in msg.junctions:
             scenario.obstacle(junction.obstacle_id)
-    except Exception as exc:
+    except ScenarioLookupError as exc:
         raise DecodeError(str(exc)) from exc
     sender = AgentSpec(
         id=msg.agent_id, radius=radius, start=msg.start, goal=msg.goal,
@@ -185,16 +192,33 @@ def decode_message(msg: Message, scenario: Scenario) -> PiecewiseTrajectory:
     return solve_coefficients(sender, msg.junctions, scenario)
 
 
-def _pair_min_separation(traj_a, traj_b, sample_count: int):
+def min_separation(
+    traj_a: PiecewiseTrajectory,
+    traj_b: PiecewiseTrajectory,
+    sample_count: int = DEFAULT_SAMPLE_COUNT,
+) -> tuple[float, float]:
+    """Sampled time and value of the minimum inter-agent distance.
+
+    Sampling covers the union of both horizons; an agent outside its own
+    horizon holds its endpoint state.
+    """
+    if sample_count < 2:
+        raise ValueError("sample_count must be at least 2")
     t_lo = min(traj_a.t_start, traj_b.t_start)
     t_hi = max(traj_a.t_end, traj_b.t_end)
     times = np.linspace(t_lo, t_hi, sample_count)
-    dist = np.linalg.norm(
-        sample_positions_held(traj_a, times) - sample_positions_held(traj_b, times),
-        axis=1,
-    )
+    pa = sample_positions_held(traj_a, times)
+    pb = sample_positions_held(traj_b, times)
+    dist = np.linalg.norm(pa - pb, axis=1)
     k = int(np.argmin(dist))
     return float(times[k]), float(dist[k])
+
+
+def _penetration(traj_a, r_a: float, traj_b, r_b: float, sample_count: int):
+    """(time, depth) of the pair's sampled conflict, or None when safe."""
+    t_min, d_min = min_separation(traj_a, traj_b, sample_count)
+    depth = (r_a + r_b) - d_min
+    return (t_min, depth) if depth > SEPARATION_TOL else None
 
 
 def _conflicts_between(
@@ -202,17 +226,11 @@ def _conflicts_between(
 ) -> list[ConflictRecord]:
     """entries holds (agent_id, radius, trajectory) sorted by caller."""
     conflicts = []
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            id_a, r_a, traj_a = entries[i]
-            id_b, r_b, traj_b = entries[j]
-            t_min, d_min = _pair_min_separation(traj_a, traj_b, sample_count)
-            penetration = (r_a + r_b) - d_min
-            if penetration > SEPARATION_TOL:
-                conflicts.append(
-                    ConflictRecord(pair=(id_a, id_b), time=t_min,
-                                   penetration=penetration)
-                )
+    for i, (id_a, r_a, traj_a) in enumerate(entries):
+        for id_b, r_b, traj_b in entries[i + 1:]:
+            hit = _penetration(traj_a, r_a, traj_b, r_b, sample_count)
+            if hit is not None:
+                conflicts.append(ConflictRecord((id_a, id_b), *hit))
     return conflicts
 
 
@@ -251,9 +269,9 @@ def payoff(
         if other.agent_id == msg.agent_id:
             continue
         other_radius = scenario.agent(other.agent_id).radius
-        other_traj = decode_message(other, scenario)
-        _, d_min = _pair_min_separation(traj, other_traj, sample_count)
-        if (radius + other_radius) - d_min > SEPARATION_TOL:
+        hit = _penetration(traj, radius, decode_message(other, scenario),
+                           other_radius, sample_count)
+        if hit is not None:
             return Payoff.infeasible()
     return Payoff(value=trajectory_energy(traj))
 
@@ -290,11 +308,29 @@ def _ordered_assignments(count: int, m: int, accept):
                 yield from extend((), total, d, False)
 
 
+class NegotiatedPlan(NamedTuple):
+    """One agent's plan at its negotiated arrival time, as planned by
+    the search: the shifted spec, its converged trajectory and report,
+    and the wall-clock ms of that `plan_agent` call."""
+
+    spec: AgentSpec
+    trajectory: PiecewiseTrajectory
+    report: SolveReport
+    wall_clock_ms: float
+
+
+class NegotiationResult(NamedTuple):
+    """The accepted assignment, both parts keyed by agent id."""
+
+    arrival_times: dict[int, float]
+    plans: dict[int, NegotiatedPlan]
+
+
 def negotiate_arrival_times(
     scenario: Scenario,
     config: NegotiationConfig = NegotiationConfig(),
     solver_config: JunctionSolveConfig = JunctionSolveConfig(),
-) -> dict[int, float]:
+) -> NegotiationResult:
     """Pick arrival times that remove all inter-agent conflicts.
 
     Deviations are multiples of the grid step up to the budget. The
@@ -311,6 +347,9 @@ def negotiate_arrival_times(
     partial assignment as soon as its newest agent has no converged plan
     or conflicts with an earlier one. Memory grows with the agent count
     and the verdict cache, not with the number of joint assignments.
+
+    Returns the arrival times together with the plans the search made
+    for them, so no caller needs to plan the shifted agents again.
     """
     agents = sorted(scenario.agents, key=lambda a: a.id)
     for agent in agents:
@@ -320,7 +359,7 @@ def negotiate_arrival_times(
                 "negotiation requires goals at rest"
             )
     m = int(round(config.max_deviation / config.step))
-    plan_cache: dict[tuple[int, int], PiecewiseTrajectory | None] = {}
+    plan_cache: dict[tuple[int, int], NegotiatedPlan | None] = {}
     verdicts: dict[tuple[int, int, int, int], bool] = {}
 
     def plan_with_deviation(agent: AgentSpec, ticks: int):
@@ -331,23 +370,28 @@ def negotiate_arrival_times(
                 goal=agent.goal, t0=agent.t0,
                 tf_nominal=agent.tf_nominal + ticks * config.step,
             )
+            started = time.perf_counter()
             try:
                 traj, report = plan_agent(shifted, scenario, solver_config)
-                plan_cache[key] = traj if report.converged else None
             except PlannerError:
                 plan_cache[key] = None
+            else:
+                elapsed_ms = (time.perf_counter() - started) * 1000.0
+                plan_cache[key] = (
+                    NegotiatedPlan(shifted, traj, report, elapsed_ms)
+                    if report.converged else None
+                )
         return plan_cache[key]
 
     def pair_safe(i: int, tick_i: int, j: int, tick_j: int) -> bool:
         key = (i, tick_i, j, tick_j)
         if key not in verdicts:
             a, b = agents[i], agents[j]
-            _, d_min = _pair_min_separation(
-                plan_with_deviation(a, tick_i), plan_with_deviation(b, tick_j),
+            verdicts[key] = _penetration(
+                plan_with_deviation(a, tick_i).trajectory, a.radius,
+                plan_with_deviation(b, tick_j).trajectory, b.radius,
                 config.sample_count,
-            )
-            penetration = (a.radius + b.radius) - d_min
-            verdicts[key] = not penetration > SEPARATION_TOL
+            ) is None
         return verdicts[key]
 
     def accept(prefix: tuple[int, ...]) -> bool:
@@ -369,10 +413,12 @@ def negotiate_arrival_times(
         raise NegotiationError(
             f"no conflict-free assignment within +/-{config.max_deviation} s"
         )
-    return {
-        agent.id: agent.tf_nominal + tick * config.step
-        for agent, tick in zip(agents, ticks)
-    }
+    plans = {agent.id: plan_cache[(agent.id, tick)]
+             for agent, tick in zip(agents, ticks)}
+    return NegotiationResult(
+        {agent_id: plan.spec.tf_nominal for agent_id, plan in plans.items()},
+        plans,
+    )
 
 
 # --- JSON ------------------------------------------------------------------

@@ -48,6 +48,7 @@ from .trajectory import (
     trajectory_energy,
 )
 from .world import (
+    DEFAULT_SAMPLE_COUNT,
     AgentSpec,
     Obstacle,
     Scenario,
@@ -97,7 +98,7 @@ class JunctionSolveConfig:
 
     residual_tol: float = 1e-7
     max_iterations: int = 200
-    sample_count: int = 2001
+    sample_count: int = DEFAULT_SAMPLE_COUNT
     max_junctions: int = 8
     time_margin: float = 1e-3
 
@@ -108,6 +109,8 @@ class JunctionSolveConfig:
         ):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if self.sample_count < 2:
+            raise ValueError("sample_count must be at least 2")
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,6 @@ from .trajectory import (
     KinematicState,
     PiecewiseTrajectory,
     _vec2,
-    sample_positions_held,
     sample_trajectory,
 )
 
@@ -174,28 +173,6 @@ def first_violation(
     return ViolationRecord(
         time=float(times[row]), constraint=scenario.obstacles[col].id, depth=depth
     )
-
-
-def min_separation(
-    traj_a: PiecewiseTrajectory,
-    traj_b: PiecewiseTrajectory,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
-) -> tuple[float, float]:
-    """Sampled time and value of the minimum inter-agent distance.
-
-    Sampling covers the union of both horizons; an agent outside its own
-    horizon holds its endpoint state.
-    """
-    if sample_count < 2:
-        raise ValueError("sample_count must be at least 2")
-    t_lo = min(traj_a.t_start, traj_b.t_start)
-    t_hi = max(traj_a.t_end, traj_b.t_end)
-    times = np.linspace(t_lo, t_hi, sample_count)
-    pa = sample_positions_held(traj_a, times)
-    pb = sample_positions_held(traj_b, times)
-    dist = np.linalg.norm(pa - pb, axis=1)
-    k = int(np.argmin(dist))
-    return float(times[k]), float(dist[k])
 
 
 def gen_world(

@@ -302,7 +302,8 @@ def test_criterion_7_negotiation(announce):
         scenario = crossing_scenario()
         solver_config = JunctionSolveConfig()
         config = NegotiationConfig(step=2.0, max_deviation=4.0)
-        arrival = negotiate_arrival_times(scenario, config, solver_config)
+        arrival = negotiate_arrival_times(scenario, config,
+                                          solver_config).arrival_times
 
         # exhaustive grid oracle over every joint assignment
         agents = sorted(scenario.agents, key=lambda a: a.id)

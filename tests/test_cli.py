@@ -12,6 +12,7 @@ from junctionplan import (
     plan_agent,
     save_scenario,
 )
+from junctionplan import cli as cli_mod
 from junctionplan.cli import (
     CSV_HEADER,
     EXIT_INPUT,
@@ -125,6 +126,34 @@ class TestPlan:
         assert report["conflicts"] == []
         msg = json.loads((out / "message_1.json").read_text())
         assert msg["tf"] == 8.0
+
+    def test_crossing_keeps_the_negotiated_plans(self, crossing_scenario,
+                                                 crossing_file, tmp_path,
+                                                 monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].id)
+            return plan_agent(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "plan_agent", counting)
+        out = tmp_path / "run"
+        assert run(["plan", crossing_file, "--out", out,
+                    "--step", 2.0, "--max-dev", 4.0]) == 0
+        assert calls == [1, 2]
+        report = json.loads((out / "report.json").read_text())
+        assert report["conflicts"] == []
+        for entry in report["agents"]:
+            agent = crossing_scenario.agent(entry["id"])
+            shifted = AgentSpec(id=agent.id, radius=agent.radius,
+                                start=agent.start, goal=agent.goal,
+                                t0=agent.t0, tf_nominal=entry["tf"])
+            _, fresh = plan_agent(shifted, crossing_scenario)
+            expected = cli_mod._plan_entry(shifted, fresh, True, 0.0)
+            msg = json.loads((out / f"message_{agent.id}.json").read_text())
+            assert msg == expected.pop("message")
+            assert entry["wall_clock_ms"] > 0
+            assert {**entry, "wall_clock_ms": 0.0} == expected
 
     @pytest.mark.parametrize("command", ["plan", "bench"])
     @pytest.mark.parametrize("grid", [["--step", 0],
@@ -276,7 +305,6 @@ class TestOracleCommand:
 
     def test_penetration_warning_maps_to_exit_4(self, symmetric_file,
                                                 monkeypatch, capsys):
-        import junctionplan.cli as cli_mod
         from junctionplan import discrete_min_energy_constrained
 
         def warned(agent, scenario, config):

@@ -229,7 +229,8 @@ class TestDetectConflicts:
     def test_staggered_arrivals_clear(self, crossing_scenario):
         config = JunctionSolveConfig()
         ncfg = NegotiationConfig(step=2.0, max_deviation=4.0)
-        arrival = negotiate_arrival_times(crossing_scenario, ncfg, config)
+        arrival = negotiate_arrival_times(crossing_scenario, ncfg,
+                                          config).arrival_times
         msgs = []
         for agent in crossing_scenario.agents:
             shifted = AgentSpec(id=agent.id, radius=agent.radius,
@@ -275,6 +276,18 @@ def brute_force_negotiation(scenario, config, solver_config):
     }, feasible
 
 
+def ring_scenario():
+    """The ring of test_three_agents_match_grid_oracle: three agents
+    converging on the origin simultaneously."""
+    angles = [2 * math.pi * k / 3 for k in range(3)]
+    return Scenario(agents=tuple(
+        AgentSpec(id=k, radius=0.6, start=rest(6 * math.cos(a), 6 * math.sin(a)),
+                  goal=rest(-6 * math.cos(a), -6 * math.sin(a)),
+                  t0=0.0, tf_nominal=10.0)
+        for k, a in enumerate(angles)
+    ), obstacles=())
+
+
 def negotiation_order(ticks):
     return (sum(abs(x) for x in ticks), max(abs(x) for x in ticks), ticks)
 
@@ -310,14 +323,14 @@ class TestNegotiation:
         b = AgentSpec(id=1, radius=0.5, start=rest(0, 50), goal=rest(10, 50),
                       t0=0.0, tf_nominal=10.0)
         scen = Scenario(agents=(a, b), obstacles=())
-        arrival = negotiate_arrival_times(scen)
+        arrival = negotiate_arrival_times(scen).arrival_times
         assert arrival == {0: 10.0, 1: 10.0}
 
     def test_symmetric_crossing_matches_grid_oracle(self, crossing_scenario):
         solver_config = JunctionSolveConfig()
         config = NegotiationConfig(step=2.0, max_deviation=4.0)
         arrival = negotiate_arrival_times(crossing_scenario, config,
-                                          solver_config)
+                                          solver_config).arrival_times
         expected, feasible = brute_force_negotiation(
             crossing_scenario, config, solver_config
         )
@@ -347,7 +360,8 @@ class TestNegotiation:
         solver_config = JunctionSolveConfig(sample_count=501)
         config = NegotiationConfig(step=2.0, max_deviation=4.0,
                                    sample_count=501)
-        arrival = negotiate_arrival_times(scen, config, solver_config)
+        arrival = negotiate_arrival_times(scen, config,
+                                          solver_config).arrival_times
         expected, _ = brute_force_negotiation(scen, config, solver_config)
         assert arrival == expected
 
@@ -373,14 +387,15 @@ class TestNegotiation:
             return tuple(np.round(goal, 6)), traj.t_end
 
         checked = []
-        original = game._pair_min_separation
+        original = game.min_separation
 
         def counting(traj_a, traj_b, sample_count):
             checked.append((identify(traj_a), identify(traj_b)))
             return original(traj_a, traj_b, sample_count)
 
-        monkeypatch.setattr(game, "_pair_min_separation", counting)
-        arrival = negotiate_arrival_times(scen, config, solver_config)
+        monkeypatch.setattr(game, "min_separation", counting)
+        arrival = negotiate_arrival_times(scen, config,
+                                          solver_config).arrival_times
         assert arrival == expected
         assert len(checked) == len(set(checked))
         assert 0 < len(checked) <= 3 * 25
@@ -398,10 +413,41 @@ class TestNegotiation:
         solver_config = JunctionSolveConfig()
         config = NegotiationConfig(step=1.0, max_deviation=3.0)
         pair = negotiate_arrival_times(crossing_scenario, config,
-                                       solver_config)
-        arrival = negotiate_arrival_times(scen, config, solver_config)
+                                       solver_config).arrival_times
+        arrival = negotiate_arrival_times(scen, config,
+                                          solver_config).arrival_times
         assert arrival == {**pair, **{a.id: a.tf_nominal for a in far}}
         assert pair != {1: 10.0, 2: 10.0}
+
+    @pytest.mark.parametrize("ring", [False, True], ids=["crossing", "ring"])
+    def test_returned_plans_equal_fresh_plans(self, crossing_scenario, ring):
+        if ring:
+            scen = ring_scenario()
+            solver_config = JunctionSolveConfig(sample_count=501)
+            config = NegotiationConfig(step=2.0, max_deviation=4.0,
+                                       sample_count=501)
+        else:
+            scen = crossing_scenario
+            solver_config = JunctionSolveConfig()
+            config = NegotiationConfig(step=2.0, max_deviation=4.0)
+        result = negotiate_arrival_times(scen, config, solver_config)
+        assert sorted(result.plans) == sorted(a.id for a in scen.agents)
+        for agent in scen.agents:
+            plan = result.plans[agent.id]
+            tf = result.arrival_times[agent.id]
+            shifted = AgentSpec(id=agent.id, radius=agent.radius,
+                                start=agent.start, goal=agent.goal,
+                                t0=agent.t0, tf_nominal=tf)
+            traj, report = plan_agent(shifted, scen, solver_config)
+            assert plan.spec.tf_nominal == tf
+            assert plan.wall_clock_ms > 0
+            assert plan.report.converged
+            assert plan.report.to_json() == report.to_json()
+            assert len(plan.trajectory.segments) == len(traj.segments)
+            for got, want in zip(plan.trajectory.segments, traj.segments):
+                for name in ("c1", "c2", "c3", "c4"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
+                assert (got.t_start, got.t_end) == (want.t_start, want.t_end)
 
     def test_nonzero_goal_velocity_rejected(self):
         a = AgentSpec(id=0, radius=0.5, start=rest(0, 0),
@@ -417,7 +463,7 @@ class TestNegotiation:
         solver_config = JunctionSolveConfig()
         config = NegotiationConfig(step=2.0, max_deviation=4.0)
         arrival = negotiate_arrival_times(crossing_scenario, config,
-                                          solver_config)
+                                          solver_config).arrival_times
         trajs = []
         for agent in sorted(crossing_scenario.agents, key=lambda a: a.id):
             shifted = AgentSpec(id=agent.id, radius=agent.radius,

@@ -468,3 +468,7 @@ class TestConfigValidation:
             JunctionSolveConfig(residual_tol=0.0)
         with pytest.raises(ValueError):
             JunctionSolveConfig(time_margin=-1.0)
+
+    def test_single_sample_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="sample_count must be at least 2"):
+            JunctionSolveConfig(sample_count=1)
