@@ -53,7 +53,6 @@ from .solver import (
     Junction,
     JunctionSolveConfig,
     SolveReport,
-    assemble_system,
     contact_point,
     initial_guess,
     plan_agent,

@@ -3,11 +3,13 @@
 A junction is an instant where an obstacle constraint becomes active and
 immediately inactive again: the path touches the inflated circle and
 leaves. Fixing the junctions (which obstacle, where on the circle, and
-when) makes the whole trajectory the solution of one linear system,
-because position, velocity, and control continuity plus the boundary
-conditions are all linear in the cubic coefficients. The two axes share
-one scalar matrix A_s(t), so the system is solved once with an x and a
-y right-hand-side column: A_s(t) X = B(theta).
+when) makes the whole trajectory a clamped cubic spline through the
+start, the contact points and the goal. Written in local time, each
+segment is the cubic Hermite interpolant of its endpoint positions and
+velocities, so the contact pins and position and velocity continuity
+hold by construction. Control continuity at the n junctions leaves one
+n x n tridiagonal system M(h) V = R(h, P) in the junction velocities,
+shared by both axes and solved once with an x and a y column.
 
 The two remaining optimality conditions per junction are nonlinear in
 the contact angle and time:
@@ -18,13 +20,14 @@ the contact angle and time:
 
 An outer damped least-squares iteration drives both residuals to zero
 over the stacked (theta_k, t_k) parameters. Its iterate is plain arrays:
-the parameter vector, A_s, the coefficient rows X and the residuals read
-from X; Junction objects and the PiecewiseTrajectory are built once, when
-the solve returns. The Jacobian is exact: the coefficient derivatives
-come from implicit differentiation of A_s(t) X = B(theta), one
-factorization with two right-hand sides per parameter. Activation
-sequences are discovered greedily: plan, find the first violated
-obstacle, seed a junction there, replan.
+the parameter vector, the spline's velocities and local coefficients,
+and the residuals read from them; Junction objects and the
+PiecewiseTrajectory, in absolute-time coefficients, are built once, when
+the solve returns. The Jacobian is exact: the velocity derivatives come
+from implicit differentiation of M(h) V = R(h, P), one solve with two
+right-hand sides per parameter. Activation sequences are discovered
+greedily: plan, find the first violated obstacle, seed a junction
+there, replan.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,10 +45,9 @@ from .errors import (
     PlanningFailure,
 )
 from .trajectory import (
-    CubicSegment,
     PiecewiseTrajectory,
     eval_trajectory,
-    solve_refined,
+    local_segment,
     trajectory_energy,
 )
 from .world import (
@@ -57,9 +60,9 @@ from .world import (
     inflated_radius,
 )
 
-# Condition-number ceiling for the block system; beyond it junction
-# times are too close to each other or to the horizon boundary.
-CONDITION_LIMIT = 1e12
+# Shortest segment the junction system accepts, in seconds: half the
+# default time_margin, so only a smaller configured margin reaches it.
+MIN_SEGMENT = 5e-4
 
 # Below this speed at a junction both residuals vanish identically and
 # the contact angle is unobservable; flagged on the report.
@@ -146,143 +149,108 @@ def contact_point(obstacle: Obstacle, combined_r: float, theta: float) -> np.nda
     )
 
 
-def _pos_row(t: float) -> np.ndarray:
-    return np.array([t**3, t**2, t, 1.0])
+class _Spline(NamedTuple):
+    """The clamped cubic spline of one parameter vector, in local time."""
+
+    knots: list[float]
+    h: np.ndarray  # segment lengths, (n+1,)
+    m: np.ndarray  # junction matrix M, (n, n)
+    normal: np.ndarray  # outward contact normals, (n, 2)
+    points: np.ndarray  # start, contact points and goal, (n+2, 2)
+    vel: np.ndarray  # node velocities V, (n+2, 2)
+    slope: np.ndarray  # (P_(j+1) - P_j) / h_j, (n+1, 2)
+    a2: np.ndarray  # local coefficients of s**2 per segment, (n+1, 2)
+    a3: np.ndarray  # local coefficients of s**3 per segment, (n+1, 2)
 
 
-def _vel_row(t: float) -> np.ndarray:
-    return np.array([3.0 * t**2, 2.0 * t, 1.0, 0.0])
+def _spline(
+    agent: AgentSpec, params: np.ndarray, centers: np.ndarray, radii: np.ndarray
+) -> _Spline:
+    """Solve the junction system at the parameters (theta_0, t_0, theta_1, ...).
 
+    Segment j runs over [knot_j, knot_(j+1)] as P_j + V_j s + a2_j s^2 +
+    a3_j s^3 with s the time since knot_j, so the contact pins and
+    position and velocity continuity hold by construction. Control
+    continuity at junction i is one row of M V = R, shared by both axes:
 
-def _ctrl_row(t: float) -> np.ndarray:
-    return np.array([6.0 * t, 2.0, 0.0, 0.0])
+      (2/h_(i-1)) V_(i-1) + 4 (1/h_(i-1) + 1/h_i) V_i + (2/h_i) V_(i+1)
+          = 6 (P_i - P_(i-1)) / h_(i-1)^2 + 6 (P_(i+1) - P_i) / h_i^2,
 
-
-def _scalar_system(
-    agent: AgentSpec, times: list[float], contacts: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar junction matrix A_s and its (x, y) right-hand side.
-
-    With n junctions there are n+1 segments and 4(n+1) scalar unknowns
-    per axis, segment k owning columns 4k..4k+3 (c1..c4). Rows: boundary
-    position/velocity at t0, then per junction the position of both
-    adjacent segments pinned to the contact point plus velocity and
-    control continuity, then boundary position/velocity at tf. Both axes
-    share A_s; the right-hand side has one column per axis.
+    with V_0 and V_(n+1) the boundary velocities moved to the right-hand
+    side. M is strictly diagonally dominant, so a plain solve is stable
+    once no segment is shorter than MIN_SEGMENT.
     """
-    if any(not agent.t0 < t < agent.tf_nominal for t in times):
+    times = params[1::2].tolist()
+    knots = [agent.t0, *times, agent.tf_nominal]
+    h = np.diff(knots)
+    if not np.all(h > 0):
         raise OrderingError(
-            f"junction times {times} must lie strictly inside "
+            f"junction times {times} must be strictly increasing inside "
             f"({agent.t0}, {agent.tf_nominal})"
         )
-    if any(t_next <= t_prev for t_prev, t_next in zip(times, times[1:])):
-        raise OrderingError(f"junction times {times} must be strictly increasing")
-    size = 4 * (len(times) + 1)
-    a = np.zeros((size, size))
-    b = np.zeros((size, 2))
-    a[0, 0:4] = _pos_row(agent.t0)
-    b[0] = agent.start.p
-    a[1, 0:4] = _vel_row(agent.t0)
-    b[1] = agent.start.v
-    for k, (t, contact) in enumerate(zip(times, contacts)):
-        row, col = 2 + 4 * k, 4 * k
-        b[row] = b[row + 1] = contact
-        a[row, col : col + 4] = _pos_row(t)
-        a[row + 1, col + 4 : col + 8] = _pos_row(t)
-        a[row + 2, col : col + 4] = _vel_row(t)
-        a[row + 2, col + 4 : col + 8] = -_vel_row(t)
-        a[row + 3, col : col + 4] = _ctrl_row(t)
-        a[row + 3, col + 4 : col + 8] = -_ctrl_row(t)
-    a[-2, -4:] = _pos_row(agent.tf_nominal)
-    b[-2] = agent.goal.p
-    a[-1, -4:] = _vel_row(agent.tf_nominal)
-    b[-1] = agent.goal.v
-    return a, b
-
-
-def _solve_system(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Refined solve of A_s X = B for both axes, rejecting ill-conditioned A_s.
-
-    The condition number of A_s equals that of the block system, whose
-    singular values are those of A_s, each repeated.
-    """
-    condition = np.linalg.cond(a)
-    if not condition < CONDITION_LIMIT:
+    if h.min() < MIN_SEGMENT:
         raise ConditioningError(
-            f"block system condition {condition:.3e} exceeds {CONDITION_LIMIT:.0e}; "
+            f"segment of {h.min():.3e} s is shorter than {MIN_SEGMENT:.0e} s; "
             "junction times too close together or to the boundary"
         )
-    return solve_refined(a, b)
+    n = len(times)
+    theta = params[0::2]
+    normal = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    points = np.vstack([agent.start.p, centers + radii[:, None] * normal, agent.goal.p])
+    inv = (1.0 / h)[:, None]
+    slope = np.diff(points, axis=0) * inv
+    # row i-1 holds the coefficients of V_(i-1), V_i, V_(i+1)
+    band = np.zeros((n, n + 2))
+    rows = np.arange(n)
+    band[rows, rows] = 2.0 * inv[:-1, 0]
+    band[rows, rows + 1] = 4.0 * (inv[:-1, 0] + inv[1:, 0])
+    band[rows, rows + 2] = 2.0 * inv[1:, 0]
+    rhs = 6.0 * (slope[:-1] * inv[:-1] + slope[1:] * inv[1:])
+    rhs -= band[:, [0, -1]] @ np.stack([agent.start.v, agent.goal.v])
+    m = band[:, 1:-1]
+    vel = np.vstack([agent.start.v, np.linalg.solve(m, rhs), agent.goal.v])
+    a3 = (vel[:-1] + vel[1:] - 2.0 * slope) * inv**2
+    a2 = (3.0 * slope - 2.0 * vel[:-1] - vel[1:]) * inv
+    return _Spline(knots, h, m, normal, points, vel, slope, a2, a3)
 
 
-def _trajectory(
-    agent: AgentSpec, times: list[float], x: np.ndarray
-) -> PiecewiseTrajectory:
-    """Split the coefficient rows X into cubic segments at the junction times."""
-    knots = [agent.t0, *times, agent.tf_nominal]
+def _trajectory(s: _Spline) -> PiecewiseTrajectory:
+    """The spline's segments, converted to absolute-time coefficients."""
     return PiecewiseTrajectory(segments=tuple(
-        CubicSegment(*x[4 * k : 4 * k + 4], t_start=knots[k], t_end=knots[k + 1])
-        for k in range(len(knots) - 1)
+        local_segment(s.points[k], s.vel[k], s.a2[k], s.a3[k], s.knots[k], s.knots[k + 1])
+        for k in range(len(s.h))
     ))
 
 
-def _junction_system(
-    agent: AgentSpec, junctions: tuple[Junction, ...], scenario: Scenario
-):
-    """Junction times, angles and the scalar system of a junction sequence."""
-    times = [j.time for j in junctions]
-    thetas = [j.theta for j in junctions]
-    contacts = []
-    for junction in junctions:
-        obstacle = scenario.obstacle(junction.obstacle_id)
-        contacts.append(
-            contact_point(obstacle, inflated_radius(obstacle, agent), junction.theta)
-        )
-    return times, thetas, *_scalar_system(agent, times, contacts)
-
-
-def assemble_system(
-    agent: AgentSpec, junctions: tuple[Junction, ...], scenario: Scenario
-):
-    """Build the square block system for all segment coefficients.
-
-    With n junctions there are n+1 segments and 8(n+1) unknowns, the
-    coefficients of segment k at 8k..8k+7 as (c1, c2, c3, c4), each an
-    (x, y) pair. The matrix is kron(A_s, I2) of the scalar system that
-    solve_coefficients solves directly. Constraint satisfaction at the
-    junction holds identically because the contact point lies on the
-    inflated circle.
-    """
-    _, _, a, b = _junction_system(agent, tuple(junctions), scenario)
-    return np.kron(a, np.eye(2)), b.reshape(-1)
+def _geometry(
+    agent: AgentSpec, junctions: Sequence[Junction], scenario: Scenario
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parameter vector, obstacle centers and inflated radii of junctions."""
+    obstacles = [scenario.obstacle(j.obstacle_id) for j in junctions]
+    return (
+        np.array([v for j in junctions for v in (j.theta, j.time)], dtype=float),
+        np.array([o.center for o in obstacles], dtype=float).reshape(-1, 2),
+        np.array([inflated_radius(o, agent) for o in obstacles], dtype=float),
+    )
 
 
 def solve_coefficients(
     agent: AgentSpec, junctions: tuple[Junction, ...], scenario: Scenario
 ) -> PiecewiseTrajectory:
-    """Solve the junction system and split the result at junction times.
+    """Solve the junction system and split the result at junction times."""
+    return _trajectory(_spline(agent, *_geometry(agent, junctions, scenario)))
 
-    One refined solve of the scalar system covers both axes.
+
+def _residuals(s: _Spline) -> np.ndarray:
+    """(tangency, jump) residuals per junction, read from V_i and a3.
+
+    The cubic coefficient a3 is the same in local and absolute time, so
+    the control slope on segment j is 6 a3_j.
     """
-    times, _, a, b = _junction_system(agent, tuple(junctions), scenario)
-    return _trajectory(agent, times, _solve_system(a, b))
-
-
-def _junction_residuals(
-    x: np.ndarray, times: list[float], thetas: list[float]
-) -> np.ndarray:
-    """(tangency, jump) residuals read from the coefficient rows X.
-
-    The velocity at t_k is taken on the later segment, as eval_trajectory
-    does at a knot.
-    """
-    res = np.empty(2 * len(times))
-    for k, (t, theta) in enumerate(zip(times, thetas)):
-        c1_before, c1, c2, c3 = x[4 * k], x[4 * k + 4], x[4 * k + 5], x[4 * k + 6]
-        v = 3.0 * c1 * t**2 + 2.0 * c2 * t + c3
-        normal = np.array([math.cos(theta), math.sin(theta)])
-        res[2 * k] = v @ normal
-        res[2 * k + 1] = 6.0 * (c1_before - c1) @ v
+    v = s.vel[1:-1]
+    res = np.empty(2 * len(v))
+    res[0::2] = np.sum(v * s.normal, axis=1)
+    res[1::2] = 6.0 * np.sum((s.a3[:-1] - s.a3[1:]) * v, axis=1)
     return res
 
 
@@ -290,61 +258,47 @@ def residuals(
     agent: AgentSpec, junctions: tuple[Junction, ...], scenario: Scenario
 ) -> np.ndarray:
     """Optimality residuals (tangency, jump) for each junction."""
-    times, thetas, a, b = _junction_system(agent, tuple(junctions), scenario)
-    return _junction_residuals(_solve_system(a, b), times, thetas)
+    return _residuals(_spline(agent, *_geometry(agent, junctions, scenario)))
 
 
-def _residual_jacobian(
-    a: np.ndarray,
-    x: np.ndarray,
-    times: Sequence[float],
-    thetas: Sequence[float],
-    radii: Sequence[float],
-) -> np.ndarray:
-    """Exact Jacobian of the junction residuals at the solution X of A_s X = B.
+def _residual_jacobian(s: _Spline, radii: np.ndarray) -> np.ndarray:
+    """Exact Jacobian of the junction residuals of the spline s.
 
     Columns follow the stacked parameters (theta_0, t_0, theta_1, ...).
-    Differentiating A_s(t) X = B(theta) gives A_s dX = dB - dA X: theta_k
-    moves the contact rows of B by r * (-sin, cos), and t_k touches only
-    junction k's four rows of A_s, where dA/dt_k X is the segment-k and
-    segment-(k+1) velocities at t_k, the control jump u_k - u_(k+1) and
-    6 (c1_k - c1_(k+1)). One solve with two columns per parameter gives
-    every coefficient derivative. Velocities are read on the later
-    segment, as in the residuals, which adds the explicit dv/dt_k = u.
+    theta_k moves P_(k+1) by r (-sin, cos); t_k lengthens segment k and
+    shortens segment k+1. With V held fixed, each moves the segments'
+    start and end controls u = 2 a2 and 2 a2 + 6 a3 h, and so the rows
+    f_i = u_end(i-1) - u_start(i) of M V - R; differentiating M V = R
+    then gives every dV from one solve with 4n columns.
     """
-    n = len(times)
-    t = np.array(times)[:, None]
-    theta = np.array(thetas)
-    normal = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    d_normal = np.stack([-normal[:, 1], normal[:, 0]], axis=1)
-    combined = np.array(radii)
-    # c[segment, coefficient, axis]
-    c = x.reshape(n + 1, 4, 2)
-    before, after = c[:-1], c[1:]
-    v_before = 3.0 * before[:, 0] * t**2 + 2.0 * before[:, 1] * t + before[:, 2]
-    v_after = 3.0 * after[:, 0] * t**2 + 2.0 * after[:, 1] * t + after[:, 2]
-    u_before = 6.0 * before[:, 0] * t + 2.0 * before[:, 1]
-    u_after = 6.0 * after[:, 0] * t + 2.0 * after[:, 1]
+    n = len(s.h) - 1
     k = np.arange(n)
-    row = 2 + 4 * k
-    rhs = np.zeros((a.shape[0], 2 * n, 2))
-    rhs[row, 2 * k] = rhs[row + 1, 2 * k] = combined[:, None] * d_normal
-    rhs[row, 2 * k + 1] = -v_before
-    rhs[row + 1, 2 * k + 1] = -v_after
-    rhs[row + 2, 2 * k + 1] = u_after - u_before
-    rhs[row + 3, 2 * k + 1] = 6.0 * (after[:, 0] - before[:, 0])
-    # dc[segment, coefficient, parameter, axis]
-    dc = np.linalg.solve(a, rhs.reshape(a.shape[0], -1)).reshape(n + 1, 4, 2 * n, 2)
-    t = t[:, :, None]
-    dv = 3.0 * dc[1:, 0] * t**2 + 2.0 * dc[1:, 1] * t + dc[1:, 2]
-    dv[k, 2 * k + 1] += u_after
-    jump = 6.0 * (before[:, 0] - after[:, 0])
-    d_jump = 6.0 * (dc[:-1, 0] - dc[1:, 0])
+    inv = (1.0 / s.h)[:, None, None]
+    # d[node or segment, parameter, axis]
+    d_normal = np.stack([-s.normal[:, 1], s.normal[:, 0]], axis=1)
+    d_points = np.zeros((n + 2, 2 * n, 2))
+    d_points[k + 1, 2 * k] = radii[:, None] * d_normal
+    d_h = np.zeros((n + 1, 2 * n, 1))
+    d_h[k, 2 * k + 1] = 1.0
+    d_h[k + 1, 2 * k + 1] = -1.0
+    d_chord = np.diff(d_points, axis=0)
+    v0, v1, slope = s.vel[:-1, None], s.vel[1:, None], s.slope[:, None]
+    d_u_end = (d_h * (12.0 * slope - 2.0 * v0 - 4.0 * v1) - 6.0 * d_chord) * inv**2
+    d_u_start = (6.0 * d_chord - d_h * (12.0 * slope - 4.0 * v0 - 2.0 * v1)) * inv**2
+    d_vel = np.zeros((n + 2, 2 * n, 2))
+    d_vel[1:-1] = -np.linalg.solve(
+        s.m, (d_u_end[:-1] - d_u_start[1:]).reshape(n, -1)
+    ).reshape(n, 2 * n, 2)
+    d_a3 = (d_vel[:-1] + d_vel[1:] - 2.0 * d_chord * inv) * inv**2 + (
+        d_h * (6.0 * slope - 2.0 * (v0 + v1)) * inv**3
+    )
+    v, dv = s.vel[1:-1], d_vel[1:-1]
     jac = np.empty((2 * n, 2 * n))
-    jac[0::2] = np.einsum("kpa,ka->kp", dv, normal)
-    jac[2 * k, 2 * k] += np.einsum("ka,ka->k", v_after, d_normal)
-    jac[1::2] = (
-        np.einsum("kpa,ka->kp", d_jump, v_after) + np.einsum("kpa,ka->kp", dv, jump)
+    jac[0::2] = np.einsum("kpa,ka->kp", dv, s.normal)
+    jac[2 * k, 2 * k] += np.sum(v * d_normal, axis=1)
+    jac[1::2] = 6.0 * (
+        np.einsum("kpa,ka->kp", d_a3[:-1] - d_a3[1:], v)
+        + np.einsum("kpa,ka->kp", dv, s.a3[:-1] - s.a3[1:])
     )
     return jac
 
@@ -379,12 +333,12 @@ def solve_junctions(
 
     Gauss-Newton steps on the stacked (tangency, jump) residuals with
     adaptive Levenberg damping. The iterate is the parameter vector
-    (theta_0, t_0, theta_1, ...); each evaluation builds A_s and B once,
-    solves for the coefficient rows X and reads the residuals from X.
-    The Jacobian is exact, by implicit differentiation of the junction
-    system, and is recomputed only after an accepted step, from that
-    step's A_s, so each iteration costs one candidate solve plus at most
-    one extra factorization. Proposed junction times are clamped to keep
+    (theta_0, t_0, theta_1, ...); each evaluation solves the n x n
+    junction system for the junction velocities and reads the residuals
+    from them. The Jacobian is exact, by implicit differentiation of the
+    junction system, and is recomputed only after an accepted step, from
+    that step's spline, so each iteration costs one candidate solve plus
+    at most one Jacobian solve. Proposed junction times are clamped to keep
     the configured margin from the horizon and from each other, and
     angles are wrapped into [-pi, pi). Convergence is a residual 2-norm
     at or below the configured tolerance. The Junction objects and the
@@ -393,27 +347,16 @@ def solve_junctions(
     junctions = tuple(initial_junctions)
     t0, tf = agent.t0, agent.tf_nominal
     margin = config.time_margin
-    params = np.array([v for j in junctions for v in (j.theta, j.time)], dtype=float)
+    params, centers, radii = _geometry(agent, junctions, scenario)
     params[1::2] = _clamp_times(params[1::2], t0, tf, margin)
-    obstacles = [scenario.obstacle(j.obstacle_id) for j in junctions]
-    radii = [inflated_radius(obstacle, agent) for obstacle in obstacles]
-
-    def evaluate(p: np.ndarray):
-        times, thetas = p[1::2].tolist(), p[0::2].tolist()
-        contacts = [
-            contact_point(obstacle, r, theta)
-            for obstacle, r, theta in zip(obstacles, radii, thetas)
-        ]
-        a, b = _scalar_system(agent, times, contacts)
-        x = _solve_system(a, b)
-        return a, x, _junction_residuals(x, times, thetas)
 
     try:
-        a, x, res = evaluate(params)
+        spline = _spline(agent, params, centers, radii)
     except ConditioningError:
         # One retry with times nudged off the degenerate geometry.
         params[1::2] = _clamp_times(params[1::2] + 10.0 * margin, t0, tf, margin)
-        a, x, res = evaluate(params)
+        spline = _spline(agent, params, centers, radii)
+    res = _residuals(spline)
 
     norm = float(np.linalg.norm(res))
     damping = 1e-3
@@ -422,7 +365,7 @@ def solve_junctions(
     while iterations < config.max_iterations and norm > config.residual_tol:
         iterations += 1
         if jac is None:
-            jac = _residual_jacobian(a, x, params[1::2], params[0::2], radii)
+            jac = _residual_jacobian(spline, radii)
         gram = jac.T @ jac
         rhs = -jac.T @ res
         # Marquardt scaling keeps the damping visible whatever the
@@ -437,27 +380,25 @@ def solve_junctions(
         candidate[1::2] = _clamp_times(candidate[1::2], t0, tf, margin)
         candidate[0::2] = [_wrap_angle(v) for v in candidate[0::2]]
         try:
-            cand_a, cand_x, cand_res = evaluate(candidate)
+            cand_spline = _spline(agent, candidate, centers, radii)
+            cand_res = _residuals(cand_spline)
             cand_norm = float(np.linalg.norm(cand_res))
         except (ConditioningError, OrderingError):
             cand_norm = math.inf
         if cand_norm < norm:
-            params, a, x, res, norm = candidate, cand_a, cand_x, cand_res, cand_norm
+            params, spline, res, norm = candidate, cand_spline, cand_res, cand_norm
             damping = max(damping * 0.3, 1e-12)
             jac = None
         else:
             damping = min(damping * 10.0, 1e12)
 
-    times = params[1::2].tolist()
-    traj = _trajectory(agent, times, x)
+    traj = _trajectory(spline)
     junctions = tuple(
         Junction(obstacle_id=j.obstacle_id, theta=theta, time=t)
-        for j, theta, t in zip(junctions, params[0::2].tolist(), times)
+        for j, theta, t in zip(junctions, params[0::2].tolist(), spline.knots[1:-1])
     )
-    degenerate = tuple(
-        k for k, j in enumerate(junctions)
-        if float(np.linalg.norm(eval_trajectory(traj, j.time)[1])) < DEGENERATE_SPEED
-    )
+    speeds = np.linalg.norm(spline.vel[1:-1], axis=1)
+    degenerate = tuple(np.flatnonzero(speeds < DEGENERATE_SPEED).tolist())
     report = SolveReport(
         converged=norm <= config.residual_tol,
         residual_norm=norm,
@@ -554,9 +495,11 @@ def plan_agent(
     Solve with the current junction set (initially empty); while the
     result still violates some obstacle, seed a junction at the first
     violation and resolve. Stops when the trajectory is feasible,
-    returning the report (converged or not), or fails once the junction
-    budget is exhausted or the violated obstacle already has a junction
-    at a neighboring time.
+    returning the report (converged or not). Fails at once when a solve
+    that did not converge still violates an obstacle, rather than seeding
+    a junction on that iterate; fails too once the junction budget is
+    exhausted or the violated obstacle already has a junction at a
+    neighboring time.
     """
     junctions: tuple[Junction, ...] = ()
     best: tuple = (None, None)
@@ -575,6 +518,14 @@ def plan_agent(
         violation = first_violation(traj, scenario, agent.id, config.sample_count)
         if violation is None:
             return traj, report
+        if not report.converged:
+            raise PlanningFailure(
+                f"agent {agent.id}: junction solve did not converge (residual "
+                f"{report.residual_norm:.3e} after {report.iterations} iterations) "
+                f"and obstacle {violation.constraint} is still violated at "
+                f"t={violation.time:.4f}",
+                trajectory=traj, report=report,
+            )
         guess = initial_guess(traj, violation, scenario, agent)
         near_duplicate = any(
             j.obstacle_id == guess.obstacle_id

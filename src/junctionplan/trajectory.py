@@ -8,11 +8,14 @@ their coefficients, and evaluates exact control energies.
 Positions are in meters, times in seconds, and the energy is the
 integral of the squared control magnitude over the segment.
 
-Coefficients are in absolute time, matching the boundary system below,
-so the tight accuracy contracts (boundary residuals below 1e-9) apply
-to SI-scale worlds: coordinates up to tens of meters, times up to tens
-of seconds. Far outside that envelope the cubic's monomial terms grow
-large enough that evaluating their near-cancellation costs precision.
+Solvers work in local time s = t - t_start, where a segment is fixed by
+its start state and two more coefficients, and convert once, through
+local_segment, to the absolute-time coefficients CubicSegment holds.
+The tight accuracy contracts (boundary residuals below 1e-9) hold in
+SI-scale worlds: coordinates up to tens of meters, times up to
+tens of seconds, segments longer than about ten milliseconds. Far
+outside that envelope the cubic's monomial terms grow large enough that
+evaluating their near-cancellation costs precision.
 """
 
 from __future__ import annotations
@@ -24,11 +27,8 @@ import numpy as np
 
 from .errors import ConditioningError, DegenerateHorizonError, OutOfRangeError
 
-# Horizons shorter than this make the boundary system numerically singular.
+# Horizons shorter than this make the boundary cubic numerically meaningless.
 MIN_HORIZON = 1e-9
-
-# Acceptable residual of the boundary linear solve, in SI units.
-BOUNDARY_RESIDUAL_TOL = 1e-10
 
 
 def _vec2(value, name: str) -> np.ndarray:
@@ -120,44 +120,20 @@ def eval_segment(seg: CubicSegment, t: float):
     return p, v, u
 
 
-def solve_refined(a: np.ndarray, b: np.ndarray, sweeps: int = 2) -> np.ndarray:
-    """Direct solve with mixed-precision iterative refinement.
+def local_segment(p, v, a2, a3, t_start: float, t_end: float) -> CubicSegment:
+    """The CubicSegment of p + v*s + a2*s**2 + a3*s**3 on [t_start, t_end].
 
-    Residuals are accumulated in extended precision so refinement can
-    push the true residual of these small stiff systems down to the
-    rounding level of the right-hand side, which the boundary and
-    continuity contracts need.
+    s = t - t_start is local time; expanding the powers of t - t_start
+    gives the absolute-time coefficients.
     """
-    x = np.linalg.solve(a, b)
-    a_hi = a.astype(np.longdouble)
-    b_hi = b.astype(np.longdouble)
-    for _ in range(sweeps):
-        r = np.asarray(b_hi - a_hi @ x.astype(np.longdouble), dtype=float)
-        x = x + np.linalg.solve(a, r)
-    return x
-
-
-def residual_norm(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
-    """System residual measured in extended precision."""
-    r = a.astype(np.longdouble) @ x.astype(np.longdouble) - b.astype(np.longdouble)
-    return float(np.linalg.norm(np.asarray(r, dtype=float)))
-
-
-def boundary_matrix(t0: float, tf: float) -> np.ndarray:
-    """The 8x8 system mapping coefficients to boundary states.
-
-    Rows fix position and velocity at t0, then at tf; the 4x4 scalar
-    block is expanded with a 2x2 identity so both axes share one solve.
-    """
-    block = np.array(
-        [
-            [t0**3, t0**2, t0, 1.0],
-            [3.0 * t0**2, 2.0 * t0, 1.0, 0.0],
-            [tf**3, tf**2, tf, 1.0],
-            [3.0 * tf**2, 2.0 * tf, 1.0, 0.0],
-        ]
+    t = t_start
+    return CubicSegment(
+        c1=a3,
+        c2=a2 - 3.0 * a3 * t,
+        c3=v - (2.0 * a2 - 3.0 * a3 * t) * t,
+        c4=p - (v - (a2 - a3 * t) * t) * t,
+        t_start=t_start, t_end=t_end,
     )
-    return np.kron(block, np.eye(2))
 
 
 def solve_boundary(
@@ -166,22 +142,18 @@ def solve_boundary(
     """Solve the two-point boundary value problem on [t0, tf].
 
     Returns the unique cubic whose position and velocity match x0 at t0
-    and xf at tf. Uses a direct factorization with partial pivoting.
+    and xf at tf, in closed form: in local time s = t - t0 it is the
+    cubic Hermite interpolant of the two states.
     """
     if tf <= t0:
         raise DegenerateHorizonError(f"horizon [{t0}, {tf}] is empty")
-    if tf - t0 < MIN_HORIZON:
-        raise ConditioningError(f"horizon of {tf - t0} s is below {MIN_HORIZON} s")
-    a = boundary_matrix(t0, tf)
-    b = np.concatenate([x0.p, x0.v, xf.p, xf.v])
-    coeffs = solve_refined(a, b)
-    residual = residual_norm(a, coeffs, b)
-    if residual > BOUNDARY_RESIDUAL_TOL:
-        raise ConditioningError(f"boundary solve residual {residual:.3e}")
-    return CubicSegment(
-        c1=coeffs[0:2], c2=coeffs[2:4], c3=coeffs[4:6], c4=coeffs[6:8],
-        t_start=t0, t_end=tf,
-    )
+    h = tf - t0
+    if h < MIN_HORIZON:
+        raise ConditioningError(f"horizon of {h} s is below {MIN_HORIZON} s")
+    slope = (xf.p - x0.p) / h
+    a2 = (3.0 * slope - 2.0 * x0.v - xf.v) / h
+    a3 = (x0.v + xf.v - 2.0 * slope) / h**2
+    return local_segment(x0.p, x0.v, a2, a3, t0, tf)
 
 
 def segment_energy(seg: CubicSegment) -> float:

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -350,12 +352,17 @@ class TestBench:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                        env.get("PYTHONPATH")) if p
+        )
         result = subprocess.run(
             [sys.executable, "-m", "junctionplan", "gen-world",
              "--seed", "1", "--obstacles", "2", "--out", str(tmp_path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
-        assert result.returncode == 0
+        assert result.returncode == 0, result.stderr
         assert (tmp_path / "scenario.json").exists()
 
     def test_missing_scenario_file(self, tmp_path):

@@ -13,7 +13,6 @@ from junctionplan import (
     OrderingError,
     PlanningFailure,
     Scenario,
-    assemble_system,
     constraint_value,
     contact_point,
     eval_segment,
@@ -28,9 +27,9 @@ from junctionplan import (
     solve_coefficients,
     solve_junctions,
 )
-from junctionplan.solver import _residual_jacobian
-from junctionplan.trajectory import boundary_matrix
-from junctionplan.world import ViolationRecord
+from junctionplan import solver
+from junctionplan.solver import _geometry, _residual_jacobian, _spline
+from junctionplan.world import Bounds, ViolationRecord, gen_world
 
 
 def rest(x, y):
@@ -53,6 +52,56 @@ def corridor_agent_and_obstacles():
         Obstacle(id=2, center=(10.0, 1.0), radius=0.5),
     )
     return agent, Scenario(agents=(agent,), obstacles=obstacles)
+
+
+def _pos_row(t):
+    return np.array([t**3, t**2, t, 1.0])
+
+
+def _vel_row(t):
+    return np.array([3.0 * t**2, 2.0 * t, 1.0, 0.0])
+
+
+def _ctrl_row(t):
+    return np.array([6.0 * t, 2.0, 0.0, 0.0])
+
+
+def boundary_matrix(t0, tf):
+    """The 8x8 system mapping monomial coefficients to boundary states."""
+    block = np.array([_pos_row(t0), _vel_row(t0), _pos_row(tf), _vel_row(tf)])
+    return np.kron(block, np.eye(2))
+
+
+def assemble_system(agent, junctions, scen):
+    """Dense reference: the block system for every monomial coefficient.
+
+    With n junctions there are n+1 segments and 8(n+1) unknowns, the
+    absolute-time coefficients of segment k at 8k..8k+7 as (c1, c2, c3,
+    c4), each an (x, y) pair. Rows: boundary position and velocity at t0,
+    then per junction both adjacent segments pinned to the contact point
+    plus velocity and control continuity, then the boundary at tf.
+    """
+    times = [j.time for j in junctions]
+    if any(not agent.t0 < t < agent.tf_nominal for t in times):
+        raise OrderingError(f"junction times {times} outside the horizon")
+    if any(t_next <= t_prev for t_prev, t_next in zip(times, times[1:])):
+        raise OrderingError(f"junction times {times} must be strictly increasing")
+    size = 4 * (len(times) + 1)
+    a = np.zeros((size, size))
+    b = np.zeros((size, 2))
+    a[0, 0:4], a[1, 0:4] = _pos_row(agent.t0), _vel_row(agent.t0)
+    b[0], b[1] = agent.start.p, agent.start.v
+    for k, junction in enumerate(junctions):
+        obs = scen.obstacle(junction.obstacle_id)
+        row, col, t = 2 + 4 * k, 4 * k, junction.time
+        b[row] = b[row + 1] = contact_point(obs, inflated_radius(obs, agent),
+                                            junction.theta)
+        a[row, col:col + 4] = a[row + 1, col + 4:col + 8] = _pos_row(t)
+        a[row + 2, col:col + 4], a[row + 2, col + 4:col + 8] = _vel_row(t), -_vel_row(t)
+        a[row + 3, col:col + 4], a[row + 3, col + 4:col + 8] = _ctrl_row(t), -_ctrl_row(t)
+    a[-2, -4:], a[-1, -4:] = _pos_row(agent.tf_nominal), _vel_row(agent.tf_nominal)
+    b[-2], b[-1] = agent.goal.p, agent.goal.v
+    return np.kron(a, np.eye(2)), b.reshape(-1)
 
 
 def assert_matches_dense_block_solve(agent, junctions, scen):
@@ -137,6 +186,20 @@ class TestAssembleSystem:
             assert np.abs(p - expected).max() < 1e-10
             assert abs(constraint_value(expected, obs.center, combined)) < 1e-12
 
+    def test_horizon_not_starting_at_zero(self):
+        agent = AgentSpec(id=0, radius=0.2, start=rest(0, 0), goal=rest(20, 0),
+                          t0=10.0, tf_nominal=30.0)
+        obstacles = (
+            Obstacle(id=0, center=(6.0, 0.0), radius=0.8),
+            Obstacle(id=1, center=(14.0, 0.0), radius=0.8),
+        )
+        scen = Scenario(agents=(agent,), obstacles=obstacles)
+        junctions = (
+            Junction(obstacle_id=0, theta=1.2, time=16.3),
+            Junction(obstacle_id=1, theta=1.8, time=23.6),
+        )
+        assert_matches_dense_block_solve(agent, junctions, scen)
+
     def test_non_increasing_times_rejected(self):
         agent, scen = symmetric_agent_and_obstacle()
         junctions = (
@@ -173,6 +236,17 @@ class TestSolveCoefficients:
         assert np.abs(v0 - agent.start.v).max() < 1e-9
         assert np.abs(pf - agent.goal.p).max() < 1e-9
         assert np.abs(vf - agent.goal.v).max() < 1e-9
+
+    def test_invalid_times_rejected(self):
+        agent, scen = symmetric_agent_and_obstacle()
+        for junctions in (
+            (Junction(0, 0.0, 6.0), Junction(0, 0.0, 5.0)),
+            (Junction(0, 0.0, 6.0), Junction(0, 0.0, 6.0)),
+            (Junction(0, 0.0, 11.0),),
+            (Junction(0, 0.0, 0.0),),
+        ):
+            with pytest.raises(OrderingError):
+                solve_coefficients(agent, junctions, scen)
 
     def test_junction_too_close_to_start_is_ill_conditioned(self):
         agent, scen = symmetric_agent_and_obstacle()
@@ -242,15 +316,8 @@ class TestResidualJacobian:
                 junctions = junctions[:1] + (
                     Junction(2, 1.0, 6.3 + 1.5 * margin),
                 ) + junctions[1:]
-        block, _ = assemble_system(agent, junctions, scen)
-        traj = solve_coefficients(agent, junctions, scen)
-        x = np.array([[s.c1, s.c2, s.c3, s.c4] for s in traj.segments]).reshape(-1, 2)
-        radii = [inflated_radius(scen.obstacle(j.obstacle_id), agent) for j in junctions]
-        # A_s is every other row and column of kron(A_s, I2)
-        exact = _residual_jacobian(
-            block[::2, ::2], x, [j.time for j in junctions],
-            [j.theta for j in junctions], radii,
-        )
+        params, centers, radii = _geometry(agent, junctions, scen)
+        exact = _residual_jacobian(_spline(agent, params, centers, radii), radii)
         approx = self.central_differences(agent, junctions, scen)
         assert exact.shape == (2 * len(junctions),) * 2
         # relative to each residual's own gradient scale
@@ -426,6 +493,25 @@ class TestPlanAgent:
             plan_agent(agent, scen, config)
         assert excinfo.value.trajectory is not None
         assert excinfo.value.report is not None
+
+    def test_unconverged_solve_ends_discovery(self, monkeypatch):
+        # reference world 47 of the diagonal batch agent
+        agent = AgentSpec(id=0, radius=0.5, start=rest(-10, -10),
+                          goal=rest(10, 10), t0=0.0, tf_nominal=10.0)
+        scen = gen_world(47, 1 + 47 % 6, Bounds(-8, -8, 8, 8), (agent,))
+        solves = []
+        solve = solver.solve_junctions
+
+        def counted(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(solver, "solve_junctions", counted)
+        with pytest.raises(PlanningFailure, match="did not converge") as excinfo:
+            plan_agent(agent, scen)
+        assert [report.converged for _, report in solves].count(False) == 1
+        assert excinfo.value.trajectory is solves[-1][0]
+        assert excinfo.value.report is solves[-1][1]
 
     def test_deterministic_reports(self):
         agent, scen = symmetric_agent_and_obstacle()
