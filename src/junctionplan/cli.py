@@ -27,6 +27,7 @@ from .errors import (
     SchemaError,
 )
 from .game import (
+    DEFAULT_SAMPLE_COUNT,
     _conflicts_between,
     detect_conflicts,
     encode_message,
@@ -39,7 +40,7 @@ from .oracle import OracleConfig, compare, discrete_min_energy_constrained
 from .solver import JunctionSolveConfig, plan_agent
 from .trajectory import KinematicState, sample_trajectory, solve_boundary
 from .world import (
-    DEFAULT_SAMPLE_COUNT,
+    SAFETY_TOL,
     AgentSpec,
     Bounds,
     gen_world,
@@ -66,7 +67,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-7,
                         help="junction residual tolerance")
     parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT,
-                        help="uniform samples for violation checks and CSV output")
+                        help="uniform samples for agent pair checks and CSV rows; "
+                        "obstacle safety is exact")
     parser.add_argument("--max-junctions", type=int, default=8)
     parser.add_argument("--step", type=float, default=0.5,
                         help="negotiation grid step in seconds")
@@ -81,7 +83,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 def _solver_config(args) -> JunctionSolveConfig:
     return JunctionSolveConfig(
         residual_tol=args.tol,
-        sample_count=args.samples,
         max_junctions=args.max_junctions,
     )
 
@@ -321,7 +322,7 @@ def cmd_check(args) -> int:
             if g[k] > worst_obstacle:
                 worst_obstacle = g[k]
                 worst_obstacle_where = (agent_id, obs.id, float(track["t"][k]))
-            if g[k] > 1e-9:
+            if g[k] > SAFETY_TOL:
                 unsafe = True
     worst_pair = -np.inf
     worst_pair_where = None

@@ -50,7 +50,6 @@ from .trajectory import (
     trajectory_energy,
 )
 from .world import (
-    DEFAULT_SAMPLE_COUNT,
     AgentSpec,
     Scenario,
     first_violation,
@@ -64,6 +63,10 @@ from .world import (
 # Penetration of the required separation deeper than this counts as a
 # conflict; consistent with the world-model safety tolerance.
 SEPARATION_TOL = 1e-9
+
+# Uniform samples per pair separation check; the CLI writes CSV rows at
+# the same count.
+DEFAULT_SAMPLE_COUNT = 2001
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,11 +261,12 @@ def payoff(
 ) -> Payoff:
     """Energy of the agent's decoded trajectory, infeasible if unsafe.
 
-    Unsafe means an obstacle violation or a sampled approach within the
-    combined radius of any other agent's decoded trajectory.
+    Unsafe means an obstacle violation, found exactly, or a sampled
+    approach within the combined radius of any other agent's decoded
+    trajectory.
     """
     traj = decode_message(msg, scenario)
-    if first_violation(traj, scenario, msg.agent_id, sample_count) is not None:
+    if first_violation(traj, scenario, msg.agent_id) is not None:
         return Payoff.infeasible()
     radius = scenario.agent(msg.agent_id).radius
     for other in all_msgs:

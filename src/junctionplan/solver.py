@@ -27,7 +27,8 @@ the solve returns. The Jacobian is exact: the velocity derivatives come
 from implicit differentiation of M(h) V = R(h, P), one solve with two
 right-hand sides per parameter. Activation sequences are discovered
 greedily: plan, find the first violated obstacle, seed a junction
-there, replan.
+there, replan. Violations and the seed's time window are found exactly,
+from the roots of each segment's obstacle constraint polynomial.
 """
 
 from __future__ import annotations
@@ -51,13 +52,14 @@ from .trajectory import (
     trajectory_energy,
 )
 from .world import (
-    DEFAULT_SAMPLE_COUNT,
+    SAFETY_TOL,
     AgentSpec,
     Obstacle,
     Scenario,
     ViolationRecord,
     first_violation,
     inflated_radius,
+    violated_windows,
 )
 
 # Shortest segment the junction system accepts, in seconds: half the
@@ -101,19 +103,13 @@ class JunctionSolveConfig:
 
     residual_tol: float = 1e-7
     max_iterations: int = 200
-    sample_count: int = DEFAULT_SAMPLE_COUNT
     max_junctions: int = 8
     time_margin: float = 1e-3
 
     def __post_init__(self):
-        for name in (
-            "residual_tol", "max_iterations", "sample_count",
-            "max_junctions", "time_margin",
-        ):
+        for name in ("residual_tol", "max_iterations", "max_junctions", "time_margin"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.sample_count < 2:
-            raise ValueError("sample_count must be at least 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,56 +406,32 @@ def solve_junctions(
     return traj, report
 
 
-def _bisect_crossing(g, t_inside: float, t_outside: float, tol: float = 1e-9) -> float:
-    """Bisect g(t) = 0 between a violated and a safe time, to tol seconds."""
-    lo, hi = t_inside, t_outside
-    while abs(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def initial_guess(
     traj: PiecewiseTrajectory,
     violation: ViolationRecord,
     scenario: Scenario,
     agent: AgentSpec,
 ) -> Junction:
-    """Seed junction parameters from a sampled violation.
+    """Seed junction parameters from an obstacle violation.
 
-    The time guess is the midpoint of the contiguous violated window
-    around the violation, with window endpoints located by bisection.
-    The angle guess points from the obstacle center toward the path's
-    cross-track offset; when the path aims straight through the center
-    the left side (path direction rotated +pi/2) breaks the tie.
+    The time guess is the midpoint of the window around violation.time
+    where g exceeds -SAFETY_TOL. Unlike the violated window (g above
+    +SAFETY_TOL), it runs on across points where the path only touches
+    the circle (g = 0), such as an existing junction on the same
+    obstacle. Raises ValueError when violation.time lies in no such
+    window. The angle guess points from the obstacle center toward the
+    path's cross-track offset; when the path aims straight through the
+    center the left side (path direction rotated +pi/2) breaks the tie.
     """
     if not isinstance(violation.constraint, int):
         raise ValueError("initial_guess requires an obstacle violation")
     obstacle = scenario.obstacle(violation.constraint)
     combined = inflated_radius(obstacle, agent)
-
-    def g(t: float) -> float:
-        p, _, _ = eval_trajectory(traj, t)
-        d = p - obstacle.center
-        return combined**2 - float(d @ d)
-
-    # Walk outward to bracket the window; start and goal are feasible so
-    # a safe sample exists on each side.
-    step = (traj.t_end - traj.t_start) / 2000.0
-    lo = violation.time
-    while g(lo) > 0 and lo - step > traj.t_start:
-        lo -= step
-    lo = max(lo, traj.t_start)
-    hi = violation.time
-    while g(hi) > 0 and hi + step < traj.t_end:
-        hi += step
-    hi = min(hi, traj.t_end)
-    t_enter = _bisect_crossing(g, violation.time, lo) if g(lo) <= 0 else lo
-    t_exit = _bisect_crossing(g, violation.time, hi) if g(hi) <= 0 else hi
-    t_guess = 0.5 * (t_enter + t_exit)
+    windows = violated_windows(traj, obstacle.center, combined, -SAFETY_TOL)
+    window = next((w for w in windows if w[0] <= violation.time <= w[1]), None)
+    if window is None:
+        raise ValueError(f"obstacle {obstacle.id} is not violated at t={violation.time}")
+    t_guess = 0.5 * (window[0] + window[1])
 
     p, v, _ = eval_trajectory(traj, t_guess)
     offset = p - obstacle.center
@@ -515,7 +487,7 @@ def plan_agent(
                 trajectory=best[0], report=best[1],
             ) from exc
         best = (traj, report)
-        violation = first_violation(traj, scenario, agent.id, config.sample_count)
+        violation = first_violation(traj, scenario, agent.id)
         if violation is None:
             return traj, report
         if not report.converged:

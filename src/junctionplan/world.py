@@ -4,6 +4,10 @@ A scenario is a set of agents with boundary states and a set of circular
 obstacles. Safety is expressed through the squared-distance constraint
 g = combined_r**2 - ||p - center||**2, which is nonpositive exactly when
 the agent (treated as a point against inflated obstacles) is safe.
+
+Obstacle safety is decided exactly, not by sampling: on a cubic segment
+g is a degree-6 polynomial in local time, so the windows where it is
+violated lie between real roots of that polynomial.
 """
 
 from __future__ import annotations
@@ -19,14 +23,14 @@ from .trajectory import (
     KinematicState,
     PiecewiseTrajectory,
     _vec2,
-    sample_trajectory,
+    eval_segment,
+    eval_trajectory,
 )
 
 # g values up to this count as safe; matches linear-solve precision and
 # keeps exact boundary contact (g = 0) feasible.
 SAFETY_TOL = 1e-9
 
-DEFAULT_SAMPLE_COUNT = 2001
 DEFAULT_RADIUS_RANGE = (0.5, 2.5)
 GENERATION_ATTEMPT_BUDGET = 10_000
 
@@ -105,7 +109,7 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class ViolationRecord:
-    """A sampled constraint violation along a trajectory.
+    """A constraint violation along a trajectory, at one instant.
 
     depth is the penetration of the required separation, in meters.
     constraint names either an obstacle id or an (i, j) agent pair.
@@ -140,39 +144,67 @@ def inflated_radius(obstacle: Obstacle, agent: AgentSpec) -> float:
     return obstacle.radius + agent.radius
 
 
-def first_violation(
-    traj: PiecewiseTrajectory,
-    scenario: Scenario,
-    agent_id: int,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
-) -> Optional[ViolationRecord]:
-    """Earliest sampled obstacle violation, or None if the path is safe.
+def violated_windows(
+    traj: PiecewiseTrajectory, center, r: float, level: float
+) -> list[tuple[float, float]]:
+    """Maximal time windows where g = r**2 - |p - center|**2 exceeds level.
 
-    Samples the trajectory at sample_count uniform times and reports the
-    deepest-penetrated obstacle at the first offending sample.
+    On each segment, in local time s = t - t_start, g is a degree-6
+    polynomial. The window ends are the real roots of g - level inside
+    the segment; each piece between consecutive roots is violated when g
+    exceeds level at its midpoint. Windows that meet, at a knot or at a
+    root where g only touches level, are joined. Returns (start, end)
+    pairs in time order.
     """
-    if sample_count < 2:
-        raise ValueError("sample_count must be at least 2")
+    windows: list[tuple[float, float]] = []
+    for seg in traj.segments:
+        t0, h = seg.t_start, seg.t_end - seg.t_start
+        # p(s) - center in local time, lowest power first, shape (4, 2)
+        p, v, u = eval_segment(seg, t0)
+        d = np.array([p - center, v, 0.5 * u, seg.c1])
+        poly = -(np.convolve(d[:, 0], d[:, 0]) + np.convolve(d[:, 1], d[:, 1]))
+        poly[0] += r**2 - level
+        coef = poly[::-1]
+        roots = np.roots(coef)
+        roots = roots.real[roots.imag == 0]
+        roots = np.sort(roots[(roots > 0) & (roots < h)])
+        cuts = np.concatenate([[0.0], roots, [h]])
+        violated = np.polyval(coef, 0.5 * (cuts[:-1] + cuts[1:])) > 0
+        times = [t0, *(t0 + roots).tolist(), seg.t_end]
+        for start, end, bad in zip(times, times[1:], violated.tolist()):
+            if not bad:
+                continue
+            if windows and windows[-1][1] >= start:
+                windows[-1] = (windows[-1][0], end)
+            else:
+                windows.append((start, end))
+    return windows
+
+
+def first_violation(
+    traj: PiecewiseTrajectory, scenario: Scenario, agent_id: int
+) -> Optional[ViolationRecord]:
+    """Earliest obstacle violation, or None if the path is safe.
+
+    Safe means g <= SAFETY_TOL at every instant, decided exactly from
+    each obstacle's violated_windows. Reports the obstacle whose first
+    window opens earliest, at that window's midpoint, with the
+    penetration depth there.
+    """
     agent = scenario.agent(agent_id)
-    if not scenario.obstacles:
+    first = None
+    for obs in scenario.obstacles:
+        combined = inflated_radius(obs, agent)
+        windows = violated_windows(traj, obs.center, combined, SAFETY_TOL)
+        if windows and (first is None or windows[0][0] < first[0][0]):
+            first = (windows[0], obs, combined)
+    if first is None:
         return None
-    times = np.linspace(traj.t_start, traj.t_end, sample_count)
-    positions, _, _ = sample_trajectory(traj, times)
-    combined = np.array([inflated_radius(o, agent) for o in scenario.obstacles])
-    centers = np.array([o.center for o in scenario.obstacles])
-    # g has shape (samples, obstacles)
-    d2 = ((positions[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    g = combined[None, :] ** 2 - d2
-    violated = g > SAFETY_TOL
-    rows = np.nonzero(violated.any(axis=1))[0]
-    if rows.size == 0:
-        return None
-    row = int(rows[0])
-    col = int(np.argmax(g[row]))
-    depth = float(combined[col] - np.sqrt(d2[row, col]))
-    return ViolationRecord(
-        time=float(times[row]), constraint=scenario.obstacles[col].id, depth=depth
-    )
+    (start, end), obs, combined = first
+    time = 0.5 * (start + end)
+    p, _, _ = eval_trajectory(traj, time)
+    depth = combined - float(np.linalg.norm(p - obs.center))
+    return ViolationRecord(time=time, constraint=obs.id, depth=depth)
 
 
 def gen_world(

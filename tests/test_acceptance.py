@@ -197,7 +197,7 @@ def test_criterion_3_continuity_suite(batch, announce):
                 assert np.abs(va - vb).max() <= 1e-9
                 assert np.abs(ua - ub).max() <= 1e-9
             record = first_violation(inst.trajectory, inst.scenario,
-                                     inst.agent.id, 2001)
+                                     inst.agent.id)
             assert record is None, f"seed {inst.seed} violates at {record}"
 
 
@@ -352,8 +352,7 @@ def test_criterion_8_payoff_consistency(batch, announce):
             msg = encode_message(inst.agent, inst.report)
             value = payoff(msg, [msg], inst.scenario, 2001)
             feasible = first_violation(
-                decode_message(msg, inst.scenario), inst.scenario,
-                inst.agent.id, 2001
+                decode_message(msg, inst.scenario), inst.scenario, inst.agent.id
             ) is None
             assert feasible
             assert not value.is_infeasible
@@ -370,4 +369,4 @@ def test_criterion_8_payoff_consistency(batch, announce):
         blocked_payoff = payoff(blocked, [blocked], scenario, 2001)
         assert blocked_payoff.is_infeasible
         assert first_violation(decode_message(blocked, scenario), scenario,
-                               agent.id, 2001) is not None
+                               agent.id) is not None

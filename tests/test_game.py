@@ -357,7 +357,7 @@ class TestNegotiation:
                           t0=0.0, tf_nominal=10.0)
             )
         scen = Scenario(agents=tuple(agents), obstacles=())
-        solver_config = JunctionSolveConfig(sample_count=501)
+        solver_config = JunctionSolveConfig()
         config = NegotiationConfig(step=2.0, max_deviation=4.0,
                                    sample_count=501)
         arrival = negotiate_arrival_times(scen, config,
@@ -375,7 +375,7 @@ class TestNegotiation:
             for k, a in enumerate(angles)
         )
         scen = Scenario(agents=agents, obstacles=())
-        solver_config = JunctionSolveConfig(sample_count=501)
+        solver_config = JunctionSolveConfig()
         config = NegotiationConfig(step=2.0, max_deviation=4.0,
                                    sample_count=501)
         # the oracle samples pairs too, so it runs before the counter is in
@@ -423,7 +423,7 @@ class TestNegotiation:
     def test_returned_plans_equal_fresh_plans(self, crossing_scenario, ring):
         if ring:
             scen = ring_scenario()
-            solver_config = JunctionSolveConfig(sample_count=501)
+            solver_config = JunctionSolveConfig()
             config = NegotiationConfig(step=2.0, max_deviation=4.0,
                                        sample_count=501)
         else:

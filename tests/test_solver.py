@@ -428,7 +428,7 @@ class TestInitialGuess:
         from junctionplan import PiecewiseTrajectory
 
         traj = PiecewiseTrajectory(segments=(seg,))
-        violation = first_violation(traj, scen, 0, sample_count=20001)
+        violation = first_violation(traj, scen, 0)
         assert violation is not None
         guess = initial_guess(traj, violation, scen, agent)
         combined = inflated_radius(obstacle, agent)
@@ -444,6 +444,16 @@ class TestInitialGuess:
         pair_violation = ViolationRecord(time=5.0, constraint=(0, 1), depth=0.1)
         with pytest.raises(ValueError):
             initial_guess(traj, pair_violation, scen, agent)
+
+    def test_time_outside_every_window_rejected(self):
+        agent, scen = symmetric_agent_and_obstacle()
+        seg = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
+        from junctionplan import PiecewiseTrajectory
+
+        traj = PiecewiseTrajectory(segments=(seg,))
+        elsewhere = ViolationRecord(time=1.0, constraint=0, depth=0.1)
+        with pytest.raises(ValueError, match="not violated at t=1.0"):
+            initial_guess(traj, elsewhere, scen, agent)
 
 
 class TestPlanAgent:
@@ -478,6 +488,30 @@ class TestPlanAgent:
         assert len(report.junction_sequence) == 2
         times = [j.time for j in report.junction_sequence]
         assert times[0] < times[1]
+        assert first_violation(traj, scen, 0) is None
+
+    def test_graze_between_samples_gets_a_junction(self):
+        # 1 um inside the inflated circle for about 1.9 ms near t = 5.0017
+        agent = AgentSpec(id=0, radius=0.25, start=rest(0, 0), goal=rest(10, 0),
+                          t0=0.0, tf_nominal=10.0)
+        obstacle = Obstacle(id=0, center=(5.0025, 0.999999), radius=0.75)
+        scen = Scenario(agents=(agent,), obstacles=(obstacle,))
+        traj, report = plan_agent(agent, scen)
+        assert report.converged
+        assert len(report.junction_sequence) == 1
+        assert first_violation(traj, scen, 0) is None
+
+    @pytest.mark.parametrize("world, obstacles", [(75, [0, 1, 2, 2]),
+                                                  (148, [1, 0, 3, 3])])
+    def test_seed_window_runs_across_a_touching_junction(self, world, obstacles):
+        # the path re-enters an obstacle it already touches at a junction;
+        # the seed window must not split at that touch point
+        agent = AgentSpec(id=0, radius=0.5, start=rest(-10, -10),
+                          goal=rest(10, 10), t0=0.0, tf_nominal=10.0)
+        scen = gen_world(world, 1 + world % 6, Bounds(-8, -8, 8, 8), (agent,))
+        traj, report = plan_agent(agent, scen)
+        assert report.converged
+        assert [j.obstacle_id for j in report.junction_sequence] == obstacles
         assert first_violation(traj, scen, 0) is None
 
     def test_junction_budget_failure_carries_best_iterate(self):
@@ -554,7 +588,3 @@ class TestConfigValidation:
             JunctionSolveConfig(residual_tol=0.0)
         with pytest.raises(ValueError):
             JunctionSolveConfig(time_margin=-1.0)
-
-    def test_single_sample_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="sample_count must be at least 2"):
-            JunctionSolveConfig(sample_count=1)

@@ -18,6 +18,7 @@ from junctionplan import (
     SchemaError,
     ValidationError,
     constraint_value,
+    eval_trajectory,
     first_violation,
     gen_world,
     inflated_radius,
@@ -132,19 +133,45 @@ class TestFirstViolation:
         scen = Scenario(agents=(agent,), obstacles=(obs,))
         # combined radius 1.0; the point (0, 1) sits exactly on the circle
         traj = straight_path((0.0, 1.0), (0.0, 0.999), tf=1.0)
-        assert first_violation(traj, scen, 0, sample_count=2) is None
+        assert first_violation(traj, scen, 0) is None
+
+    def test_graze_between_samples_is_found(self):
+        # inflated radius 1.0 reaches 1 um below the path, centered off
+        # the 5 ms grid of a 2001-sample scan; g exceeds SAFETY_TOL only for
+        # about 1.9 ms around t = 5.0017
+        agent = AgentSpec(id=0, radius=0.25, start=rest(0, 0), goal=rest(10, 0),
+                          t0=0.0, tf_nominal=10.0)
+        obs = Obstacle(id=0, center=(5.0025, 0.999999), radius=0.75)
+        scen = Scenario(agents=(agent,), obstacles=(obs,))
+        traj = straight_path((0, 0), (10, 0), tf=10.0)
+        record = first_violation(traj, scen, 0)
+        assert record is not None
+        assert record.constraint == 0
+        assert record.time == pytest.approx(5.0017, abs=1e-4)
+        assert record.depth == pytest.approx(1e-6, rel=1e-3)
+
+    def test_window_runs_across_a_knot(self):
+        # the straight transfer split at t = 5 reports the same violation
+        # time as the single segment: the midpoint of the joined window
+        agent = AgentSpec(id=0, radius=0.25, start=rest(0, 0), goal=rest(10, 0),
+                          t0=0.0, tf_nominal=10.0)
+        scen = Scenario(agents=(agent,),
+                        obstacles=(Obstacle(id=0, center=(5.0, 0.0), radius=0.75),))
+        whole = straight_path((0, 0), (10, 0), tf=10.0)
+        p, v, _ = eval_trajectory(whole, 5.0)
+        middle = KinematicState(p=p, v=v)
+        split = PiecewiseTrajectory(segments=(
+            solve_boundary(agent.start, middle, 0.0, 5.0),
+            solve_boundary(middle, agent.goal, 5.0, 10.0),
+        ))
+        for traj in (whole, split):
+            assert first_violation(traj, scen, 0).time == pytest.approx(5.0, abs=1e-12)
 
     def test_unknown_agent(self):
         _, scen = single_agent_scenario([])
         traj = straight_path((0, 0), (1, 0))
         with pytest.raises(ScenarioLookupError):
             first_violation(traj, scen, 99)
-
-    def test_sample_count_validation(self):
-        _, scen = single_agent_scenario([])
-        traj = straight_path((0, 0), (1, 0))
-        with pytest.raises(ValueError):
-            first_violation(traj, scen, 0, sample_count=1)
 
 
 class TestViolationRecord:
