@@ -27,7 +27,7 @@ from .errors import (
     SchemaError,
 )
 from .game import (
-    DEFAULT_SAMPLE_COUNT,
+    PAIR_SAMPLES,
     _conflicts_between,
     detect_conflicts,
     encode_message,
@@ -63,21 +63,19 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags _solver_config reads."""
     parser.add_argument("--tol", type=float, default=1e-7,
                         help="junction residual tolerance")
-    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT,
-                        help="uniform samples for agent pair checks and CSV rows; "
-                        "obstacle safety is exact")
     parser.add_argument("--max-junctions", type=int, default=8)
+
+
+def _add_negotiation_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags _negotiation_config reads."""
     parser.add_argument("--step", type=float, default=0.5,
                         help="negotiation grid step in seconds")
     parser.add_argument("--max-dev", type=float, default=5.0,
                         help="negotiation deviation budget in seconds")
-    parser.add_argument("--oracle-steps", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=Path, default=Path("."),
-                        help="output directory")
 
 
 def _solver_config(args) -> JunctionSolveConfig:
@@ -88,9 +86,7 @@ def _solver_config(args) -> JunctionSolveConfig:
 
 
 def _negotiation_config(args) -> NegotiationConfig:
-    return NegotiationConfig(
-        step=args.step, max_deviation=args.max_dev, sample_count=args.samples
-    )
+    return NegotiationConfig(step=args.step, max_deviation=args.max_dev)
 
 
 def _parse_agent_arg(text: str, index: int) -> AgentSpec:
@@ -185,6 +181,8 @@ def _plan_entry(agent: AgentSpec, report, converged: bool,
 
 
 def cmd_plan(args) -> int:
+    if args.samples < 2:
+        raise SchemaError("--samples must be at least 2")
     scenario = load_scenario(args.scenario)
     config = _solver_config(args)
     negotiation_config = _negotiation_config(args)
@@ -212,7 +210,7 @@ def cmd_plan(args) -> int:
 
     def current_conflicts():
         entries = [(a.id, a.radius, trajectories[a.id]) for a in agents]
-        return _conflicts_between(entries, args.samples)
+        return _conflicts_between(entries)
 
     negotiation = None
     conflicts = []
@@ -309,6 +307,8 @@ def _read_trajectory_csv(path: Path) -> dict[int, dict[str, np.ndarray]]:
 def cmd_check(args) -> int:
     scenario = load_scenario(args.scenario)
     tracks = _read_trajectory_csv(args.csv)
+    if not tracks:
+        raise SchemaError(f"{args.csv}: no trajectory rows")
     worst_obstacle = -np.inf
     worst_obstacle_where = None
     unsafe = False
@@ -432,7 +432,7 @@ def cmd_bench(args) -> int:
         started = time.perf_counter()
         if len(agents) > 1:
             msgs = [encode_message(a, plans[a.id][1]) for a in agents]
-            if detect_conflicts(msgs, scenario, args.samples):
+            if detect_conflicts(msgs, scenario):
                 negotiate_arrival_times(scenario, negotiation_config, config)
         phases["negotiation_ms"].append((time.perf_counter() - started) * 1e3)
     doc = {
@@ -467,31 +467,38 @@ def build_parser() -> argparse.ArgumentParser:
                    help="id,radius,px,py,vx,vy,gpx,gpy,gvx,gvy,t0,tf "
                         "(repeatable; default two crossing agents)")
     p.add_argument("--radius-range", type=float, nargs=2, default=[0.5, 2.5])
-    _add_common_flags(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", type=Path, default=Path("."), help="output directory")
     p.set_defaults(func=cmd_gen_world)
 
     p = sub.add_parser("plan", help="plan all agents, negotiating conflicts")
     p.add_argument("scenario", type=Path)
-    _add_common_flags(p)
+    _add_solver_flags(p)
+    _add_negotiation_flags(p)
+    p.add_argument("--samples", type=int, default=PAIR_SAMPLES,
+                   help="rows per agent in trajectories.csv")
+    p.add_argument("--out", type=Path, default=Path("."), help="output directory")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("check", help="re-verify a trajectory CSV")
     p.add_argument("scenario", type=Path)
     p.add_argument("csv", type=Path)
-    _add_common_flags(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("oracle", help="compare one agent against the "
                                       "transcription oracle")
     p.add_argument("scenario", type=Path)
     p.add_argument("--agent", type=int, default=None)
-    _add_common_flags(p)
+    _add_solver_flags(p)
+    p.add_argument("--oracle-steps", type=int, default=2000)
+    p.add_argument("--out", type=Path, default=Path("."), help="output directory")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="time the planner phases")
     p.add_argument("scenario", type=Path)
     p.add_argument("--repeat", type=int, default=5)
-    _add_common_flags(p)
+    _add_solver_flags(p)
+    _add_negotiation_flags(p)
     p.set_defaults(func=cmd_bench)
 
     return parser

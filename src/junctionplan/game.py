@@ -12,9 +12,11 @@ acceptance order, pruning a partial assignment as soon as one of its
 pairs is unsafe. It hands back the plans it chose along with the
 arrival times, so callers need not plan the shifted agents again.
 
-This module owns the sampled inter-agent separation (`min_separation`)
-and the one penetration test built on it, shared by conflict detection,
-payoffs and negotiation.
+This module owns the sampled inter-agent separation (`min_separation`,
+always PAIR_SAMPLES points over the pair's joint horizon) and the one
+penetration test built on it, shared by conflict detection, payoffs and
+negotiation. A deviation that would end an agent's horizon at or before
+its start is a grid point with no plan, like one whose solve fails.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ from .world import (
 SEPARATION_TOL = 1e-9
 
 # Uniform samples per pair separation check; the CLI writes CSV rows at
-# the same count.
-DEFAULT_SAMPLE_COUNT = 2001
+# the same count by default.
+PAIR_SAMPLES = 2001
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +141,6 @@ class NegotiationConfig:
 
     step: float = 0.5
     max_deviation: float = 5.0
-    sample_count: int = DEFAULT_SAMPLE_COUNT
 
     def __post_init__(self):
         if not self.step > 0:
@@ -147,8 +148,6 @@ class NegotiationConfig:
         ratio = self.max_deviation / self.step
         if self.max_deviation < 0 or abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("max_deviation must be a nonneg multiple of step")
-        if self.sample_count < 2:
-            raise ValueError("sample_count must be at least 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,20 +195,16 @@ def decode_message(msg: Message, scenario: Scenario) -> PiecewiseTrajectory:
 
 
 def min_separation(
-    traj_a: PiecewiseTrajectory,
-    traj_b: PiecewiseTrajectory,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
+    traj_a: PiecewiseTrajectory, traj_b: PiecewiseTrajectory
 ) -> tuple[float, float]:
     """Sampled time and value of the minimum inter-agent distance.
 
-    Sampling covers the union of both horizons; an agent outside its own
-    horizon holds its endpoint state.
+    PAIR_SAMPLES uniform samples cover the union of both horizons; an
+    agent outside its own horizon holds its endpoint state.
     """
-    if sample_count < 2:
-        raise ValueError("sample_count must be at least 2")
     t_lo = min(traj_a.t_start, traj_b.t_start)
     t_hi = max(traj_a.t_end, traj_b.t_end)
-    times = np.linspace(t_lo, t_hi, sample_count)
+    times = np.linspace(t_lo, t_hi, PAIR_SAMPLES)
     pa = sample_positions_held(traj_a, times)
     pb = sample_positions_held(traj_b, times)
     dist = np.linalg.norm(pa - pb, axis=1)
@@ -217,29 +212,27 @@ def min_separation(
     return float(times[k]), float(dist[k])
 
 
-def _penetration(traj_a, r_a: float, traj_b, r_b: float, sample_count: int):
+def _penetration(traj_a, r_a: float, traj_b, r_b: float):
     """(time, depth) of the pair's sampled conflict, or None when safe."""
-    t_min, d_min = min_separation(traj_a, traj_b, sample_count)
+    t_min, d_min = min_separation(traj_a, traj_b)
     depth = (r_a + r_b) - d_min
     return (t_min, depth) if depth > SEPARATION_TOL else None
 
 
 def _conflicts_between(
-    entries: list[tuple[int, float, PiecewiseTrajectory]], sample_count: int
+    entries: list[tuple[int, float, PiecewiseTrajectory]],
 ) -> list[ConflictRecord]:
     """entries holds (agent_id, radius, trajectory) sorted by caller."""
     conflicts = []
     for i, (id_a, r_a, traj_a) in enumerate(entries):
         for id_b, r_b, traj_b in entries[i + 1:]:
-            hit = _penetration(traj_a, r_a, traj_b, r_b, sample_count)
+            hit = _penetration(traj_a, r_a, traj_b, r_b)
             if hit is not None:
                 conflicts.append(ConflictRecord((id_a, id_b), *hit))
     return conflicts
 
 
-def detect_conflicts(
-    msgs: list[Message], scenario: Scenario, sample_count: int = DEFAULT_SAMPLE_COUNT
-) -> list[ConflictRecord]:
+def detect_conflicts(msgs: list[Message], scenario: Scenario) -> list[ConflictRecord]:
     """Deepest pairwise separation violations among decoded messages.
 
     Each pair is sampled over the union of its two horizons; agents hold
@@ -250,15 +243,10 @@ def detect_conflicts(
          decode_message(msg, scenario))
         for msg in msgs
     ]
-    return _conflicts_between(entries, sample_count)
+    return _conflicts_between(entries)
 
 
-def payoff(
-    msg: Message,
-    all_msgs: list[Message],
-    scenario: Scenario,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
-) -> Payoff:
+def payoff(msg: Message, all_msgs: list[Message], scenario: Scenario) -> Payoff:
     """Energy of the agent's decoded trajectory, infeasible if unsafe.
 
     Unsafe means an obstacle violation, found exactly, or a sampled
@@ -274,7 +262,7 @@ def payoff(
             continue
         other_radius = scenario.agent(other.agent_id).radius
         hit = _penetration(traj, radius, decode_message(other, scenario),
-                           other_radius, sample_count)
+                           other_radius)
         if hit is not None:
             return Payoff.infeasible()
     return Payoff(value=trajectory_energy(traj))
@@ -368,11 +356,14 @@ def negotiate_arrival_times(
 
     def plan_with_deviation(agent: AgentSpec, ticks: int):
         key = (agent.id, ticks)
+        tf = agent.tf_nominal + ticks * config.step
+        if tf <= agent.t0:
+            # a horizon that ends at or before its start has no plan
+            plan_cache[key] = None
         if key not in plan_cache:
             shifted = AgentSpec(
                 id=agent.id, radius=agent.radius, start=agent.start,
-                goal=agent.goal, t0=agent.t0,
-                tf_nominal=agent.tf_nominal + ticks * config.step,
+                goal=agent.goal, t0=agent.t0, tf_nominal=tf,
             )
             started = time.perf_counter()
             try:
@@ -394,7 +385,6 @@ def negotiate_arrival_times(
             verdicts[key] = _penetration(
                 plan_with_deviation(a, tick_i).trajectory, a.radius,
                 plan_with_deviation(b, tick_j).trajectory, b.radius,
-                config.sample_count,
             ) is None
         return verdicts[key]
 

@@ -62,9 +62,18 @@ from .world import (
     violated_windows,
 )
 
-# Shortest segment the junction system accepts, in seconds: half the
-# default time_margin, so only a smaller configured margin reaches it.
+# Least time between a junction and the horizon ends or its neighbors,
+# in seconds; proposed junction times are clamped to keep it.
+TIME_MARGIN = 1e-3
+
+# Shortest segment the junction system accepts, in seconds: half of
+# TIME_MARGIN, so clamped junction times never reach it. Only a horizon
+# shorter than this, or junction times passed to solve_coefficients or
+# residuals from outside the solver, do.
 MIN_SEGMENT = 5e-4
+
+# Levenberg-Marquardt iteration budget of one junction solve.
+MAX_ITERATIONS = 200
 
 # Below this speed at a junction both residuals vanish identically and
 # the contact angle is unobservable; flagged on the report.
@@ -102,12 +111,10 @@ class JunctionSolveConfig:
     """Tolerances and budgets for the junction least-squares solve."""
 
     residual_tol: float = 1e-7
-    max_iterations: int = 200
     max_junctions: int = 8
-    time_margin: float = 1e-3
 
     def __post_init__(self):
-        for name in ("residual_tol", "max_iterations", "max_junctions", "time_margin"):
+        for name in ("residual_tol", "max_junctions"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -335,30 +342,26 @@ def solve_junctions(
     junction system, and is recomputed only after an accepted step, from
     that step's spline, so each iteration costs one candidate solve plus
     at most one Jacobian solve. Proposed junction times are clamped to keep
-    the configured margin from the horizon and from each other, and
-    angles are wrapped into [-pi, pi). Convergence is a residual 2-norm
-    at or below the configured tolerance. The Junction objects and the
+    TIME_MARGIN from the horizon and from each other, so every segment is
+    longer than MIN_SEGMENT and no iterate is ill-conditioned; angles are
+    wrapped into [-pi, pi). Raises OrderingError when the horizon cannot
+    hold the junctions at that margin, and ConditioningError only for a
+    horizon shorter than MIN_SEGMENT. Convergence is a residual 2-norm at
+    or below the configured tolerance. The Junction objects and the
     trajectory are built once, from the final iterate.
     """
     junctions = tuple(initial_junctions)
     t0, tf = agent.t0, agent.tf_nominal
-    margin = config.time_margin
     params, centers, radii = _geometry(agent, junctions, scenario)
-    params[1::2] = _clamp_times(params[1::2], t0, tf, margin)
-
-    try:
-        spline = _spline(agent, params, centers, radii)
-    except ConditioningError:
-        # One retry with times nudged off the degenerate geometry.
-        params[1::2] = _clamp_times(params[1::2] + 10.0 * margin, t0, tf, margin)
-        spline = _spline(agent, params, centers, radii)
+    params[1::2] = _clamp_times(params[1::2], t0, tf, TIME_MARGIN)
+    spline = _spline(agent, params, centers, radii)
     res = _residuals(spline)
 
     norm = float(np.linalg.norm(res))
     damping = 1e-3
     iterations = 0
     jac = None
-    while iterations < config.max_iterations and norm > config.residual_tol:
+    while iterations < MAX_ITERATIONS and norm > config.residual_tol:
         iterations += 1
         if jac is None:
             jac = _residual_jacobian(spline, radii)
@@ -373,14 +376,11 @@ def solve_junctions(
             damping = min(damping * 10.0, 1e12)
             continue
         candidate = params + step
-        candidate[1::2] = _clamp_times(candidate[1::2], t0, tf, margin)
+        candidate[1::2] = _clamp_times(candidate[1::2], t0, tf, TIME_MARGIN)
         candidate[0::2] = [_wrap_angle(v) for v in candidate[0::2]]
-        try:
-            cand_spline = _spline(agent, candidate, centers, radii)
-            cand_res = _residuals(cand_spline)
-            cand_norm = float(np.linalg.norm(cand_res))
-        except (ConditioningError, OrderingError):
-            cand_norm = math.inf
+        cand_spline = _spline(agent, candidate, centers, radii)
+        cand_res = _residuals(cand_spline)
+        cand_norm = float(np.linalg.norm(cand_res))
         if cand_norm < norm:
             params, spline, res, norm = candidate, cand_spline, cand_res, cand_norm
             damping = max(damping * 0.3, 1e-12)
@@ -452,9 +452,9 @@ def initial_guess(
     return Junction(obstacle_id=obstacle.id, theta=theta, time=float(t_guess))
 
 
-# Junctions on the same obstacle closer than this multiple of the time
-# margin are treated as duplicates of an existing activation.
-DUPLICATE_MARGIN_FACTOR = 10.0
+# Junctions on the same obstacle closer than this, in seconds (ten time
+# margins), are treated as duplicates of an existing activation.
+DUPLICATE_WINDOW = 10.0 * TIME_MARGIN
 
 
 def plan_agent(
@@ -474,19 +474,16 @@ def plan_agent(
     neighboring time.
     """
     junctions: tuple[Junction, ...] = ()
-    best: tuple = (None, None)
     while True:
         try:
             traj, report = solve_junctions(agent, junctions, scenario, config)
         except ConditioningError as exc:
-            # the freshly inserted junction crowded an existing one past
-            # what the retry could fix; surface the best iterate instead
+            # only a horizon shorter than MIN_SEGMENT gets here, on the
+            # first solve, so there is no iterate to return
             raise PlanningFailure(
                 f"agent {agent.id}: junction system became ill-conditioned "
                 f"during sequence discovery: {exc}",
-                trajectory=best[0], report=best[1],
             ) from exc
-        best = (traj, report)
         violation = first_violation(traj, scenario, agent.id)
         if violation is None:
             return traj, report
@@ -501,7 +498,7 @@ def plan_agent(
         guess = initial_guess(traj, violation, scenario, agent)
         near_duplicate = any(
             j.obstacle_id == guess.obstacle_id
-            and abs(j.time - guess.time) < DUPLICATE_MARGIN_FACTOR * config.time_margin
+            and abs(j.time - guess.time) < DUPLICATE_WINDOW
             for j in report.junction_sequence
         )
         if near_duplicate:

@@ -323,7 +323,7 @@ def test_criterion_7_negotiation(announce):
         for ticks in product(range(-m, m + 1), repeat=len(agents)):
             entries = [(a.id, a.radius, plans[(a.id, t)])
                        for a, t in zip(agents, ticks)]
-            if not _conflicts_between(entries, config.sample_count):
+            if not _conflicts_between(entries):
                 feasible.append(ticks)
         assert feasible
         best_total = min(sum(abs(t) for t in ticks) for ticks in feasible)
@@ -341,8 +341,7 @@ def test_criterion_7_negotiation(announce):
 
         # post-negotiation sampled separation
         required = agents[0].radius + agents[1].radius
-        _, dist = min_separation(plans[(1, returned[0])],
-                                 plans[(2, returned[1])], 2001)
+        _, dist = min_separation(plans[(1, returned[0])], plans[(2, returned[1])])
         assert dist >= required - 1e-6
 
 
@@ -350,7 +349,7 @@ def test_criterion_8_payoff_consistency(batch, announce):
     with criterion("8 payoff consistency", announce):
         for inst in batch:
             msg = encode_message(inst.agent, inst.report)
-            value = payoff(msg, [msg], inst.scenario, 2001)
+            value = payoff(msg, [msg], inst.scenario)
             feasible = first_violation(
                 decode_message(msg, inst.scenario), inst.scenario, inst.agent.id
             ) is None
@@ -366,7 +365,7 @@ def test_criterion_8_payoff_consistency(batch, announce):
         blocked = Message(agent_id=agent.id, t0=agent.t0,
                           tf=agent.tf_nominal, start=agent.start,
                           goal=agent.goal, junctions=())
-        blocked_payoff = payoff(blocked, [blocked], scenario, 2001)
+        blocked_payoff = payoff(blocked, [blocked], scenario)
         assert blocked_payoff.is_infeasible
         assert first_violation(decode_message(blocked, scenario), scenario,
                                agent.id) is not None

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -171,7 +172,46 @@ class TestPlan:
         )
         path = write_scenario(tmp_path, Scenario(agents=agents, obstacles=()))
         out = tmp_path / "run"
-        assert run([command, path, "--out", out, *grid]) == EXIT_INPUT
+        args = [command, path, *grid] + (["--out", out] if command == "plan" else [])
+        assert run(args) == EXIT_INPUT
+        assert not (out / "report.json").exists()
+
+    def test_deviation_that_empties_a_horizon_has_no_plan(self, crossing_file,
+                                                          tmp_path):
+        # --max-dev 10 reaches tf = t0 = 0 at the most negative tick
+        out = tmp_path / "run"
+        assert run(["plan", crossing_file, "--out", out,
+                    "--step", 2.0, "--max-dev", 10.0]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["negotiation"]["arrival_times"] == {"1": 8.0, "2": 12.0}
+
+    def test_swap_without_assignment_exits_3(self, tmp_path, capsys):
+        # head-on on one line: every shift collides, including tf = t0
+        agents = (
+            AgentSpec(id=0, radius=0.75, start=rest(-5, 0), goal=rest(5, 0),
+                      t0=0.0, tf_nominal=10.0),
+            AgentSpec(id=1, radius=0.75, start=rest(5, 0), goal=rest(-5, 0),
+                      t0=0.0, tf_nominal=10.0),
+        )
+        path = write_scenario(tmp_path, Scenario(agents=agents, obstacles=()))
+        assert run(["plan", path, "--out", tmp_path / "run",
+                    "--step", 2.0, "--max-dev", 10.0]) == 3
+        assert "no conflict-free assignment" in capsys.readouterr().err
+
+    def test_horizon_shorter_than_a_segment(self, tmp_path):
+        agent = AgentSpec(id=0, radius=0.25, start=rest(0, 0), goal=rest(1e-4, 0),
+                          t0=0.0, tf_nominal=1e-4)
+        path = write_scenario(tmp_path, Scenario(agents=(agent,), obstacles=()))
+        out = tmp_path / "run"
+        assert run(["plan", path, "--out", out]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["agents"][0]["converged"] is False
+        assert report["agents"][0]["energy"] is None
+
+    def test_samples_below_two_rejected(self, symmetric_file, tmp_path):
+        out = tmp_path / "run"
+        assert run(["plan", symmetric_file, "--out", out,
+                    "--samples", 1]) == EXIT_INPUT
         assert not (out / "report.json").exists()
 
     def test_planning_failure_writes_partial_outputs(self, tmp_path):
@@ -243,6 +283,16 @@ class TestCheck:
         bad = tmp_path / "bad.csv"
         bad.write_text("agent_id,t\n0,0\n")
         assert run(["check", symmetric_file, bad]) == 2
+
+    def test_header_only_csv_is_input_error(self, symmetric_file, tmp_path,
+                                            capsys):
+        # what plan writes when no agent gets a trajectory
+        empty = tmp_path / "empty.csv"
+        _write_trajectory_csv(empty, [])
+        assert run(["check", symmetric_file, empty]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "no trajectory rows" in captured.err
+        assert "verdict" not in captured.out
 
     def test_missing_file(self, symmetric_file, tmp_path):
         assert run(["check", symmetric_file, tmp_path / "nope.csv"]) == 2
@@ -348,6 +398,26 @@ class TestBench:
 
     def test_bad_repeat(self, symmetric_file):
         assert run(["bench", symmetric_file, "--repeat", 0]) == 2
+
+
+class TestParser:
+    def test_each_subcommand_has_only_the_flags_it_reads(self):
+        sub = next(a for a in cli_mod.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        solver = {"--tol", "--max-junctions"}
+        grid = {"--step", "--max-dev"}
+        assert flags == {
+            "gen-world": {"--obstacles", "--bounds", "--agent", "--radius-range",
+                          "--seed", "--out"},
+            "plan": solver | grid | {"--samples", "--out"},
+            "check": set(),
+            "oracle": solver | {"--agent", "--oracle-steps", "--out"},
+            "bench": solver | grid | {"--repeat"},
+        }
 
 
 class TestEntryPoint:

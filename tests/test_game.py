@@ -263,7 +263,7 @@ def brute_force_negotiation(scenario, config, solver_config):
                 break
             entries.append((agent.id, agent.radius, traj))
         else:
-            if not _conflicts_between(entries, config.sample_count):
+            if not _conflicts_between(entries):
                 feasible.append(ticks)
     assert feasible, "oracle found no feasible assignment"
     best = min(
@@ -358,8 +358,7 @@ class TestNegotiation:
             )
         scen = Scenario(agents=tuple(agents), obstacles=())
         solver_config = JunctionSolveConfig()
-        config = NegotiationConfig(step=2.0, max_deviation=4.0,
-                                   sample_count=501)
+        config = NegotiationConfig(step=2.0, max_deviation=4.0)
         arrival = negotiate_arrival_times(scen, config,
                                           solver_config).arrival_times
         expected, _ = brute_force_negotiation(scen, config, solver_config)
@@ -376,8 +375,7 @@ class TestNegotiation:
         )
         scen = Scenario(agents=agents, obstacles=())
         solver_config = JunctionSolveConfig()
-        config = NegotiationConfig(step=2.0, max_deviation=4.0,
-                                   sample_count=501)
+        config = NegotiationConfig(step=2.0, max_deviation=4.0)
         # the oracle samples pairs too, so it runs before the counter is in
         expected, _ = brute_force_negotiation(scen, config, solver_config)
 
@@ -389,9 +387,9 @@ class TestNegotiation:
         checked = []
         original = game.min_separation
 
-        def counting(traj_a, traj_b, sample_count):
+        def counting(traj_a, traj_b):
             checked.append((identify(traj_a), identify(traj_b)))
-            return original(traj_a, traj_b, sample_count)
+            return original(traj_a, traj_b)
 
         monkeypatch.setattr(game, "min_separation", counting)
         arrival = negotiate_arrival_times(scen, config,
@@ -424,8 +422,7 @@ class TestNegotiation:
         if ring:
             scen = ring_scenario()
             solver_config = JunctionSolveConfig()
-            config = NegotiationConfig(step=2.0, max_deviation=4.0,
-                                       sample_count=501)
+            config = NegotiationConfig(step=2.0, max_deviation=4.0)
         else:
             scen = crossing_scenario
             solver_config = JunctionSolveConfig()

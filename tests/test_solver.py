@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from junctionplan import (
     AgentSpec,
@@ -312,7 +313,7 @@ class TestResidualJacobian:
             junctions = (Junction(0, 1.2, 6.3), Junction(1, 1.8, 13.6))
             if case == "three_crowded":
                 # 1.5 time margins after its neighbour
-                margin = JunctionSolveConfig().time_margin
+                margin = solver.TIME_MARGIN
                 junctions = junctions[:1] + (
                     Junction(2, 1.0, 6.3 + 1.5 * margin),
                 ) + junctions[1:]
@@ -357,21 +358,29 @@ class TestSolveJunctions:
 
     def test_margins_enforced(self):
         agent, scen = symmetric_agent_and_obstacle()
-        config = JunctionSolveConfig()
         start = Junction(obstacle_id=0, theta=math.pi / 2, time=0.0001)
-        traj, report = solve_junctions(agent, (start,), scen, config)
+        traj, report = solve_junctions(agent, (start,), scen)
         for junction in report.junction_sequence:
-            assert junction.time >= agent.t0 + config.time_margin - 1e-12
-            assert junction.time <= agent.tf_nominal - config.time_margin + 1e-12
+            assert junction.time >= agent.t0 + solver.TIME_MARGIN - 1e-12
+            assert junction.time <= agent.tf_nominal - solver.TIME_MARGIN + 1e-12
 
-    def test_conditioning_retry_then_error(self):
-        # A microscopic margin lets the junction sit degenerately close
-        # to the horizon start; the one retry cannot fix it.
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.floats(-math.pi, math.pi),
+            st.one_of(st.floats(-1.0, 11.0), st.floats(0.0, 1e-3), st.just(5.0)),
+        ),
+        min_size=1, max_size=4,
+    ))
+    def test_clamped_iterates_are_never_ill_conditioned(self, drawn):
+        # times outside the horizon, crowding t0, or duplicated
         agent, scen = symmetric_agent_and_obstacle()
-        config = JunctionSolveConfig(time_margin=1e-9)
-        start = Junction(obstacle_id=0, theta=math.pi / 2, time=1e-8)
-        with pytest.raises(ConditioningError):
-            solve_junctions(agent, (start,), scen, config)
+        start = tuple(Junction(0, theta, t) for theta, t in drawn)
+        traj, report = solve_junctions(agent, start, scen)
+        knots = [agent.t0, *(j.time for j in report.junction_sequence),
+                 agent.tf_nominal]
+        assert np.diff(knots).min() >= solver.TIME_MARGIN - 1e-12
+        assert [s.t_start for s in traj.segments] == knots[:-1]
 
     def test_energy_exceeds_unconstrained(self):
         agent, scen = symmetric_agent_and_obstacle()
@@ -547,6 +556,16 @@ class TestPlanAgent:
         assert excinfo.value.trajectory is solves[-1][0]
         assert excinfo.value.report is solves[-1][1]
 
+    def test_horizon_shorter_than_a_segment_fails_without_iterate(self):
+        agent = AgentSpec(id=0, radius=0.25, start=rest(0, 0), goal=rest(1e-4, 0),
+                          t0=0.0, tf_nominal=1e-4)
+        scen = Scenario(agents=(agent,), obstacles=())
+        with pytest.raises(PlanningFailure, match="ill-conditioned") as excinfo:
+            plan_agent(agent, scen)
+        assert isinstance(excinfo.value.__cause__, ConditioningError)
+        assert excinfo.value.trajectory is None
+        assert excinfo.value.report is None
+
     def test_deterministic_reports(self):
         agent, scen = symmetric_agent_and_obstacle()
         _, first = plan_agent(agent, scen)
@@ -587,4 +606,4 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             JunctionSolveConfig(residual_tol=0.0)
         with pytest.raises(ValueError):
-            JunctionSolveConfig(time_margin=-1.0)
+            JunctionSolveConfig(max_junctions=0)
