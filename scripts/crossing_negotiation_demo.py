@@ -7,10 +7,13 @@ search over arrival-time deviations, and verifies the post-negotiation
 separation.
 """
 
+import time
+
 from junctionplan import (
     AgentSpec,
     JunctionSolveConfig,
     KinematicState,
+    NegotiatedPlan,
     NegotiationConfig,
     Scenario,
     detect_conflicts,
@@ -35,8 +38,12 @@ def main():
     required = a1.radius + a2.radius
 
     messages = []
+    nominal = {}
     for agent in (a1, a2):
-        _, report = plan_agent(agent, scenario)
+        started = time.perf_counter()
+        traj, report = plan_agent(agent, scenario)
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        nominal[agent.id] = NegotiatedPlan(agent, traj, report, elapsed_ms)
         messages.append(encode_message(agent, report))
 
     print("crossing negotiation demo")
@@ -49,7 +56,8 @@ def main():
               f"{payoff(msg, messages, scenario).to_json()}")
 
     config = NegotiationConfig(step=2.0, max_deviation=4.0)
-    negotiated = negotiate_arrival_times(scenario, config, JunctionSolveConfig())
+    negotiated = negotiate_arrival_times(scenario, config, JunctionSolveConfig(),
+                                         nominal)
     print(f"  negotiated arrivals       {negotiated.arrival_times}")
 
     plans = negotiated.plans

@@ -63,6 +63,7 @@ from .solver import (
 from .game import (
     ConflictRecord,
     Message,
+    NegotiatedPlan,
     NegotiationConfig,
     Payoff,
     decode_message,

@@ -34,6 +34,7 @@ from .game import (
     message_to_json,
     negotiate_arrival_times,
     negotiation_to_json,
+    NegotiatedPlan,
     NegotiationConfig,
 )
 from .oracle import OracleConfig, compare, discrete_min_energy_constrained
@@ -56,11 +57,6 @@ EXIT_UNSAFE = 1
 EXIT_INPUT = 2
 EXIT_PLANNING = 3
 EXIT_ORACLE_WARNING = 4
-
-
-def _fmt(x: float) -> str:
-    # repr of a float round-trips exactly
-    return repr(float(x))
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
@@ -143,21 +139,27 @@ def cmd_gen_world(args) -> int:
     return EXIT_OK
 
 
-def _write_trajectory_csv(path: Path, rows: list[tuple]) -> None:
+def _csv_rows(agent_id: int, t, p, v, u, source: str | None = None) -> list[str]:
+    """CSV lines of one agent's samples: t has shape (n,), p, v and u
+    shape (n, 2). A float is written as its repr, which round-trips
+    exactly. No field needs quoting, so the lines are what csv.writer
+    would write, \r\n endings included."""
+    columns = [t.tolist()] + [a[:, k].tolist() for a in (p, v, u) for k in (0, 1)]
+    head = f"{agent_id},"
+    tail = "\r\n" if source is None else f",{source}\r\n"
+    return [head + ",".join(map(repr, row)) + tail for row in zip(*columns)]
+
+
+def _write_trajectory_csv(path: Path, rows: list[str],
+                          header: list[str] = CSV_HEADER) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for agent_id, t, p, v, u in rows:
-            writer.writerow(
-                [agent_id, _fmt(t), _fmt(p[0]), _fmt(p[1]),
-                 _fmt(v[0]), _fmt(v[1]), _fmt(u[0]), _fmt(u[1])]
-            )
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(rows)
 
 
-def _trajectory_rows(agent_id: int, traj, samples: int) -> list[tuple]:
+def _trajectory_rows(agent_id: int, traj, samples: int) -> list[str]:
     times = np.linspace(traj.t_start, traj.t_end, samples)
-    p, v, u = sample_trajectory(traj, times)
-    return [(agent_id, times[k], p[k], v[k], u[k]) for k in range(len(times))]
+    return _csv_rows(agent_id, times, *sample_trajectory(traj, times))
 
 
 def _plan_entry(agent: AgentSpec, report, converged: bool,
@@ -190,6 +192,7 @@ def cmd_plan(args) -> int:
 
     results: dict[int, dict] = {}
     trajectories: dict[int, object] = {}
+    nominal: dict[int, NegotiatedPlan] = {}
     all_converged = True
     for agent in agents:
         started = time.perf_counter()
@@ -207,6 +210,8 @@ def cmd_plan(args) -> int:
         all_converged = all_converged and converged
         if traj is not None:
             trajectories[agent.id] = traj
+        if converged:
+            nominal[agent.id] = NegotiatedPlan(agent, traj, report, elapsed_ms)
 
     def current_conflicts():
         entries = [(a.id, a.radius, trajectories[a.id]) for a in agents]
@@ -220,7 +225,7 @@ def cmd_plan(args) -> int:
         if conflicts:
             try:
                 negotiated = negotiate_arrival_times(
-                    scenario, negotiation_config, config
+                    scenario, negotiation_config, config, nominal
                 )
             except (NegotiationError, PlannerError) as exc:
                 print(f"negotiation failed: {exc}", file=sys.stderr)
@@ -309,6 +314,12 @@ def cmd_check(args) -> int:
     tracks = _read_trajectory_csv(args.csv)
     if not tracks:
         raise SchemaError(f"{args.csv}: no trajectory rows")
+    missing = sorted(a.id for a in scenario.agents if a.id not in tracks)
+    if missing:
+        # an agent without rows cannot be shown safe against the others
+        raise SchemaError(
+            f"{args.csv}: no rows for agent(s) {', '.join(map(str, missing))}"
+        )
     worst_obstacle = -np.inf
     worst_obstacle_where = None
     unsafe = False
@@ -389,22 +400,15 @@ def cmd_oracle(args) -> int:
         "warning": plan.penetration_warning,
     }
     print(json.dumps(doc, indent=2))
-    if args.out != Path("."):
+    if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / f"oracle_{agent.id}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER + ["source"])
-            n = plan.controls.shape[0]
-            for k in range(n + 1):
-                t = plan.t_start + k * plan.dt
-                u = plan.controls[min(k, n - 1)]
-                writer.writerow(
-                    [agent.id, _fmt(t),
-                     _fmt(plan.positions[k][0]), _fmt(plan.positions[k][1]),
-                     _fmt(plan.velocities[k][0]), _fmt(plan.velocities[k][1]),
-                     _fmt(u[0]), _fmt(u[1]), "oracle"]
-                )
+        n = plan.controls.shape[0]
+        k = np.arange(n + 1)
+        rows = _csv_rows(agent.id, plan.t_start + k * plan.dt, plan.positions,
+                         plan.velocities, plan.controls[np.minimum(k, n - 1)],
+                         "oracle")
+        _write_trajectory_csv(args.out / f"oracle_{agent.id}.csv", rows,
+                              CSV_HEADER + ["source"])
     return EXIT_ORACLE_WARNING if plan.penetration_warning else EXIT_OK
 
 
@@ -491,7 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent", type=int, default=None)
     _add_solver_flags(p)
     p.add_argument("--oracle-steps", type=int, default=2000)
-    p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    p.add_argument("--out", type=Path, default=None,
+                   help="output directory for oracle_<id>.csv (none written "
+                        "without it)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="time the planner phases")

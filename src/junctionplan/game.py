@@ -15,8 +15,14 @@ arrival times, so callers need not plan the shifted agents again.
 This module owns the sampled inter-agent separation (`min_separation`,
 always PAIR_SAMPLES points over the pair's joint horizon) and the one
 penetration test built on it, shared by conflict detection, payoffs and
-negotiation. A deviation that would end an agent's horizon at or before
-its start is a grid point with no plan, like one whose solve fails.
+negotiation. Each pair check samples both plans' positions on one
+uniform grid through `sample_positions_held`, which evaluates each cubic
+segment on its own run of grid times in axis-major layout and holds an
+agent's endpoint outside its horizon, and takes the distance per axis.
+A caller that has already planned the agents at their nominal horizons
+hands those plans to the search, which then plans only shifted
+horizons. A deviation that would end an agent's horizon at or before its
+start is a grid point with no plan, like one whose solve fails.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -205,9 +211,9 @@ def min_separation(
     t_lo = min(traj_a.t_start, traj_b.t_start)
     t_hi = max(traj_a.t_end, traj_b.t_end)
     times = np.linspace(t_lo, t_hi, PAIR_SAMPLES)
-    pa = sample_positions_held(traj_a, times)
-    pb = sample_positions_held(traj_b, times)
-    dist = np.linalg.norm(pa - pb, axis=1)
+    d = sample_positions_held(traj_a, times) - sample_positions_held(traj_b, times)
+    # per axis, the same bits as np.linalg.norm(d, axis=1)
+    dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
     k = int(np.argmin(dist))
     return float(times[k]), float(dist[k])
 
@@ -322,6 +328,7 @@ def negotiate_arrival_times(
     scenario: Scenario,
     config: NegotiationConfig = NegotiationConfig(),
     solver_config: JunctionSolveConfig = JunctionSolveConfig(),
+    nominal: Mapping[int, NegotiatedPlan] | None = None,
 ) -> NegotiationResult:
     """Pick arrival times that remove all inter-agent conflicts.
 
@@ -340,6 +347,10 @@ def negotiate_arrival_times(
     or conflicts with an earlier one. Memory grows with the agent count
     and the verdict cache, not with the number of joint assignments.
 
+    nominal optionally holds plans the caller already made at the
+    nominal horizons, keyed by agent id; the search takes them as its
+    zero-deviation plans instead of planning those agents again.
+
     Returns the arrival times together with the plans the search made
     for them, so no caller needs to plan the shifted agents again.
     """
@@ -351,7 +362,10 @@ def negotiate_arrival_times(
                 "negotiation requires goals at rest"
             )
     m = int(round(config.max_deviation / config.step))
-    plan_cache: dict[tuple[int, int], NegotiatedPlan | None] = {}
+    plan_cache: dict[tuple[int, int], NegotiatedPlan | None] = {
+        (agent_id, 0): plan if plan.report.converged else None
+        for agent_id, plan in (nominal or {}).items()
+    }
     verdicts: dict[tuple[int, int, int, int], bool] = {}
 
     def plan_with_deviation(agent: AgentSpec, ticks: int):

@@ -190,31 +190,60 @@ def eval_trajectory(traj: PiecewiseTrajectory, t: float):
     return eval_segment(traj.segments[_segment_index(traj, t)], t)
 
 
+def _pieces(traj: PiecewiseTrajectory, times: np.ndarray) -> list:
+    """(segment, index) pairs: index selects the samples that segment
+    evaluates. An exact knot time goes to the later segment, as in
+    eval_trajectory. Sorted times, such as a uniform grid, split into one
+    slice per segment; times in any other order are picked by masks."""
+    segments = traj.segments
+    knots = [seg.t_start for seg in segments[1:]]
+    if not knots or np.all(times[1:] >= times[:-1]):
+        bounds = [0, *np.searchsorted(times, knots).tolist(), len(times)]
+        return [(seg, slice(lo, hi))
+                for seg, lo, hi in zip(segments, bounds, bounds[1:])]
+    idx = np.searchsorted(knots, times, side="right")
+    return [(seg, idx == j) for j, seg in enumerate(segments)]
+
+
+def _sample(traj: PiecewiseTrajectory, times: np.ndarray, derivatives: bool):
+    """Axis-major (2, len(times)) positions, plus velocities and controls
+    when derivatives is set, each segment evaluated on its own samples.
+
+    Every element is c1*t**3 + c2*t**2 + c3*t + c4 (and its derivatives)
+    in this operation order with numpy's powers of t, so a sample has the
+    same bits however the times are grouped.
+    """
+    t2, t3 = times**2, times**3
+    shape = (2, times.shape[0])
+    p = np.empty(shape)
+    v, u = (np.empty(shape), np.empty(shape)) if derivatives else (None, None)
+    for seg, sel in _pieces(traj, times):
+        t = times[sel]
+        c1, c2, c3, c4 = (c[:, None] for c in (seg.c1, seg.c2, seg.c3, seg.c4))
+        p[:, sel] = c1 * t3[sel] + c2 * t2[sel] + c3 * t + c4
+        if derivatives:
+            v[:, sel] = 3.0 * c1 * t2[sel] + 2.0 * c2 * t + c3
+            u[:, sel] = 6.0 * c1 * t + 2.0 * c2
+    return p, v, u
+
+
 def sample_trajectory(traj: PiecewiseTrajectory, times: np.ndarray):
     """Vectorized evaluation at an array of times inside the horizon.
 
-    Returns (positions, velocities, controls), each of shape (len(times), 2).
+    Returns (positions, velocities, controls), each of shape (len(times), 2)
+    and each the transposed view of an axis-major array, so a column is
+    contiguous.
     """
     times = np.asarray(times, dtype=float)
     if times.size and (times.min() < traj.t_start or times.max() > traj.t_end):
         raise OutOfRangeError("sample times outside trajectory horizon")
-    starts = np.array([seg.t_start for seg in traj.segments])
-    idx = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, len(starts) - 1)
-    c1 = np.array([seg.c1 for seg in traj.segments])[idx]
-    c2 = np.array([seg.c2 for seg in traj.segments])[idx]
-    c3 = np.array([seg.c3 for seg in traj.segments])[idx]
-    c4 = np.array([seg.c4 for seg in traj.segments])[idx]
-    t = times[:, None]
-    p = c1 * t**3 + c2 * t**2 + c3 * t + c4
-    v = 3.0 * c1 * t**2 + 2.0 * c2 * t + c3
-    u = 6.0 * c1 * t + 2.0 * c2
-    return p, v, u
+    p, v, u = _sample(traj, times, derivatives=True)
+    return p.T, v.T, u.T
 
 
 def sample_positions_held(traj: PiecewiseTrajectory, times: np.ndarray) -> np.ndarray:
-    """Positions at arbitrary times, holding the endpoint states outside
-    the horizon. Used for separation checks between agents whose
-    horizons differ."""
+    """Positions at arbitrary times, shape (len(times), 2) as in
+    sample_trajectory, holding the endpoint states outside the horizon.
+    Used for separation checks between agents whose horizons differ."""
     clamped = np.clip(np.asarray(times, dtype=float), traj.t_start, traj.t_end)
-    p, _, _ = sample_trajectory(traj, clamped)
-    return p
+    return _sample(traj, clamped, derivatives=False)[0].T

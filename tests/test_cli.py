@@ -158,6 +158,25 @@ class TestPlan:
             assert entry["wall_clock_ms"] > 0
             assert {**entry, "wall_clock_ms": 0.0} == expected
 
+    def test_negotiation_reuses_the_nominal_plans(self, crossing_file,
+                                                  tmp_path, monkeypatch):
+        from junctionplan import game
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((args[0].id, args[0].tf_nominal))
+            return plan_agent(*args, **kwargs)
+
+        monkeypatch.setattr(game, "plan_agent", counting)
+        out = tmp_path / "run"
+        assert run(["plan", crossing_file, "--out", out,
+                    "--step", 2.0, "--max-dev", 4.0]) == 0
+        # the nominal (1, 10.0) and (2, 10.0) come from plan's own solves
+        assert sorted(calls) == [(1, 8.0), (1, 12.0), (2, 8.0), (2, 12.0)]
+        report = json.loads((out / "report.json").read_text())
+        assert report["negotiation"]["arrival_times"] == {"1": 8.0, "2": 12.0}
+
     @pytest.mark.parametrize("command", ["plan", "bench"])
     @pytest.mark.parametrize("grid", [["--step", 0],
                                       ["--step", 0.5, "--max-dev", 1.2]])
@@ -297,6 +316,26 @@ class TestCheck:
     def test_missing_file(self, symmetric_file, tmp_path):
         assert run(["check", symmetric_file, tmp_path / "nope.csv"]) == 2
 
+    def test_agent_without_rows_is_input_error(self, tmp_path, capsys):
+        # agent 1's horizon is too short to plan, so plan writes no rows for
+        # it, although agent 0 drives through its held position
+        agents = (
+            AgentSpec(id=0, radius=0.25, start=rest(-5, 0), goal=rest(5, 0),
+                      t0=0.0, tf_nominal=10.0),
+            AgentSpec(id=1, radius=0.75, start=rest(0, 0), goal=rest(0, 0),
+                      t0=0.0, tf_nominal=1e-4),
+        )
+        path = write_scenario(tmp_path, Scenario(agents=agents, obstacles=()))
+        out = tmp_path / "run"
+        assert run(["plan", path, "--out", out]) == 3
+        with open(out / "trajectories.csv") as fh:
+            assert {row[0] for row in list(csv.reader(fh))[1:]} == {"0"}
+        capsys.readouterr()
+        assert run(["check", path, out / "trajectories.csv"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "no rows for agent(s) 1" in captured.err
+        assert "verdict" not in captured.out
+
     def test_unknown_agent_is_input_error(self, symmetric_file, tmp_path):
         out = tmp_path / "run"
         assert run(["plan", symmetric_file, "--out", out]) == 0
@@ -354,6 +393,23 @@ class TestOracleCommand:
         assert rows[0] == CSV_HEADER + ["source"]
         assert rows[1][-1] == "oracle"
         assert len(rows) == 1 + 401
+
+    def test_oracle_csv_in_current_directory(self, symmetric_file, tmp_path,
+                                             monkeypatch, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run(["oracle", symmetric_file, "--oracle-steps", 200,
+                    "--out", "."]) == 0
+        assert sorted(p.name for p in work.iterdir()) == ["oracle_0.csv"]
+
+    def test_oracle_without_out_writes_nothing(self, symmetric_file, tmp_path,
+                                               monkeypatch, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run(["oracle", symmetric_file, "--oracle-steps", 200]) == 0
+        assert list(work.iterdir()) == []
 
     def test_penetration_warning_maps_to_exit_4(self, symmetric_file,
                                                 monkeypatch, capsys):
