@@ -11,7 +11,6 @@ import time
 
 from junctionplan import (
     AgentSpec,
-    JunctionSolveConfig,
     KinematicState,
     NegotiatedPlan,
     NegotiationConfig,
@@ -56,8 +55,7 @@ def main():
               f"{payoff(msg, messages, scenario).to_json()}")
 
     config = NegotiationConfig(step=2.0, max_deviation=4.0)
-    negotiated = negotiate_arrival_times(scenario, config, JunctionSolveConfig(),
-                                         nominal)
+    negotiated = negotiate_arrival_times(scenario, config, nominal)
     print(f"  negotiated arrivals       {negotiated.arrival_times}")
 
     plans = negotiated.plans

@@ -51,7 +51,6 @@ from .world import (
 )
 from .solver import (
     Junction,
-    JunctionSolveConfig,
     SolveReport,
     contact_point,
     initial_guess,

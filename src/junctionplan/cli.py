@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import statistics
 import sys
 import time
@@ -38,7 +39,7 @@ from .game import (
     NegotiationConfig,
 )
 from .oracle import OracleConfig, compare, discrete_min_energy_constrained
-from .solver import JunctionSolveConfig, plan_agent
+from .solver import plan_agent
 from .trajectory import KinematicState, sample_trajectory, solve_boundary
 from .world import (
     SAFETY_TOL,
@@ -59,26 +60,12 @@ EXIT_PLANNING = 3
 EXIT_ORACLE_WARNING = 4
 
 
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    """The flags _solver_config reads."""
-    parser.add_argument("--tol", type=float, default=1e-7,
-                        help="junction residual tolerance")
-    parser.add_argument("--max-junctions", type=int, default=8)
-
-
 def _add_negotiation_flags(parser: argparse.ArgumentParser) -> None:
     """The flags _negotiation_config reads."""
     parser.add_argument("--step", type=float, default=0.5,
                         help="negotiation grid step in seconds")
     parser.add_argument("--max-dev", type=float, default=5.0,
                         help="negotiation deviation budget in seconds")
-
-
-def _solver_config(args) -> JunctionSolveConfig:
-    return JunctionSolveConfig(
-        residual_tol=args.tol,
-        max_junctions=args.max_junctions,
-    )
 
 
 def _negotiation_config(args) -> NegotiationConfig:
@@ -174,6 +161,7 @@ def _plan_entry(agent: AgentSpec, report, converged: bool,
         "energy": report.energy if report else None,
         "junction_count": len(report.junction_sequence) if report else None,
         "junctions": report.to_json()["junctions"] if report else [],
+        "degenerate_junctions": list(report.degenerate_junctions) if report else [],
         "tf": agent.tf_nominal,
         "wall_clock_ms": elapsed_ms,
     }
@@ -186,7 +174,6 @@ def cmd_plan(args) -> int:
     if args.samples < 2:
         raise SchemaError("--samples must be at least 2")
     scenario = load_scenario(args.scenario)
-    config = _solver_config(args)
     negotiation_config = _negotiation_config(args)
     agents = sorted(scenario.agents, key=lambda a: a.id)
 
@@ -197,7 +184,7 @@ def cmd_plan(args) -> int:
     for agent in agents:
         started = time.perf_counter()
         try:
-            traj, report = plan_agent(agent, scenario, config)
+            traj, report = plan_agent(agent, scenario)
         except PlanningFailure as exc:
             # best infeasible iterate: the inner solve may have converged
             # but the plan as a whole did not
@@ -225,7 +212,7 @@ def cmd_plan(args) -> int:
         if conflicts:
             try:
                 negotiated = negotiate_arrival_times(
-                    scenario, negotiation_config, config, nominal
+                    scenario, negotiation_config, nominal
                 )
             except (NegotiationError, PlannerError) as exc:
                 print(f"negotiation failed: {exc}", file=sys.stderr)
@@ -298,6 +285,9 @@ def _read_trajectory_csv(path: Path) -> dict[int, dict[str, np.ndarray]]:
                 values = [float(x) for x in row[1:8]]
             except ValueError as exc:
                 raise SchemaError(f"{path}:{line_no}: {exc}") from exc
+            if not all(map(math.isfinite, values)):
+                # a NaN compares false with every bound, so it would pass
+                raise SchemaError(f"{path}:{line_no}: non-finite value")
             data.setdefault(agent_id, []).append(values)
     out = {}
     for agent_id, rows in data.items():
@@ -386,8 +376,7 @@ def cmd_oracle(args) -> int:
         agent = scenario.agents[0]
     else:
         agent = scenario.agent(args.agent)
-    config = _solver_config(args)
-    traj, report = plan_agent(agent, scenario, config)
+    traj, report = plan_agent(agent, scenario)
     oracle_cfg = OracleConfig(steps=args.oracle_steps)
     plan = discrete_min_energy_constrained(agent, scenario, oracle_cfg)
     gap = compare(traj, plan)
@@ -416,7 +405,6 @@ def cmd_bench(args) -> int:
     if args.repeat < 1:
         raise SchemaError("--repeat must be at least 1")
     scenario = load_scenario(args.scenario)
-    config = _solver_config(args)
     negotiation_config = _negotiation_config(args)
     agents = sorted(scenario.agents, key=lambda a: a.id)
     phases = {"unconstrained_ms": [], "junction_ms": [], "negotiation_ms": []}
@@ -429,15 +417,18 @@ def cmd_bench(args) -> int:
         started = time.perf_counter()
         plans = {}
         for agent in agents:
-            traj, report = plan_agent(agent, scenario, config)
-            plans[agent.id] = (traj, report)
+            plan_started = time.perf_counter()
+            traj, report = plan_agent(agent, scenario)
+            plans[agent.id] = NegotiatedPlan(
+                agent, traj, report, (time.perf_counter() - plan_started) * 1e3
+            )
         phases["junction_ms"].append((time.perf_counter() - started) * 1e3)
 
         started = time.perf_counter()
         if len(agents) > 1:
-            msgs = [encode_message(a, plans[a.id][1]) for a in agents]
+            msgs = [encode_message(a, plans[a.id].report) for a in agents]
             if detect_conflicts(msgs, scenario):
-                negotiate_arrival_times(scenario, negotiation_config, config)
+                negotiate_arrival_times(scenario, negotiation_config, plans)
         phases["negotiation_ms"].append((time.perf_counter() - started) * 1e3)
     doc = {
         "repeat": args.repeat,
@@ -477,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="plan all agents, negotiating conflicts")
     p.add_argument("scenario", type=Path)
-    _add_solver_flags(p)
     _add_negotiation_flags(p)
     p.add_argument("--samples", type=int, default=PAIR_SAMPLES,
                    help="rows per agent in trajectories.csv")
@@ -493,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "transcription oracle")
     p.add_argument("scenario", type=Path)
     p.add_argument("--agent", type=int, default=None)
-    _add_solver_flags(p)
     p.add_argument("--oracle-steps", type=int, default=2000)
     p.add_argument("--out", type=Path, default=None,
                    help="output directory for oracle_<id>.csv (none written "
@@ -503,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time the planner phases")
     p.add_argument("scenario", type=Path)
     p.add_argument("--repeat", type=int, default=5)
-    _add_solver_flags(p)
     _add_negotiation_flags(p)
     p.set_defaults(func=cmd_bench)
 

@@ -46,7 +46,6 @@ from .errors import (
 )
 from .solver import (
     Junction,
-    JunctionSolveConfig,
     SolveReport,
     plan_agent,
     solve_coefficients,
@@ -327,7 +326,6 @@ class NegotiationResult(NamedTuple):
 def negotiate_arrival_times(
     scenario: Scenario,
     config: NegotiationConfig = NegotiationConfig(),
-    solver_config: JunctionSolveConfig = JunctionSolveConfig(),
     nominal: Mapping[int, NegotiatedPlan] | None = None,
 ) -> NegotiationResult:
     """Pick arrival times that remove all inter-agent conflicts.
@@ -381,7 +379,7 @@ def negotiate_arrival_times(
             )
             started = time.perf_counter()
             try:
-                traj, report = plan_agent(shifted, scenario, solver_config)
+                traj, report = plan_agent(shifted, scenario)
             except PlannerError:
                 plan_cache[key] = None
             else:

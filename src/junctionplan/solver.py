@@ -75,6 +75,12 @@ MIN_SEGMENT = 5e-4
 # Levenberg-Marquardt iteration budget of one junction solve.
 MAX_ITERATIONS = 200
 
+# A junction solve converges when its residual 2-norm is at or below this.
+RESIDUAL_TOL = 1e-7
+
+# Most junctions greedy discovery inserts before plan_agent gives up.
+MAX_JUNCTIONS = 8
+
 # Below this speed at a junction both residuals vanish identically and
 # the contact angle is unobservable; flagged on the report.
 DEGENERATE_SPEED = 1e-6
@@ -106,19 +112,6 @@ class Junction:
         object.__setattr__(self, "theta", _wrap_angle(float(self.theta)))
 
 
-@dataclass(frozen=True)
-class JunctionSolveConfig:
-    """Tolerances and budgets for the junction least-squares solve."""
-
-    residual_tol: float = 1e-7
-    max_junctions: int = 8
-
-    def __post_init__(self):
-        for name in ("residual_tol", "max_junctions"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-
-
 @dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of one junction solve."""
@@ -138,6 +131,7 @@ class SolveReport:
             "residual": self.residual_norm,
             "iterations": self.iterations,
             "energy": self.energy,
+            "degenerate_junctions": list(self.degenerate_junctions),
             "junctions": [
                 {"obstacle": j.obstacle_id, "theta": j.theta, "time": j.time}
                 for j in self.junction_sequence
@@ -330,7 +324,6 @@ def solve_junctions(
     agent: AgentSpec,
     initial_junctions: tuple[Junction, ...],
     scenario: Scenario,
-    config: JunctionSolveConfig = JunctionSolveConfig(),
 ) -> tuple[PiecewiseTrajectory, SolveReport]:
     """Damped least-squares iteration over junction parameters.
 
@@ -347,8 +340,8 @@ def solve_junctions(
     wrapped into [-pi, pi). Raises OrderingError when the horizon cannot
     hold the junctions at that margin, and ConditioningError only for a
     horizon shorter than MIN_SEGMENT. Convergence is a residual 2-norm at
-    or below the configured tolerance. The Junction objects and the
-    trajectory are built once, from the final iterate.
+    or below RESIDUAL_TOL. The Junction objects and the trajectory are
+    built once, from the final iterate.
     """
     junctions = tuple(initial_junctions)
     t0, tf = agent.t0, agent.tf_nominal
@@ -361,7 +354,7 @@ def solve_junctions(
     damping = 1e-3
     iterations = 0
     jac = None
-    while iterations < MAX_ITERATIONS and norm > config.residual_tol:
+    while iterations < MAX_ITERATIONS and norm > RESIDUAL_TOL:
         iterations += 1
         if jac is None:
             jac = _residual_jacobian(spline, radii)
@@ -396,7 +389,7 @@ def solve_junctions(
     speeds = np.linalg.norm(spline.vel[1:-1], axis=1)
     degenerate = tuple(np.flatnonzero(speeds < DEGENERATE_SPEED).tolist())
     report = SolveReport(
-        converged=norm <= config.residual_tol,
+        converged=norm <= RESIDUAL_TOL,
         residual_norm=norm,
         iterations=iterations,
         junction_sequence=junctions,
@@ -460,7 +453,6 @@ DUPLICATE_WINDOW = 10.0 * TIME_MARGIN
 def plan_agent(
     agent: AgentSpec,
     scenario: Scenario,
-    config: JunctionSolveConfig = JunctionSolveConfig(),
 ) -> tuple[PiecewiseTrajectory, SolveReport]:
     """Plan one agent with greedy activation-sequence discovery.
 
@@ -469,14 +461,14 @@ def plan_agent(
     violation and resolve. Stops when the trajectory is feasible,
     returning the report (converged or not). Fails at once when a solve
     that did not converge still violates an obstacle, rather than seeding
-    a junction on that iterate; fails too once the junction budget is
-    exhausted or the violated obstacle already has a junction at a
-    neighboring time.
+    a junction on that iterate; fails too once the junction budget
+    (MAX_JUNCTIONS) is exhausted or the violated obstacle already has a
+    junction at a neighboring time.
     """
     junctions: tuple[Junction, ...] = ()
     while True:
         try:
-            traj, report = solve_junctions(agent, junctions, scenario, config)
+            traj, report = solve_junctions(agent, junctions, scenario)
         except ConditioningError as exc:
             # only a horizon shorter than MIN_SEGMENT gets here, on the
             # first solve, so there is no iterate to return
@@ -507,9 +499,9 @@ def plan_agent(
                 f"next to an existing junction at t={guess.time:.4f}",
                 trajectory=traj, report=report,
             )
-        if len(report.junction_sequence) + 1 > config.max_junctions:
+        if len(report.junction_sequence) + 1 > MAX_JUNCTIONS:
             raise PlanningFailure(
-                f"agent {agent.id}: junction budget of {config.max_junctions} "
+                f"agent {agent.id}: junction budget of {MAX_JUNCTIONS} "
                 "exhausted without a feasible trajectory",
                 trajectory=traj, report=report,
             )

@@ -18,7 +18,6 @@ import pytest
 from junctionplan import (
     AgentSpec,
     Bounds,
-    JunctionSolveConfig,
     KinematicState,
     Message,
     NegotiationConfig,
@@ -99,7 +98,6 @@ class BatchInstance:
 @pytest.fixture(scope="module")
 def batch():
     """Seeds 1-50, 1-6 obstacles each; keeps the converged plans."""
-    config = JunctionSolveConfig()
     instances = []
     failures = 0
     for seed in range(1, 51):
@@ -107,7 +105,7 @@ def batch():
                           goal=rest(10, 10), t0=0.0, tf_nominal=10.0)
         scenario = gen_world(seed, 1 + seed % 6, Bounds(-8, -8, 8, 8), (agent,))
         try:
-            traj, report = plan_agent(agent, scenario, config)
+            traj, report = plan_agent(agent, scenario)
         except PlanningFailure:
             failures += 1
             continue
@@ -203,7 +201,6 @@ def test_criterion_3_continuity_suite(batch, announce):
 
 def _single_obstacle_instances(count=10):
     """Deterministic feasible single-obstacle worlds near the path."""
-    config = JunctionSolveConfig()
     agent = AgentSpec(id=0, radius=0.5, start=rest(-8, 0), goal=rest(8, 0),
                       t0=0.0, tf_nominal=10.0)
     collected = []
@@ -214,7 +211,7 @@ def _single_obstacle_instances(count=10):
         scenario = gen_world(seed, 1, Bounds(-5, -2, 5, 2), (agent,),
                              radius_range=(0.8, 1.6))
         try:
-            traj, report = plan_agent(agent, scenario, config)
+            traj, report = plan_agent(agent, scenario)
         except PlanningFailure:
             continue
         if report.converged:
@@ -300,10 +297,8 @@ def crossing_scenario():
 def test_criterion_7_negotiation(announce):
     with criterion("7 negotiation", announce):
         scenario = crossing_scenario()
-        solver_config = JunctionSolveConfig()
         config = NegotiationConfig(step=2.0, max_deviation=4.0)
-        arrival = negotiate_arrival_times(scenario, config,
-                                          solver_config).arrival_times
+        arrival = negotiate_arrival_times(scenario, config).arrival_times
 
         # exhaustive grid oracle over every joint assignment
         agents = sorted(scenario.agents, key=lambda a: a.id)
@@ -316,7 +311,7 @@ def test_criterion_7_negotiation(announce):
                     goal=agent.goal, t0=agent.t0,
                     tf_nominal=agent.tf_nominal + tick * config.step,
                 )
-                traj, report = plan_agent(shifted, scenario, solver_config)
+                traj, report = plan_agent(shifted, scenario)
                 assert report.converged
                 plans[(agent.id, tick)] = traj
         feasible = []

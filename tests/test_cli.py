@@ -16,6 +16,7 @@ from junctionplan import (
     save_scenario,
 )
 from junctionplan import cli as cli_mod
+from junctionplan import game, solver
 from junctionplan.cli import (
     CSV_HEADER,
     EXIT_INPUT,
@@ -117,6 +118,7 @@ class TestPlan:
         assert entry["converged"] is True
         assert entry["residual"] <= 1e-7
         assert entry["junction_count"] == 1
+        assert entry["degenerate_junctions"] == []
 
     def test_crossing_negotiates(self, crossing_file, tmp_path):
         out = tmp_path / "run"
@@ -160,8 +162,6 @@ class TestPlan:
 
     def test_negotiation_reuses_the_nominal_plans(self, crossing_file,
                                                   tmp_path, monkeypatch):
-        from junctionplan import game
-
         calls = []
 
         def counting(*args, **kwargs):
@@ -233,10 +233,12 @@ class TestPlan:
                     "--samples", 1]) == EXIT_INPUT
         assert not (out / "report.json").exists()
 
-    def test_planning_failure_writes_partial_outputs(self, tmp_path):
+    def test_planning_failure_writes_partial_outputs(self, tmp_path,
+                                                     monkeypatch):
         # two separated blocking obstacles but a budget of one junction
         from junctionplan import Obstacle
 
+        monkeypatch.setattr(solver, "MAX_JUNCTIONS", 1)
         agent = AgentSpec(id=0, radius=0.2, start=rest(0, 0), goal=rest(20, 0),
                           t0=0.0, tf_nominal=20.0)
         scen = Scenario(
@@ -246,7 +248,7 @@ class TestPlan:
         )
         path = write_scenario(tmp_path, scen)
         out = tmp_path / "run"
-        assert run(["plan", path, "--out", out, "--max-junctions", 1]) == 3
+        assert run(["plan", path, "--out", out]) == 3
         report = json.loads((out / "report.json").read_text())
         assert report["agents"][0]["converged"] is False
         assert (out / "trajectories.csv").exists()
@@ -297,6 +299,30 @@ class TestCheck:
         assert run(["check", crossing_file, csv_path]) == 1
         out = capsys.readouterr().out
         assert "worst pair penetration" in out
+
+    @pytest.mark.parametrize("fault", ["all_nan", "nan_beside_centre"])
+    def test_non_finite_csv_is_input_error(self, symmetric_file, tmp_path,
+                                           capsys, fault):
+        out = tmp_path / "run"
+        assert run(["plan", symmetric_file, "--out", out]) == 0
+        csv_path = out / "trajectories.csv"
+        with open(csv_path) as fh:
+            rows = list(csv.reader(fh))
+        if fault == "all_nan":
+            for row in rows[1:]:
+                row[2] = row[3] = "nan"
+            bad_line = 2
+        else:
+            rows[10][2:4] = ["5.0", "0.0"]  # at the obstacle's centre
+            rows[20][2] = "nan"
+            bad_line = 21
+        with open(csv_path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert run(["check", symmetric_file, csv_path]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert f"trajectories.csv:{bad_line}: non-finite value" in captured.err
+        assert "verdict" not in captured.out
 
     def test_malformed_csv(self, symmetric_file, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -455,6 +481,20 @@ class TestBench:
     def test_bad_repeat(self, symmetric_file):
         assert run(["bench", symmetric_file, "--repeat", 0]) == 2
 
+    def test_negotiation_reuses_the_nominal_plans(self, crossing_file,
+                                                  monkeypatch, capsys):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((args[0].id, args[0].tf_nominal))
+            return plan_agent(*args, **kwargs)
+
+        monkeypatch.setattr(game, "plan_agent", counting)
+        assert run(["bench", crossing_file, "--repeat", 1,
+                    "--step", 2.0, "--max-dev", 4.0]) == 0
+        # the nominal (1, 10.0) and (2, 10.0) come from the junction phase
+        assert sorted(calls) == [(1, 8.0), (1, 12.0), (2, 8.0), (2, 12.0)]
+
 
 class TestParser:
     def test_each_subcommand_has_only_the_flags_it_reads(self):
@@ -464,15 +504,14 @@ class TestParser:
             name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
             for name, p in sub.choices.items()
         }
-        solver = {"--tol", "--max-junctions"}
         grid = {"--step", "--max-dev"}
         assert flags == {
             "gen-world": {"--obstacles", "--bounds", "--agent", "--radius-range",
                           "--seed", "--out"},
-            "plan": solver | grid | {"--samples", "--out"},
+            "plan": grid | {"--samples", "--out"},
             "check": set(),
-            "oracle": solver | {"--agent", "--oracle-steps", "--out"},
-            "bench": solver | grid | {"--repeat"},
+            "oracle": {"--agent", "--oracle-steps", "--out"},
+            "bench": grid | {"--repeat"},
         }
 
 

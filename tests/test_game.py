@@ -12,7 +12,6 @@ from junctionplan import (
     DecodeError,
     EncodingError,
     Junction,
-    JunctionSolveConfig,
     KinematicState,
     Message,
     NegotiationConfig,
@@ -43,8 +42,8 @@ def rest(x, y):
     return KinematicState.at_rest(x, y)
 
 
-def plan_and_encode(agent, scenario, config=JunctionSolveConfig()):
-    traj, report = plan_agent(agent, scenario, config)
+def plan_and_encode(agent, scenario):
+    traj, report = plan_agent(agent, scenario)
     return traj, report, encode_message(agent, report)
 
 
@@ -227,10 +226,8 @@ class TestDetectConflicts:
         assert record.penetration == pytest.approx(1.5, abs=1e-6)
 
     def test_staggered_arrivals_clear(self, crossing_scenario):
-        config = JunctionSolveConfig()
         ncfg = NegotiationConfig(step=2.0, max_deviation=4.0)
-        arrival = negotiate_arrival_times(crossing_scenario, ncfg,
-                                          config).arrival_times
+        arrival = negotiate_arrival_times(crossing_scenario, ncfg).arrival_times
         msgs = []
         for agent in crossing_scenario.agents:
             shifted = AgentSpec(id=agent.id, radius=agent.radius,
@@ -241,7 +238,7 @@ class TestDetectConflicts:
         assert detect_conflicts(msgs, crossing_scenario) == []
 
 
-def brute_force_negotiation(scenario, config, solver_config):
+def brute_force_negotiation(scenario, config):
     """Exhaustive grid oracle: smallest total deviation, then smallest
     worst deviation, then lexicographic, among conflict-free grids."""
     agents = sorted(scenario.agents, key=lambda a: a.id)
@@ -252,7 +249,7 @@ def brute_force_negotiation(scenario, config, solver_config):
             shifted = AgentSpec(id=agent.id, radius=agent.radius,
                                 start=agent.start, goal=agent.goal, t0=agent.t0,
                                 tf_nominal=agent.tf_nominal + tick * config.step)
-            traj, report = plan_agent(shifted, scenario, solver_config)
+            traj, report = plan_agent(shifted, scenario)
             plans[(agent.id, tick)] = traj if report.converged else None
     feasible = []
     for ticks in product(range(-m, m + 1), repeat=len(agents)):
@@ -327,13 +324,9 @@ class TestNegotiation:
         assert arrival == {0: 10.0, 1: 10.0}
 
     def test_symmetric_crossing_matches_grid_oracle(self, crossing_scenario):
-        solver_config = JunctionSolveConfig()
         config = NegotiationConfig(step=2.0, max_deviation=4.0)
-        arrival = negotiate_arrival_times(crossing_scenario, config,
-                                          solver_config).arrival_times
-        expected, feasible = brute_force_negotiation(
-            crossing_scenario, config, solver_config
-        )
+        arrival = negotiate_arrival_times(crossing_scenario, config).arrival_times
+        expected, feasible = brute_force_negotiation(crossing_scenario, config)
         assert arrival == expected
         # lower id takes the earlier arrival of the split
         assert arrival[1] == 8.0
@@ -357,11 +350,9 @@ class TestNegotiation:
                           t0=0.0, tf_nominal=10.0)
             )
         scen = Scenario(agents=tuple(agents), obstacles=())
-        solver_config = JunctionSolveConfig()
         config = NegotiationConfig(step=2.0, max_deviation=4.0)
-        arrival = negotiate_arrival_times(scen, config,
-                                          solver_config).arrival_times
-        expected, _ = brute_force_negotiation(scen, config, solver_config)
+        arrival = negotiate_arrival_times(scen, config).arrival_times
+        expected, _ = brute_force_negotiation(scen, config)
         assert arrival == expected
 
     def test_pair_verdicts_are_cached(self, monkeypatch):
@@ -374,10 +365,9 @@ class TestNegotiation:
             for k, a in enumerate(angles)
         )
         scen = Scenario(agents=agents, obstacles=())
-        solver_config = JunctionSolveConfig()
         config = NegotiationConfig(step=2.0, max_deviation=4.0)
         # the oracle samples pairs too, so it runs before the counter is in
-        expected, _ = brute_force_negotiation(scen, config, solver_config)
+        expected, _ = brute_force_negotiation(scen, config)
 
         # an agent is known by its goal, a tick by the arrival time
         def identify(traj):
@@ -392,8 +382,7 @@ class TestNegotiation:
             return original(traj_a, traj_b)
 
         monkeypatch.setattr(game, "min_separation", counting)
-        arrival = negotiate_arrival_times(scen, config,
-                                          solver_config).arrival_times
+        arrival = negotiate_arrival_times(scen, config).arrival_times
         assert arrival == expected
         assert len(checked) == len(set(checked))
         assert 0 < len(checked) <= 3 * 25
@@ -408,26 +397,17 @@ class TestNegotiation:
             for agent_id, y in ((0, 40), (3, 80), (4, -40), (5, -80))
         )
         scen = Scenario(agents=crossing_scenario.agents + far, obstacles=())
-        solver_config = JunctionSolveConfig()
         config = NegotiationConfig(step=1.0, max_deviation=3.0)
-        pair = negotiate_arrival_times(crossing_scenario, config,
-                                       solver_config).arrival_times
-        arrival = negotiate_arrival_times(scen, config,
-                                          solver_config).arrival_times
+        pair = negotiate_arrival_times(crossing_scenario, config).arrival_times
+        arrival = negotiate_arrival_times(scen, config).arrival_times
         assert arrival == {**pair, **{a.id: a.tf_nominal for a in far}}
         assert pair != {1: 10.0, 2: 10.0}
 
     @pytest.mark.parametrize("ring", [False, True], ids=["crossing", "ring"])
     def test_returned_plans_equal_fresh_plans(self, crossing_scenario, ring):
-        if ring:
-            scen = ring_scenario()
-            solver_config = JunctionSolveConfig()
-            config = NegotiationConfig(step=2.0, max_deviation=4.0)
-        else:
-            scen = crossing_scenario
-            solver_config = JunctionSolveConfig()
-            config = NegotiationConfig(step=2.0, max_deviation=4.0)
-        result = negotiate_arrival_times(scen, config, solver_config)
+        scen = ring_scenario() if ring else crossing_scenario
+        config = NegotiationConfig(step=2.0, max_deviation=4.0)
+        result = negotiate_arrival_times(scen, config)
         assert sorted(result.plans) == sorted(a.id for a in scen.agents)
         for agent in scen.agents:
             plan = result.plans[agent.id]
@@ -435,7 +415,7 @@ class TestNegotiation:
             shifted = AgentSpec(id=agent.id, radius=agent.radius,
                                 start=agent.start, goal=agent.goal,
                                 t0=agent.t0, tf_nominal=tf)
-            traj, report = plan_agent(shifted, scen, solver_config)
+            traj, report = plan_agent(shifted, scen)
             assert plan.spec.tf_nominal == tf
             assert plan.wall_clock_ms > 0
             assert plan.report.converged
@@ -457,16 +437,14 @@ class TestNegotiation:
     def test_post_negotiation_separation(self, crossing_scenario):
         from junctionplan import min_separation
 
-        solver_config = JunctionSolveConfig()
         config = NegotiationConfig(step=2.0, max_deviation=4.0)
-        arrival = negotiate_arrival_times(crossing_scenario, config,
-                                          solver_config).arrival_times
+        arrival = negotiate_arrival_times(crossing_scenario, config).arrival_times
         trajs = []
         for agent in sorted(crossing_scenario.agents, key=lambda a: a.id):
             shifted = AgentSpec(id=agent.id, radius=agent.radius,
                                 start=agent.start, goal=agent.goal,
                                 t0=agent.t0, tf_nominal=arrival[agent.id])
-            traj, _ = plan_agent(shifted, crossing_scenario, solver_config)
+            traj, _ = plan_agent(shifted, crossing_scenario)
             trajs.append((agent.radius, traj))
         _, dist = min_separation(trajs[0][1], trajs[1][1])
         assert dist >= trajs[0][0] + trajs[1][0] - 1e-6

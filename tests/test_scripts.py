@@ -6,14 +6,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_crossing_negotiation_demo_runs():
+def run_script(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "crossing_negotiation_demo.py")],
+        [sys.executable, str(ROOT / "scripts" / name)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert "negotiated arrivals       {1: 8.0, 2: 12.0}" in result.stdout
+    return result.stdout
+
+
+def test_crossing_negotiation_demo_runs():
+    out = run_script("crossing_negotiation_demo.py")
+    assert "negotiated arrivals       {1: 8.0, 2: 12.0}" in out
+
+
+def test_random_batch_survey_runs():
+    assert "converged 46, failed 4" in run_script("random_batch_survey.py")
+
+
+def test_symmetric_obstacle_demo_runs():
+    out = run_script("symmetric_obstacle_demo.py")
+    assert "junction time          5.000000 s" in out

@@ -8,12 +8,12 @@ from junctionplan import (
     AgentSpec,
     ConditioningError,
     Junction,
-    JunctionSolveConfig,
     KinematicState,
     Obstacle,
     OrderingError,
     PlanningFailure,
     Scenario,
+    SolveReport,
     constraint_value,
     contact_point,
     eval_segment,
@@ -396,8 +396,17 @@ class TestSolveJunctions:
         )
         doc = report.to_json()
         assert set(doc) == {"converged", "residual", "iterations", "energy",
-                            "junctions"}
+                            "degenerate_junctions", "junctions"}
         assert doc["junctions"][0].keys() == {"obstacle", "theta", "time"}
+        assert doc["degenerate_junctions"] == []
+
+    def test_report_json_lists_degenerate_junctions(self):
+        report = SolveReport(
+            converged=True, residual_norm=0.0, iterations=0,
+            junction_sequence=(Junction(0, 0.0, 5.0),), energy=1.0,
+            degenerate_junctions=(0,),
+        )
+        assert report.to_json()["degenerate_junctions"] == [0]
 
 
 class TestInitialGuess:
@@ -523,7 +532,8 @@ class TestPlanAgent:
         assert [j.obstacle_id for j in report.junction_sequence] == obstacles
         assert first_violation(traj, scen, 0) is None
 
-    def test_junction_budget_failure_carries_best_iterate(self):
+    def test_junction_budget_failure_carries_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_JUNCTIONS", 1)
         agent = AgentSpec(id=0, radius=0.2, start=rest(0, 0), goal=rest(20, 0),
                           t0=0.0, tf_nominal=20.0)
         obstacles = (
@@ -531,9 +541,8 @@ class TestPlanAgent:
             Obstacle(id=1, center=(14.0, 0.0), radius=0.8),
         )
         scen = Scenario(agents=(agent,), obstacles=obstacles)
-        config = JunctionSolveConfig(max_junctions=1)
-        with pytest.raises(PlanningFailure) as excinfo:
-            plan_agent(agent, scen, config)
+        with pytest.raises(PlanningFailure, match="junction budget of 1") as excinfo:
+            plan_agent(agent, scen)
         assert excinfo.value.trajectory is not None
         assert excinfo.value.report is not None
 
@@ -599,11 +608,3 @@ class TestJunctionType:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             Junction(obstacle_id=0, theta=math.nan, time=1.0)
-
-
-class TestConfigValidation:
-    def test_positive_fields_required(self):
-        with pytest.raises(ValueError):
-            JunctionSolveConfig(residual_tol=0.0)
-        with pytest.raises(ValueError):
-            JunctionSolveConfig(max_junctions=0)
