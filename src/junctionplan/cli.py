@@ -131,10 +131,11 @@ def _csv_rows(agent_id: int, t, p, v, u, source: str | None = None) -> list[str]
     shape (n, 2). A float is written as its repr, which round-trips
     exactly. No field needs quoting, so the lines are what csv.writer
     would write, \r\n endings included."""
-    columns = [t.tolist()] + [a[:, k].tolist() for a in (p, v, u) for k in (0, 1)]
+    columns = [list(map(repr, column.tolist()))
+               for column in (t, *(a[:, k] for a in (p, v, u) for k in (0, 1)))]
     head = f"{agent_id},"
     tail = "\r\n" if source is None else f",{source}\r\n"
-    return [head + ",".join(map(repr, row)) + tail for row in zip(*columns)]
+    return [head + ",".join(row) + tail for row in zip(*columns)]
 
 
 def _write_trajectory_csv(path: Path, rows: list[str],

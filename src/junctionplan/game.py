@@ -6,7 +6,7 @@ short list of real numbers instead of a sampled path. Receivers rebuild
 the exact trajectory with one linear solve. Conflicts between agents
 are resolved by shifting arrival times: the accepted assignment is the
 smallest total deviation (on a fixed grid) that makes every pairwise
-separation safe. The search samples each pair of shifted plans at most
+separation safe. The search decides each pair of shifted plans at most
 once, caching the verdict, and enumerates joint assignments lazily in
 acceptance order, pruning a partial assignment as soon as one of its
 pairs is unsafe. It hands back the plans it chose along with the
@@ -15,14 +15,23 @@ arrival times, so callers need not plan the shifted agents again.
 This module owns the sampled inter-agent separation (`min_separation`,
 always PAIR_SAMPLES points over the pair's joint horizon) and the one
 penetration test built on it, shared by conflict detection, payoffs and
-negotiation. Each pair check samples both plans' positions on one
-uniform grid through `sample_positions_held`, which evaluates each cubic
-segment on its own run of grid times in axis-major layout and holds an
-agent's endpoint outside its horizon, and takes the distance per axis.
-A caller that has already planned the agents at their nominal horizons
-hands those plans to the search, which then plans only shifted
-horizons. A deviation that would end an agent's horizon at or before its
-start is a grid point with no plan, like one whose solve fails.
+negotiation. That sampled check is the definition of a pair verdict.
+Each check samples both plans' positions on one uniform grid through
+`sample_positions_held`, which evaluates each cubic segment on its own
+run of grid times in axis-major layout and holds an agent's endpoint
+outside its horizon, and takes the distance per axis.
+
+The negotiation decides most verdicts without that check, by a
+Lipschitz certificate: every plan it makes is sampled once on a coarse
+grid shared by the whole search, and bounded in speed by its velocity's
+Bernstein control points. A pair whose coarse distances are far enough
+below or above the combined radius, given the two speed bounds, has
+the verdict the sampled check would give; any other pair falls back to
+the sampled check. A caller that has already planned the agents at
+their nominal horizons hands those plans to the search, which then
+plans only shifted horizons. A deviation that would end an agent's
+horizon at or before its start is a grid point with no plan, like one
+whose solve fails.
 """
 
 from __future__ import annotations
@@ -74,6 +83,12 @@ SEPARATION_TOL = 1e-9
 # Uniform samples per pair separation check; the CLI writes CSV rows at
 # the same count by default.
 PAIR_SAMPLES = 2001
+
+# Points of the coarse grid on which negotiation screens pair verdicts
+# before it samples them, and the slack in meters that covers rounding
+# in positions and distances when the screen bounds a sampled distance.
+SCREEN_SAMPLES = 401
+SCREEN_EPS = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,6 +239,74 @@ def _penetration(traj_a, r_a: float, traj_b, r_b: float):
     return (t_min, depth) if depth > SEPARATION_TOL else None
 
 
+class _Profile(NamedTuple):
+    """One plan as the pair screen sees it: its held positions on the
+    shared coarse grid as complex numbers x + iy, a bound on its speed,
+    its horizon, and the slice grid[first:stop] of points inside it."""
+
+    positions: np.ndarray
+    speed: float
+    t_start: float
+    t_end: float
+    first: int
+    stop: int
+
+
+def _speed_bound(traj: PiecewiseTrajectory) -> float:
+    """Largest norm among the Bernstein control points of each
+    segment's velocity. In local time s on a segment of length h the
+    velocity is v + 2 a2 s + 3 a3 s**2, whose control points are v,
+    v + a2 h and v + 2 a2 h + 3 a3 h**2; by the convex-hull property
+    (Farouki & Rajan, CAGD 4, 1987) the speed never exceeds them."""
+    bound = 0.0
+    for seg in traj.segments:
+        t, h = seg.t_start, seg.t_end - seg.t_start
+        v = (3.0 * seg.c1 * t + 2.0 * seg.c2) * t + seg.c3
+        a2 = 3.0 * seg.c1 * t + seg.c2
+        for point in (v, v + a2 * h, v + (2.0 * a2 + 3.0 * seg.c1 * h) * h):
+            bound = max(bound, math.hypot(point[0], point[1]))
+    return bound
+
+
+def _profile(traj: PiecewiseTrajectory, grid: np.ndarray) -> _Profile:
+    p = sample_positions_held(traj, grid)
+    return _Profile(
+        p[:, 0] + 1j * p[:, 1], _speed_bound(traj), traj.t_start, traj.t_end,
+        int(np.searchsorted(grid, traj.t_start, side="left")),
+        int(np.searchsorted(grid, traj.t_end, side="right")),
+    )
+
+
+def _certified_verdict(grid: np.ndarray, a: _Profile, r_a: float,
+                       b: _Profile, r_b: float) -> bool | None:
+    """The sampled pair verdict (True when safe) if the coarse grid
+    proves it, else None.
+
+    Held positions move no faster than the speed bound, so the distance
+    between the agents changes at most at rate L = a.speed + b.speed.
+    A coarse distance below the limit R - SEPARATION_TOL by more than
+    L times half a sample step puts the nearest of the PAIR_SAMPLES
+    samples in conflict; the smallest coarse distance above the limit
+    by more than L times the reach of the coarse points in the pair's
+    range clears every instant, and so every sample.
+    """
+    t_lo, t_hi = min(a.t_start, b.t_start), max(a.t_end, b.t_end)
+    lo, hi = min(a.first, b.first), max(a.stop, b.stop)
+    if lo == hi:
+        return None
+    nearest = float(np.abs(a.positions[lo:hi] - b.positions[lo:hi]).min())
+    rate = a.speed + b.speed
+    limit = r_a + r_b - SEPARATION_TOL
+    sample_step = (t_hi - t_lo) / (PAIR_SAMPLES - 1)
+    if nearest + rate * sample_step / 2.0 + 2.0 * SCREEN_EPS < limit:
+        return False
+    # every instant of [t_lo, t_hi] lies within reach of a coarse point
+    reach = max(grid[1] - grid[0], grid[lo] - t_lo, t_hi - grid[hi - 1])
+    if nearest - rate * reach - 2.0 * SCREEN_EPS > limit:
+        return True
+    return None
+
+
 def _conflicts_between(
     entries: list[tuple[int, float, PiecewiseTrajectory]],
 ) -> list[ConflictRecord]:
@@ -283,26 +366,35 @@ def _ordered_assignments(count: int, m: int, accept):
     of size (2m+1)**count is ever built.
     """
 
-    def extend(prefix, rest, d, has_d):
-        if len(prefix) == count:
-            yield prefix
-            return
-        left = count - len(prefix) - 1
-        for t in range(-d, d + 1):
-            remaining = rest - abs(t)
-            hit = has_d or abs(t) == d
-            if not 0 <= remaining <= left * d:
-                continue
-            if not hit and (left == 0 or remaining < d):
-                continue
-            candidate = prefix + (t,)
-            if accept(candidate):
-                yield from extend(candidate, remaining, d, hit)
-
     for total in range(count * m + 1):
         for d in range(min(total, m) + 1):
             if d * count >= total:
-                yield from extend((), total, d, False)
+                yield from _extend(count, accept, (), total, d, False)
+
+
+def _extend(count: int, accept, prefix: tuple, rest: int, d: int, has_d: bool):
+    """The accepted completions of prefix to count ticks in [-d, d] whose
+    |tick| sum to rest more, one of them reaching d unless has_d.
+
+    A module function rather than a closure over itself: a recursive
+    closure is a reference cycle that would keep accept, and with it a
+    negotiation's plans and screen profiles, alive until the cyclic
+    garbage collector runs.
+    """
+    if len(prefix) == count:
+        yield prefix
+        return
+    left = count - len(prefix) - 1
+    for t in range(-d, d + 1):
+        remaining = rest - abs(t)
+        hit = has_d or abs(t) == d
+        if not 0 <= remaining <= left * d:
+            continue
+        if not hit and (left == 0 or remaining < d):
+            continue
+        candidate = prefix + (t,)
+        if accept(candidate):
+            yield from _extend(count, accept, candidate, remaining, d, hit)
 
 
 class NegotiatedPlan(NamedTuple):
@@ -339,11 +431,18 @@ def negotiate_arrival_times(
     finished agents can hold their goal state.
 
     Whether a pair conflicts depends only on that pair's two deviations,
-    so each pair verdict is sampled once and cached, and the enumeration
+    so each pair verdict is decided once and cached, and the enumeration
     is a lazy depth-first search over agents in id order that drops a
     partial assignment as soon as its newest agent has no converged plan
     or conflicts with an earlier one. Memory grows with the agent count
     and the verdict cache, not with the number of joint assignments.
+
+    A verdict is what the PAIR_SAMPLES-point check `_penetration` says.
+    The search first tries a certificate that proves that answer from
+    SCREEN_SAMPLES coarse points per plan, taken once per plan on one
+    grid over every horizon the search can plan, and a bound on each
+    plan's speed; only a pair the certificate cannot decide is sampled.
+    No horizon is planned for the certificate alone.
 
     nominal optionally holds plans the caller already made at the
     nominal horizons, keyed by agent id; the search takes them as its
@@ -365,6 +464,12 @@ def negotiate_arrival_times(
         for agent_id, plan in (nominal or {}).items()
     }
     verdicts: dict[tuple[int, int, int, int], bool] = {}
+    # the coarse grid covers every horizon [t0, tf_nominal + ticks * step]
+    grid = np.linspace(min((a.t0 for a in agents), default=0.0),
+                       max((a.tf_nominal + m * config.step for a in agents),
+                           default=0.0),
+                       SCREEN_SAMPLES)
+    profiles: dict[tuple[int, int], _Profile] = {}
 
     def plan_with_deviation(agent: AgentSpec, ticks: int):
         key = (agent.id, ticks)
@@ -390,14 +495,24 @@ def negotiate_arrival_times(
                 )
         return plan_cache[key]
 
+    def profile(agent: AgentSpec, ticks: int) -> _Profile:
+        key = (agent.id, ticks)
+        if key not in profiles:
+            profiles[key] = _profile(plan_cache[key].trajectory, grid)
+        return profiles[key]
+
     def pair_safe(i: int, tick_i: int, j: int, tick_j: int) -> bool:
         key = (i, tick_i, j, tick_j)
         if key not in verdicts:
             a, b = agents[i], agents[j]
-            verdicts[key] = _penetration(
-                plan_with_deviation(a, tick_i).trajectory, a.radius,
-                plan_with_deviation(b, tick_j).trajectory, b.radius,
-            ) is None
+            verdict = _certified_verdict(grid, profile(a, tick_i), a.radius,
+                                         profile(b, tick_j), b.radius)
+            if verdict is None:
+                verdict = _penetration(
+                    plan_cache[(a.id, tick_i)].trajectory, a.radius,
+                    plan_cache[(b.id, tick_j)].trajectory, b.radius,
+                ) is None
+            verdicts[key] = verdict
         return verdicts[key]
 
     def accept(prefix: tuple[int, ...]) -> bool:

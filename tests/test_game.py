@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -9,14 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 from junctionplan import (
     AgentSpec,
+    Bounds,
     DecodeError,
     EncodingError,
     Junction,
     KinematicState,
     Message,
     NegotiationConfig,
+    NegotiationError,
     Obstacle,
     Payoff,
+    PlannerError,
     Scenario,
     SolveReport,
     UnsupportedScenarioError,
@@ -24,6 +28,7 @@ from junctionplan import (
     decode_message,
     detect_conflicts,
     encode_message,
+    gen_world,
     message_from_json,
     message_int_count,
     message_real_count,
@@ -35,7 +40,13 @@ from junctionplan import (
     trajectory_energy,
 )
 from junctionplan import game
-from junctionplan.game import _conflicts_between, _ordered_assignments
+from junctionplan.game import (
+    _certified_verdict,
+    _conflicts_between,
+    _ordered_assignments,
+    _penetration,
+    _profile,
+)
 
 
 def rest(x, y):
@@ -285,6 +296,17 @@ def ring_scenario():
     ), obstacles=())
 
 
+def swap_scenario():
+    """Two agents swapping places head-on along one line: every shift of
+    their arrival times still collides."""
+    return Scenario(agents=(
+        AgentSpec(id=0, radius=0.75, start=rest(-5, 0), goal=rest(5, 0),
+                  t0=0.0, tf_nominal=10.0),
+        AgentSpec(id=1, radius=0.75, start=rest(5, 0), goal=rest(-5, 0),
+                  t0=0.0, tf_nominal=10.0),
+    ), obstacles=())
+
+
 def negotiation_order(ticks):
     return (sum(abs(x) for x in ticks), max(abs(x) for x in ticks), ticks)
 
@@ -426,6 +448,20 @@ class TestNegotiation:
                     assert np.array_equal(getattr(got, name), getattr(want, name))
                 assert (got.t_start, got.t_end) == (want.t_start, want.t_end)
 
+    def test_search_leaves_no_reference_cycles(self, crossing_scenario):
+        # a cycle would keep every plan and screen profile of the search
+        # alive until the cyclic garbage collector runs
+        config = NegotiationConfig(step=2.0, max_deviation=4.0)
+        gc.collect()
+        gc.disable()
+        try:
+            negotiate_arrival_times(crossing_scenario, config)
+            with pytest.raises(NegotiationError):
+                negotiate_arrival_times(swap_scenario(), config)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_nonzero_goal_velocity_rejected(self):
         a = AgentSpec(id=0, radius=0.5, start=rest(0, 0),
                       goal=KinematicState(p=(10, 0), v=(1.0, 0)),
@@ -448,6 +484,116 @@ class TestNegotiation:
             trajs.append((agent.radius, traj))
         _, dist = min_separation(trajs[0][1], trajs[1][1])
         assert dist >= trajs[0][0] + trajs[1][0] - 1e-6
+
+
+def screened_pairs(scenario, config):
+    """(certificate verdict, sampled verdict, segment counts) for every
+    pair of two agents' converged plans on the negotiation grid."""
+    agents = sorted(scenario.agents, key=lambda a: a.id)
+    m = int(round(config.max_deviation / config.step))
+    grid = np.linspace(min(a.t0 for a in agents),
+                       max(a.tf_nominal + m * config.step for a in agents),
+                       game.SCREEN_SAMPLES)
+    plans = {}
+    for agent in agents:
+        for tick in range(-m, m + 1):
+            shifted = AgentSpec(id=agent.id, radius=agent.radius,
+                                start=agent.start, goal=agent.goal, t0=agent.t0,
+                                tf_nominal=agent.tf_nominal + tick * config.step)
+            try:
+                traj, report = plan_agent(shifted, scenario)
+            except PlannerError:
+                continue
+            if report.converged:
+                plans.setdefault(agent.id, []).append(
+                    (traj, _profile(traj, grid)))
+    for i, a in enumerate(agents):
+        for b in agents[i + 1:]:
+            for (traj_a, prof_a), (traj_b, prof_b) in product(
+                    plans.get(a.id, []), plans.get(b.id, [])):
+                yield (
+                    _certified_verdict(grid, prof_a, a.radius, prof_b, b.radius),
+                    _penetration(traj_a, a.radius, traj_b, b.radius) is None,
+                    (len(traj_a.segments), len(traj_b.segments)),
+                )
+
+
+def random_obstacle_world(seed):
+    """Two agents crossing a box with obstacles placed in it."""
+    rng = random.Random(seed)
+    agents = tuple(
+        AgentSpec(id=k, radius=rng.uniform(0.2, 0.8),
+                  start=rest(rng.uniform(-8, 8), rng.uniform(-8, 8)),
+                  goal=rest(rng.uniform(-8, 8), rng.uniform(-8, 8)),
+                  t0=0.0, tf_nominal=rng.uniform(5.0, 12.0))
+        for k in range(2)
+    )
+    return gen_world(seed, rng.randint(0, 3), Bounds(-6, -6, 6, 6), agents)
+
+
+class TestPairScreen:
+    @pytest.mark.parametrize("name", ["ring", "crossing", "swap"])
+    def test_certificate_matches_sampled_verdicts(self, crossing_scenario,
+                                                  name):
+        scenario = {"ring": ring_scenario(), "crossing": crossing_scenario,
+                    "swap": swap_scenario()}[name]
+        pairs = list(screened_pairs(scenario, NegotiationConfig()))
+        decided = [(got, want) for got, want, _ in pairs if got is not None]
+        assert all(got == want for got, want in decided)
+        # every tick pair of the swap conflicts, and the screen proves it
+        floor = 1.0 if name == "swap" else 0.85
+        assert len(decided) >= floor * len(pairs) > 0
+
+    def test_certificate_matches_sampled_verdicts_around_obstacles(self):
+        config = NegotiationConfig(step=1.0, max_deviation=3.0)
+        pairs = [pair for seed in range(20)
+                 for pair in screened_pairs(random_obstacle_world(seed), config)]
+        decided = [(got, want, segments) for got, want, segments in pairs
+                   if got is not None]
+        assert all(got == want for got, want, _ in decided)
+        assert len(decided) >= 0.85 * len(pairs)
+        # multi-segment plans, and verdicts of both kinds, are decided
+        assert sum(max(segments) > 1 for _, _, segments in decided) >= 50
+        assert {got for got, _, _ in decided} == {True, False}
+
+    @pytest.fixture
+    def sampled_checks(self, monkeypatch):
+        """The horizon ends of each pair that game.min_separation samples."""
+        sampled = []
+        original = game.min_separation
+
+        def counting(traj_a, traj_b):
+            sampled.append((traj_a.t_end, traj_b.t_end))
+            return original(traj_a, traj_b)
+
+        monkeypatch.setattr(game, "min_separation", counting)
+        return sampled
+
+    @pytest.mark.parametrize("offset", [5e-4, -5e-4], ids=["clear", "touch"])
+    def test_graze_falls_back_to_sampling(self, offset, sampled_checks):
+        # agent 1 passes agent 0, at rest at the origin, at distance
+        # R + offset; within 1 mm of R the screen cannot decide
+        scenario = Scenario(agents=(
+            AgentSpec(id=0, radius=0.5, start=rest(0, 0), goal=rest(0, 0),
+                      t0=0.0, tf_nominal=10.0),
+            AgentSpec(id=1, radius=0.5, start=rest(-5, 1.0 + offset),
+                      goal=rest(5, 1.0 + offset), t0=0.0, tf_nominal=10.0),
+        ), obstacles=())
+        config = NegotiationConfig(step=1.0, max_deviation=1.0)
+        pairs = list(screened_pairs(scenario, config))
+        certified, sampled_safe, _ = pairs[len(pairs) // 2]  # both nominal
+        assert certified is None
+        assert sampled_safe is (offset > 0)
+        if offset > 0:
+            sampled_checks.clear()
+            arrival = negotiate_arrival_times(scenario, config).arrival_times
+            assert arrival == {0: 10.0, 1: 10.0}
+            assert sampled_checks == [(10.0, 10.0)]
+
+    def test_swap_fails_without_sampling(self, sampled_checks):
+        with pytest.raises(NegotiationError):
+            negotiate_arrival_times(swap_scenario(), NegotiationConfig())
+        assert sampled_checks == []
 
 
 class TestNegotiationConfig:
