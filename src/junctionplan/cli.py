@@ -505,7 +505,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        SchemaError, ScenarioLookupError, GenerationError, FileNotFoundError, ValueError,
+        SchemaError, ScenarioLookupError, GenerationError, OSError, ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

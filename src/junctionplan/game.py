@@ -260,10 +260,8 @@ def _speed_bound(traj: PiecewiseTrajectory) -> float:
     (Farouki & Rajan, CAGD 4, 1987) the speed never exceeds them."""
     bound = 0.0
     for seg in traj.segments:
-        t, h = seg.t_start, seg.t_end - seg.t_start
-        v = (3.0 * seg.c1 * t + 2.0 * seg.c2) * t + seg.c3
-        a2 = 3.0 * seg.c1 * t + seg.c2
-        for point in (v, v + a2 * h, v + (2.0 * a2 + 3.0 * seg.c1 * h) * h):
+        v, a2, h = seg.v, seg.a2, seg.t_end - seg.t_start
+        for point in (v, v + a2 * h, v + (2.0 * a2 + 3.0 * seg.a3 * h) * h):
             bound = max(bound, math.hypot(point[0], point[1]))
     return bound
 

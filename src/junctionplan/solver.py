@@ -15,20 +15,21 @@ The two remaining optimality conditions per junction are nonlinear in
 the contact angle and time:
 
   tangency   v(t_k) . n(theta_k) = 0, with n the outward contact normal,
-  jump       (udot_before - udot_after) . v(t_k) = 0, where udot = 6*c1
+  jump       (udot_before - udot_after) . v(t_k) = 0, where udot = 6*a3
              is constant on each segment.
 
 An outer damped least-squares iteration drives both residuals to zero
 over the stacked (theta_k, t_k) parameters. Its iterate is plain arrays:
 the parameter vector, the spline's velocities and local coefficients,
 and the residuals read from them; Junction objects and the
-PiecewiseTrajectory, in absolute-time coefficients, are built once, when
-the solve returns. The Jacobian is exact: the velocity derivatives come
-from implicit differentiation of M(h) V = R(h, P), one solve with two
-right-hand sides per parameter. Activation sequences are discovered
-greedily: plan, find the first violated obstacle, seed a junction
-there, replan. Violations and the seed's time window are found exactly,
-from the roots of each segment's obstacle constraint polynomial.
+PiecewiseTrajectory are built once, when the solve returns, each
+segment straight from the spline's local coefficients. The Jacobian is
+exact: the velocity derivatives come from implicit differentiation of
+M(h) V = R(h, P), one solve with two right-hand sides per parameter.
+Activation sequences are discovered greedily: plan, find the first
+violated obstacle, seed a junction there, replan. Violations and the
+seed's time window are found exactly, from the roots of each segment's
+obstacle constraint polynomial.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from .errors import (
     PlanningFailure,
 )
 from .trajectory import (
+    CubicSegment,
     PiecewiseTrajectory,
     eval_trajectory,
-    local_segment,
     trajectory_energy,
 )
 from .world import (
@@ -212,9 +213,9 @@ def _spline(
 
 
 def _trajectory(s: _Spline) -> PiecewiseTrajectory:
-    """The spline's segments, converted to absolute-time coefficients."""
+    """The spline's segments, each in its own local time."""
     return PiecewiseTrajectory(segments=tuple(
-        local_segment(s.points[k], s.vel[k], s.a2[k], s.a3[k], s.knots[k], s.knots[k + 1])
+        CubicSegment(s.points[k], s.vel[k], s.a2[k], s.a3[k], s.knots[k], s.knots[k + 1])
         for k in range(len(s.h))
     ))
 
@@ -239,11 +240,8 @@ def solve_coefficients(
 
 
 def _residuals(s: _Spline) -> np.ndarray:
-    """(tangency, jump) residuals per junction, read from V_i and a3.
-
-    The cubic coefficient a3 is the same in local and absolute time, so
-    the control slope on segment j is 6 a3_j.
-    """
+    """(tangency, jump) residuals per junction, read from V_i and a3;
+    the control slope on segment j is 6 a3_j."""
     v = s.vel[1:-1]
     res = np.empty(2 * len(v))
     res[0::2] = np.sum(v * s.normal, axis=1)

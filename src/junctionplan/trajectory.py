@@ -8,14 +8,9 @@ their coefficients, and evaluates exact control energies.
 Positions are in meters, times in seconds, and the energy is the
 integral of the squared control magnitude over the segment.
 
-Solvers work in local time s = t - t_start, where a segment is fixed by
-its start state and two more coefficients, and convert once, through
-local_segment, to the absolute-time coefficients CubicSegment holds.
-The tight accuracy contracts (boundary residuals below 1e-9) hold in
-SI-scale worlds: coordinates up to tens of meters, times up to
-tens of seconds, segments longer than about ten milliseconds. Far
-outside that envelope the cubic's monomial terms grow large enough that
-evaluating their near-cancellation costs precision.
+A segment is held in local time s = t - t_start, where it is fixed by
+its start state and two more coefficients; every evaluation, sampling
+and energy works in that form.
 """
 
 from __future__ import annotations
@@ -57,22 +52,27 @@ class KinematicState:
 
 @dataclass(frozen=True, eq=False)
 class CubicSegment:
-    """One unconstrained motion primitive.
+    """One unconstrained motion primitive, in local time.
 
-    Position is c1*t**3 + c2*t**2 + c3*t + c4 with absolute time t, so
-    velocity and control follow by differentiation. Units: c1 in m/s^3,
-    c2 in m/s^2, c3 in m/s, c4 in m.
+    Position is p + v*s + a2*s**2 + a3*s**3 with s = t - t_start, so
+    velocity and control follow by differentiation. p (m) and v (m/s)
+    are the state at t_start, a2 is in m/s^2 and a3 in m/s^3; t_start
+    and t_end are absolute times in s.
+
+    c1..c4 are a derived read-only view of the same cubic in absolute
+    time, c1*t**3 + c2*t**2 + c3*t + c4, for readers that evaluate it
+    independently of this module.
     """
 
-    c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
-    c4: np.ndarray
+    p: np.ndarray
+    v: np.ndarray
+    a2: np.ndarray
+    a3: np.ndarray
     t_start: float
     t_end: float
 
     def __post_init__(self):
-        for name in ("c1", "c2", "c3", "c4"):
+        for name in ("p", "v", "a2", "a3"):
             object.__setattr__(self, name, _vec2(getattr(self, name), name))
         if not (np.isfinite(self.t_start) and np.isfinite(self.t_end)):
             raise ValueError("segment times must be finite")
@@ -80,6 +80,24 @@ class CubicSegment:
             raise ValueError(
                 f"t_start must precede t_end, got [{self.t_start}, {self.t_end}]"
             )
+
+    @property
+    def c1(self) -> np.ndarray:
+        return self.a3
+
+    @property
+    def c2(self) -> np.ndarray:
+        return self.a2 - 3.0 * self.a3 * self.t_start
+
+    @property
+    def c3(self) -> np.ndarray:
+        t = self.t_start
+        return self.v - (2.0 * self.a2 - 3.0 * self.a3 * t) * t
+
+    @property
+    def c4(self) -> np.ndarray:
+        t = self.t_start
+        return self.p - (self.v - (self.a2 - self.a3 * t) * t) * t
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,26 +132,11 @@ def eval_segment(seg: CubicSegment, t: float):
         raise OutOfRangeError(
             f"t={t} outside segment interval [{seg.t_start}, {seg.t_end}]"
         )
-    p = seg.c1 * t**3 + seg.c2 * t**2 + seg.c3 * t + seg.c4
-    v = 3.0 * seg.c1 * t**2 + 2.0 * seg.c2 * t + seg.c3
-    u = 6.0 * seg.c1 * t + 2.0 * seg.c2
+    s = t - seg.t_start
+    p = ((seg.a3 * s + seg.a2) * s + seg.v) * s + seg.p
+    v = (3.0 * seg.a3 * s + 2.0 * seg.a2) * s + seg.v
+    u = 6.0 * seg.a3 * s + 2.0 * seg.a2
     return p, v, u
-
-
-def local_segment(p, v, a2, a3, t_start: float, t_end: float) -> CubicSegment:
-    """The CubicSegment of p + v*s + a2*s**2 + a3*s**3 on [t_start, t_end].
-
-    s = t - t_start is local time; expanding the powers of t - t_start
-    gives the absolute-time coefficients.
-    """
-    t = t_start
-    return CubicSegment(
-        c1=a3,
-        c2=a2 - 3.0 * a3 * t,
-        c3=v - (2.0 * a2 - 3.0 * a3 * t) * t,
-        c4=p - (v - (a2 - a3 * t) * t) * t,
-        t_start=t_start, t_end=t_end,
-    )
 
 
 def solve_boundary(
@@ -153,20 +156,19 @@ def solve_boundary(
     slope = (xf.p - x0.p) / h
     a2 = (3.0 * slope - 2.0 * x0.v - xf.v) / h
     a3 = (x0.v + xf.v - 2.0 * slope) / h**2
-    return local_segment(x0.p, x0.v, a2, a3, t0, tf)
+    return CubicSegment(x0.p, x0.v, a2, a3, t0, tf)
 
 
 def segment_energy(seg: CubicSegment) -> float:
     """Exact integral of the squared control over the segment.
 
-    The control is linear in t, so the integrand is quadratic and the
-    antiderivative is closed form.
+    The control 2 a2 + 6 a3 s is linear in local time, so over a segment
+    of length h the integral is 4 h (a2.a2 + 3 h a2.a3 + 3 h**2 a3.a3).
     """
-    a, b = seg.t_start, seg.t_end
+    h = seg.t_end - seg.t_start
     return float(
-        12.0 * (seg.c1 @ seg.c1) * (b**3 - a**3)
-        + 12.0 * (seg.c1 @ seg.c2) * (b**2 - a**2)
-        + 4.0 * (seg.c2 @ seg.c2) * (b - a)
+        4.0 * h * (seg.a2 @ seg.a2 + 3.0 * h * (seg.a2 @ seg.a3)
+                   + 3.0 * h**2 * (seg.a3 @ seg.a3))
     )
 
 
@@ -209,21 +211,20 @@ def _sample(traj: PiecewiseTrajectory, times: np.ndarray, derivatives: bool):
     """Axis-major (2, len(times)) positions, plus velocities and controls
     when derivatives is set, each segment evaluated on its own samples.
 
-    Every element is c1*t**3 + c2*t**2 + c3*t + c4 (and its derivatives)
-    in this operation order with numpy's powers of t, so a sample has the
-    same bits however the times are grouped.
+    Every element is the local Horner form of eval_segment, in the same
+    operation order, so a sample has the same bits as eval_segment gives
+    and however the times are grouped.
     """
-    t2, t3 = times**2, times**3
     shape = (2, times.shape[0])
     p = np.empty(shape)
     v, u = (np.empty(shape), np.empty(shape)) if derivatives else (None, None)
     for seg, sel in _pieces(traj, times):
-        t = times[sel]
-        c1, c2, c3, c4 = (c[:, None] for c in (seg.c1, seg.c2, seg.c3, seg.c4))
-        p[:, sel] = c1 * t3[sel] + c2 * t2[sel] + c3 * t + c4
+        s = times[sel] - seg.t_start
+        p0, v0, a2, a3 = (c[:, None] for c in (seg.p, seg.v, seg.a2, seg.a3))
+        p[:, sel] = ((a3 * s + a2) * s + v0) * s + p0
         if derivatives:
-            v[:, sel] = 3.0 * c1 * t2[sel] + 2.0 * c2 * t + c3
-            u[:, sel] = 6.0 * c1 * t + 2.0 * c2
+            v[:, sel] = (3.0 * a3 * s + 2.0 * a2) * s + v0
+            u[:, sel] = 6.0 * a3 * s + 2.0 * a2
     return p, v, u
 
 

@@ -23,7 +23,6 @@ from .trajectory import (
     KinematicState,
     PiecewiseTrajectory,
     _vec2,
-    eval_segment,
     eval_trajectory,
 )
 
@@ -160,8 +159,7 @@ def violated_windows(
     for seg in traj.segments:
         t0, h = seg.t_start, seg.t_end - seg.t_start
         # p(s) - center in local time, lowest power first, shape (4, 2)
-        p, v, u = eval_segment(seg, t0)
-        d = np.array([p - center, v, 0.5 * u, seg.c1])
+        d = np.array([seg.p - center, seg.v, seg.a2, seg.a3])
         poly = -(np.convolve(d[:, 0], d[:, 0]) + np.convolve(d[:, 1], d[:, 1]))
         poly[0] += r**2 - level
         coef = poly[::-1]

@@ -342,6 +342,14 @@ class TestCheck:
     def test_missing_file(self, symmetric_file, tmp_path):
         assert run(["check", symmetric_file, tmp_path / "nope.csv"]) == 2
 
+    def test_directory_as_scenario_is_input_error(self, symmetric_file,
+                                                  tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["plan", symmetric_file, "--out", out]) == 0
+        capsys.readouterr()
+        assert run(["check", tmp_path, out / "trajectories.csv"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_agent_without_rows_is_input_error(self, tmp_path, capsys):
         # agent 1's horizon is too short to plan, so plan writes no rows for
         # it, although agent 0 drives through its held position
@@ -532,3 +540,11 @@ class TestEntryPoint:
 
     def test_missing_scenario_file(self, tmp_path):
         assert run(["plan", tmp_path / "absent.json", "--out", tmp_path]) == 2
+
+    def test_directory_as_scenario_is_input_error(self, tmp_path, capsys):
+        # gen-world's --out directory given where its scenario.json belongs
+        world = tmp_path / "world"
+        assert run(["gen-world", "--seed", 1, "--obstacles", 2, "--out", world]) == 0
+        capsys.readouterr()
+        assert run(["plan", world, "--out", tmp_path / "run"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")

@@ -1,10 +1,11 @@
 """Bit parity of the sampling kernels with the gathered formulas.
 
-The reference below is the former evaluation: each sample gathers its
-segment's coefficients into (n, 2) arrays and evaluates
-c1*t**3 + c2*t**2 + c3*t + c4 there. The axis-major kernels must give
-the same bits on every sample, and the CSV row writer the same bytes as
-csv.writer with one repr per cell.
+The reference below gathers each sample's segment coefficients into
+(n, 2) arrays and evaluates the local Horner form
+((a3*s + a2)*s + v)*s + p there, with s the time since the segment
+starts. The axis-major kernels must give the same bits on every sample,
+and the CSV row writer the same bytes as csv.writer with one repr per
+cell.
 """
 
 import csv
@@ -12,10 +13,15 @@ import csv
 import numpy as np
 import pytest
 
-from junctionplan import PiecewiseTrajectory, min_separation, sample_trajectory
+from junctionplan import (
+    CubicSegment,
+    PiecewiseTrajectory,
+    min_separation,
+    sample_trajectory,
+)
 from junctionplan.cli import CSV_HEADER, _csv_rows, _write_trajectory_csv
 from junctionplan.game import PAIR_SAMPLES
-from junctionplan.trajectory import local_segment, sample_positions_held
+from junctionplan.trajectory import sample_positions_held
 
 
 def gathered_sample(traj, times):
@@ -23,14 +29,14 @@ def gathered_sample(traj, times):
     starts = np.array([seg.t_start for seg in traj.segments])
     idx = np.clip(np.searchsorted(starts, times, side="right") - 1, 0,
                   len(starts) - 1)
-    c1 = np.array([seg.c1 for seg in traj.segments])[idx]
-    c2 = np.array([seg.c2 for seg in traj.segments])[idx]
-    c3 = np.array([seg.c3 for seg in traj.segments])[idx]
-    c4 = np.array([seg.c4 for seg in traj.segments])[idx]
-    t = times[:, None]
-    p = c1 * t**3 + c2 * t**2 + c3 * t + c4
-    v = 3.0 * c1 * t**2 + 2.0 * c2 * t + c3
-    u = 6.0 * c1 * t + 2.0 * c2
+    p0 = np.array([seg.p for seg in traj.segments])[idx]
+    v0 = np.array([seg.v for seg in traj.segments])[idx]
+    a2 = np.array([seg.a2 for seg in traj.segments])[idx]
+    a3 = np.array([seg.a3 for seg in traj.segments])[idx]
+    s = (times - starts[idx])[:, None]
+    p = ((a3 * s + a2) * s + v0) * s + p0
+    v = (3.0 * a3 * s + 2.0 * a2) * s + v0
+    u = 6.0 * a3 * s + 2.0 * a2
     return p, v, u
 
 
@@ -70,7 +76,7 @@ def random_trajectory(junctions, seed, t0=0.3, tf=9.7):
     rng = np.random.default_rng(seed)
     knots = np.concatenate(([t0], np.sort(rng.uniform(t0, tf, junctions)), [tf]))
     return PiecewiseTrajectory(tuple(
-        local_segment(*rng.normal(scale=3.0, size=(4, 2)), a, b)
+        CubicSegment(*rng.normal(scale=3.0, size=(4, 2)), a, b)
         for a, b in zip(knots[:-1], knots[1:])
     ))
 

@@ -55,6 +55,22 @@ def corridor_agent_and_obstacles():
     return agent, Scenario(agents=(agent,), obstacles=obstacles)
 
 
+def junction_case(case):
+    """Agent, scenario and junctions of a named test case: one junction
+    on the symmetric obstacle, two on the corridor, or three on the
+    corridor with the middle one 1.5 time margins after the first."""
+    if case == "one":
+        agent, scen = symmetric_agent_and_obstacle()
+        return agent, scen, (Junction(0, math.pi / 2 + 0.4, 4.1),)
+    agent, scen = corridor_agent_and_obstacles()
+    junctions = (Junction(0, 1.2, 6.3), Junction(1, 1.8, 13.6))
+    if case == "three_crowded":
+        junctions = junctions[:1] + (
+            Junction(2, 1.0, 6.3 + 1.5 * solver.TIME_MARGIN),
+        ) + junctions[1:]
+    return agent, scen, junctions
+
+
 def _pos_row(t):
     return np.array([t**3, t**2, t, 1.0])
 
@@ -227,6 +243,19 @@ class TestSolveCoefficients:
         assert np.abs(only.c3 - seg.c3).max() < 1e-12
         assert np.abs(only.c4 - seg.c4).max() < 1e-12
 
+    @pytest.mark.parametrize("case", ["one", "two", "three_crowded"])
+    def test_continuity_at_junctions(self, case):
+        # segments 1.5 ms long must meet as closely as long ones
+        agent, scen, junctions = junction_case(case)
+        traj = solve_coefficients(agent, junctions, scen)
+        for before, after in zip(traj.segments, traj.segments[1:]):
+            pa, va, ua = eval_segment(before, before.t_end)
+            pb, vb, ub = eval_segment(after, after.t_start)
+            assert np.abs(pa - pb).max() <= 1e-11
+            assert np.abs(va - vb).max() <= 1e-11
+            assert np.abs(ua - ub).max() <= 1e-11 * max(np.abs(ua).max(),
+                                                         np.abs(ub).max())
+
     def test_boundary_conditions_met(self):
         agent, scen = symmetric_agent_and_obstacle()
         junction = Junction(obstacle_id=0, theta=math.pi / 2, time=5.0)
@@ -305,18 +334,7 @@ class TestResidualJacobian:
 
     @pytest.mark.parametrize("case", ["one", "two", "three_crowded"])
     def test_matches_central_differences(self, case):
-        if case == "one":
-            agent, scen = symmetric_agent_and_obstacle()
-            junctions = (Junction(0, math.pi / 2 + 0.4, 4.1),)
-        else:
-            agent, scen = corridor_agent_and_obstacles()
-            junctions = (Junction(0, 1.2, 6.3), Junction(1, 1.8, 13.6))
-            if case == "three_crowded":
-                # 1.5 time margins after its neighbour
-                margin = solver.TIME_MARGIN
-                junctions = junctions[:1] + (
-                    Junction(2, 1.0, 6.3 + 1.5 * margin),
-                ) + junctions[1:]
+        agent, scen, junctions = junction_case(case)
         params, centers, radii = _geometry(agent, junctions, scen)
         exact = _residual_jacobian(_spline(agent, params, centers, radii), radii)
         approx = self.central_differences(agent, junctions, scen)
