@@ -178,12 +178,17 @@ def _spline(
     side. M is strictly diagonally dominant, so a plain solve is stable
     once no segment is shorter than MIN_SEGMENT.
     """
-    times = params[1::2].tolist()
-    knots = [agent.t0, *times, agent.tf_nominal]
-    h = np.diff(knots)
+    times = params[1::2]
+    n = len(times)
+    knots = [agent.t0, *times.tolist(), agent.tf_nominal]
+    h = np.empty(n + 1)
+    h[:-1] = times
+    h[-1] = agent.tf_nominal
+    h[1:] -= times
+    h[0] -= agent.t0
     if not np.all(h > 0):
         raise OrderingError(
-            f"junction times {times} must be strictly increasing inside "
+            f"junction times {knots[1:-1]} must be strictly increasing inside "
             f"({agent.t0}, {agent.tf_nominal})"
         )
     if h.min() < MIN_SEGMENT:
@@ -191,22 +196,30 @@ def _spline(
             f"segment of {h.min():.3e} s is shorter than {MIN_SEGMENT:.0e} s; "
             "junction times too close together or to the boundary"
         )
-    n = len(times)
     theta = params[0::2]
-    normal = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    points = np.vstack([agent.start.p, centers + radii[:, None] * normal, agent.goal.p])
+    normal = np.empty((n, 2))
+    np.cos(theta, out=normal[:, 0])
+    np.sin(theta, out=normal[:, 1])
+    points = np.empty((n + 2, 2))
+    points[0] = agent.start.p
+    points[1:-1] = centers + radii[:, None] * normal
+    points[-1] = agent.goal.p
     inv = (1.0 / h)[:, None]
     slope = np.diff(points, axis=0) * inv
-    # row i-1 holds the coefficients of V_(i-1), V_i, V_(i+1)
+    # row i-1 holds the coefficients of V_(i-1), V_i, V_(i+1): in the
+    # flat band they are the three diagonals of stride n + 3
     band = np.zeros((n, n + 2))
-    rows = np.arange(n)
-    band[rows, rows] = 2.0 * inv[:-1, 0]
-    band[rows, rows + 1] = 4.0 * (inv[:-1, 0] + inv[1:, 0])
-    band[rows, rows + 2] = 2.0 * inv[1:, 0]
+    diagonals = band.reshape(-1)
+    diagonals[0::n + 3] = 2.0 * inv[:-1, 0]
+    diagonals[1::n + 3] = 4.0 * (inv[:-1, 0] + inv[1:, 0])
+    diagonals[2::n + 3] = 2.0 * inv[1:, 0]
     rhs = 6.0 * (slope[:-1] * inv[:-1] + slope[1:] * inv[1:])
     rhs -= band[:, [0, -1]] @ np.stack([agent.start.v, agent.goal.v])
     m = band[:, 1:-1]
-    vel = np.vstack([agent.start.v, np.linalg.solve(m, rhs), agent.goal.v])
+    vel = np.empty((n + 2, 2))
+    vel[0] = agent.start.v
+    vel[1:-1] = np.linalg.solve(m, rhs)
+    vel[-1] = agent.goal.v
     a3 = (vel[:-1] + vel[1:] - 2.0 * slope) * inv**2
     a2 = (3.0 * slope - 2.0 * vel[:-1] - vel[1:]) * inv
     return _Spline(knots, h, m, normal, points, vel, slope, a2, a3)
@@ -331,8 +344,10 @@ def solve_junctions(
     junction system for the junction velocities and reads the residuals
     from them. The Jacobian is exact, by implicit differentiation of the
     junction system, and is recomputed only after an accepted step, from
-    that step's spline, so each iteration costs one candidate solve plus
-    at most one Jacobian solve. Proposed junction times are clamped to keep
+    that step's spline, together with the normal equations J^T J and
+    -J^T r and the Marquardt scale. Each iteration costs one damped
+    solve and one candidate spline, plus one Jacobian solve after an
+    accepted step. Proposed junction times are clamped to keep
     TIME_MARGIN from the horizon and from each other, so every segment is
     longer than MIN_SEGMENT and no iterate is ill-conditioned; angles are
     wrapped into [-pi, pi). Raises OrderingError when the horizon cannot
@@ -356,11 +371,11 @@ def solve_junctions(
         iterations += 1
         if jac is None:
             jac = _residual_jacobian(spline, radii)
-        gram = jac.T @ jac
-        rhs = -jac.T @ res
-        # Marquardt scaling keeps the damping visible whatever the
-        # magnitude of the residual surface.
-        scale = np.diag(np.maximum(np.diag(gram), 1e-30))
+            gram = jac.T @ jac
+            rhs = -jac.T @ res
+            # Marquardt scaling keeps the damping visible whatever the
+            # magnitude of the residual surface.
+            scale = np.diag(np.maximum(np.diag(gram), 1e-30))
         try:
             step = np.linalg.solve(gram + damping * scale, rhs)
         except np.linalg.LinAlgError:

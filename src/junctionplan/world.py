@@ -7,7 +7,12 @@ the agent (treated as a point against inflated obstacles) is safe.
 
 Obstacle safety is decided exactly, not by sampling: on a cubic segment
 g is a degree-6 polynomial in local time, so the windows where it is
-violated lie between real roots of that polynomial.
+violated lie between real roots of that polynomial. One stacked
+eigenvalue call finds the roots of every (obstacle, segment) pair of a
+trajectory; np.roots takes the eigenvalues of the same companion
+matrices, so the roots keep its bits. The coefficients are still formed
+per pair with np.convolve, whose BLAS dot fuses the short sums that no
+plain NumPy expression reproduces to the last bit.
 """
 
 from __future__ import annotations
@@ -154,29 +159,94 @@ def violated_windows(
     exceeds level at its midpoint. Windows that meet, at a knot or at a
     root where g only touches level, are joined. Returns (start, end)
     pairs in time order.
+
+    The roots of all segments come from one stacked eigenvalue call on
+    their companion matrices, which is what np.roots computes one matrix
+    at a time, so they keep its bits. The coefficients stay one
+    np.convolve per segment and axis: its BLAS dot fuses the short sums,
+    and no plain NumPy summation order reproduces its last bits.
     """
-    windows: list[tuple[float, float]] = []
-    for seg in traj.segments:
-        t0, h = seg.t_start, seg.t_end - seg.t_start
-        # p(s) - center in local time, lowest power first, shape (4, 2)
-        d = np.array([seg.p - center, seg.v, seg.a2, seg.a3])
-        poly = -(np.convolve(d[:, 0], d[:, 0]) + np.convolve(d[:, 1], d[:, 1]))
-        poly[0] += r**2 - level
-        coef = poly[::-1]
-        roots = np.roots(coef)
-        roots = roots.real[roots.imag == 0]
-        roots = np.sort(roots[(roots > 0) & (roots < h)])
-        cuts = np.concatenate([[0.0], roots, [h]])
-        violated = np.polyval(coef, 0.5 * (cuts[:-1] + cuts[1:])) > 0
-        times = [t0, *(t0 + roots).tolist(), seg.t_end]
-        for start, end, bad in zip(times, times[1:], violated.tolist()):
-            if not bad:
-                continue
-            if windows and windows[-1][1] >= start:
-                windows[-1] = (windows[-1][0], end)
+    return _windows(traj, np.asarray(center, dtype=float).reshape(1, 2), [r], level)[0]
+
+
+def _windows(
+    traj: PiecewiseTrajectory, centers: np.ndarray, radii, level: float
+) -> list[list[tuple[float, float]]]:
+    """violated_windows of K obstacles at once, one list per obstacle.
+
+    centers is (K, 2) and radii holds K inflated radii. Row k*J + j of
+    the (K*J, 7) coefficient array is g - level for obstacle k on
+    segment j, highest power first.
+    """
+    segs = traj.segments
+    n_seg = len(segs)
+    # p(s) - center in local time per obstacle, segment and axis, lowest
+    # power first, squared with np.convolve to keep its bits
+    local = np.array([(seg.p, seg.v, seg.a2, seg.a3) for seg in segs])
+    d = np.tile(local.transpose(0, 2, 1), (len(centers), 1, 1, 1))
+    d[..., 0] -= centers[:, None]
+    square = np.array([np.convolve(x, x) for x in d.reshape(-1, 4)])
+    poly = -(square[0::2] + square[1::2])
+    poly[:, 0] += np.repeat([r**2 - level for r in radii], n_seg)
+    coef = poly[:, ::-1]
+
+    # rows of lower degree or with a root at s = 0 are left to np.roots
+    full = (coef[:, 0] != 0) & (coef[:, -1] != 0)
+    roots = np.zeros((len(coef), 6), dtype=complex)
+    roots[full] = _companion_roots(coef[full])
+    h = np.tile([seg.t_end - seg.t_start for seg in segs], len(centers))
+    inside = (roots.imag == 0) & (roots.real > 0) & (roots.real < h[:, None])
+    split = ~full | inside.any(axis=1)
+    # an unsplit row is one piece, violated when g exceeds level at its
+    # midpoint: np.polyval's Horner steps, all rows at once
+    mid = 0.5 * h
+    value = np.zeros_like(mid)
+    for c in coef.T:
+        value = value * mid + c
+    whole = ~split & (value > 0)
+
+    windows: list[list[tuple[float, float]]] = [[] for _ in centers]
+    for i in np.flatnonzero(split | whole).tolist():
+        k, j = divmod(i, n_seg)
+        seg = segs[j]
+        if whole[i]:
+            pieces = [(seg.t_start, seg.t_end)]
+        else:
+            row_roots = roots[i] if full[i] else np.roots(coef[i])
+            pieces = _pieces(coef[i], row_roots, seg)
+        out = windows[k]
+        for start, end in pieces:
+            if out and out[-1][1] >= start:
+                out[-1] = (out[-1][0], end)
             else:
-                windows.append((start, end))
+                out.append((start, end))
     return windows
+
+
+def _companion_roots(coef: np.ndarray) -> np.ndarray:
+    """np.roots of each row of the (M, 7) coef, whose first and last
+    entries are nonzero, from one stacked eigvals call.
+
+    np.roots takes the eigenvalues of the companion matrix built here
+    (ones on the subdiagonal, first row -p[1:] / p[0]), one matrix at a
+    time; stacking them leaves every bit of the roots unchanged.
+    """
+    companion = np.zeros((len(coef), 6, 6))
+    companion[:, np.arange(1, 6), np.arange(5)] = 1.0
+    companion[:, 0] = -coef[:, 1:] / coef[:, :1]
+    return np.linalg.eigvals(companion)
+
+
+def _pieces(coef, roots, seg) -> list[tuple[float, float]]:
+    """Violated pieces of one segment, cut at the real roots of g - level
+    inside it, each tested at its midpoint."""
+    t0, h = seg.t_start, seg.t_end - seg.t_start
+    roots = roots.real[roots.imag == 0]
+    roots = np.sort(roots[(roots > 0) & (roots < h)])
+    cuts = np.concatenate([[0.0], roots, [h]])
+    violated = np.polyval(coef, 0.5 * (cuts[:-1] + cuts[1:])) > 0
+    times = [t0, *(t0 + roots).tolist(), seg.t_end]
+    return [(s, e) for s, e, bad in zip(times, times[1:], violated.tolist()) if bad]
 
 
 def first_violation(
@@ -185,15 +255,19 @@ def first_violation(
     """Earliest obstacle violation, or None if the path is safe.
 
     Safe means g <= SAFETY_TOL at every instant, decided exactly from
-    each obstacle's violated_windows. Reports the obstacle whose first
-    window opens earliest, at that window's midpoint, with the
-    penetration depth there.
+    each obstacle's violated windows, all found by one _windows call.
+    Reports the obstacle whose first window opens earliest, at that
+    window's midpoint, with the penetration depth there.
     """
     agent = scenario.agent(agent_id)
+    if not scenario.obstacles:
+        return None
+    radii = [inflated_radius(obs, agent) for obs in scenario.obstacles]
+    centers = np.array([obs.center for obs in scenario.obstacles])
     first = None
-    for obs in scenario.obstacles:
-        combined = inflated_radius(obs, agent)
-        windows = violated_windows(traj, obs.center, combined, SAFETY_TOL)
+    for obs, combined, windows in zip(
+        scenario.obstacles, radii, _windows(traj, centers, radii, SAFETY_TOL)
+    ):
         if windows and (first is None or windows[0][0] < first[0][0]):
             first = (windows[0], obs, combined)
     if first is None:
