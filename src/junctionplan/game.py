@@ -27,11 +27,17 @@ grid shared by the whole search, and bounded in speed by its velocity's
 Bernstein control points. A pair whose coarse distances are far enough
 below or above the combined radius, given the two speed bounds, has
 the verdict the sampled check would give; any other pair falls back to
-the sampled check. A caller that has already planned the agents at
-their nominal horizons hands those plans to the search, which then
-plans only shifted horizons. A deviation that would end an agent's
-horizon at or before its start is a grid point with no plan, like one
-whose solve fails.
+the sampled check. The screen keeps no range per pair: the grid spans
+every horizon the search can plan, and outside a pair's joint horizon
+both agents hold an endpoint, so a coarse point there sees a distance
+the sampled check also samples. Every pair of the accepted plans thus
+has the sampled check's verdict, safe, and sampling them again finds
+no conflict; the CLI's plan command reports none after a negotiation
+and checks nothing itself. A caller that has already planned the
+agents at their nominal horizons hands those plans to the search,
+which then plans only shifted horizons. A deviation that would end an
+agent's horizon at or before its start is a grid point with no plan,
+like one whose solve fails.
 """
 
 from __future__ import annotations
@@ -80,8 +86,7 @@ from .world import (
 # conflict; consistent with the world-model safety tolerance.
 SEPARATION_TOL = 1e-9
 
-# Uniform samples per pair separation check; the CLI writes CSV rows at
-# the same count by default.
+# Uniform samples per pair separation check.
 PAIR_SAMPLES = 2001
 
 # Points of the coarse grid on which negotiation screens pair verdicts
@@ -241,15 +246,11 @@ def _penetration(traj_a, r_a: float, traj_b, r_b: float):
 
 class _Profile(NamedTuple):
     """One plan as the pair screen sees it: its held positions on the
-    shared coarse grid as complex numbers x + iy, a bound on its speed,
-    its horizon, and the slice grid[first:stop] of points inside it."""
+    shared coarse grid as complex numbers x + iy, and a bound on its
+    speed."""
 
     positions: np.ndarray
     speed: float
-    t_start: float
-    t_end: float
-    first: int
-    stop: int
 
 
 def _speed_bound(traj: PiecewiseTrajectory) -> float:
@@ -268,11 +269,7 @@ def _speed_bound(traj: PiecewiseTrajectory) -> float:
 
 def _profile(traj: PiecewiseTrajectory, grid: np.ndarray) -> _Profile:
     p = sample_positions_held(traj, grid)
-    return _Profile(
-        p[:, 0] + 1j * p[:, 1], _speed_bound(traj), traj.t_start, traj.t_end,
-        int(np.searchsorted(grid, traj.t_start, side="left")),
-        int(np.searchsorted(grid, traj.t_end, side="right")),
-    )
+    return _Profile(p[:, 0] + 1j * p[:, 1], _speed_bound(traj))
 
 
 def _certified_verdict(grid: np.ndarray, a: _Profile, r_a: float,
@@ -282,25 +279,24 @@ def _certified_verdict(grid: np.ndarray, a: _Profile, r_a: float,
 
     Held positions move no faster than the speed bound, so the distance
     between the agents changes at most at rate L = a.speed + b.speed.
-    A coarse distance below the limit R - SEPARATION_TOL by more than
-    L times half a sample step puts the nearest of the PAIR_SAMPLES
-    samples in conflict; the smallest coarse distance above the limit
-    by more than L times the reach of the coarse points in the pair's
-    range clears every instant, and so every sample.
+    The screen needs no range for the pair: the grid spans every
+    horizon, and a coarse point outside the pair's joint horizon sees
+    both agents held, at the distance of that end of the horizon, which
+    is itself one of the PAIR_SAMPLES samples. So a coarse distance
+    below the limit R - SEPARATION_TOL by more than L times half the
+    widest sample step any pair on the grid can have puts the nearest
+    sample in conflict, and the smallest coarse distance above the limit
+    by more than L times half the coarse step clears every instant, and
+    so every sample. SCREEN_EPS twice covers rounding in the two
+    distances compared.
     """
-    t_lo, t_hi = min(a.t_start, b.t_start), max(a.t_end, b.t_end)
-    lo, hi = min(a.first, b.first), max(a.stop, b.stop)
-    if lo == hi:
-        return None
-    nearest = float(np.abs(a.positions[lo:hi] - b.positions[lo:hi]).min())
+    nearest = float(np.abs(a.positions - b.positions).min())
     rate = a.speed + b.speed
     limit = r_a + r_b - SEPARATION_TOL
-    sample_step = (t_hi - t_lo) / (PAIR_SAMPLES - 1)
-    if nearest + rate * sample_step / 2.0 + 2.0 * SCREEN_EPS < limit:
+    span = grid[-1] - grid[0]
+    if nearest + rate * span / (PAIR_SAMPLES - 1) / 2.0 + 2.0 * SCREEN_EPS < limit:
         return False
-    # every instant of [t_lo, t_hi] lies within reach of a coarse point
-    reach = max(grid[1] - grid[0], grid[lo] - t_lo, t_hi - grid[hi - 1])
-    if nearest - rate * reach - 2.0 * SCREEN_EPS > limit:
+    if nearest - rate * span / (len(grid) - 1) / 2.0 - 2.0 * SCREEN_EPS > limit:
         return True
     return None
 
@@ -437,10 +433,14 @@ def negotiate_arrival_times(
 
     A verdict is what the PAIR_SAMPLES-point check `_penetration` says.
     The search first tries a certificate that proves that answer from
-    SCREEN_SAMPLES coarse points per plan, taken once per plan on one
-    grid over every horizon the search can plan, and a bound on each
-    plan's speed; only a pair the certificate cannot decide is sampled.
-    No horizon is planned for the certificate alone.
+    SCREEN_SAMPLES coarse points per plan on one grid over every horizon
+    the search can plan, and a bound on each plan's speed; only a pair
+    the certificate cannot decide is sampled. A plan is profiled for the
+    certificate once, when it enters the plan cache, and the certificate
+    compares the whole grid, with no range per pair. No horizon is
+    planned for the certificate alone. Since every accepted pair's
+    verdict is the sampled one, the returned plans have no sampled
+    conflict, and a caller need not check them again.
 
     nominal optionally holds plans the caller already made at the
     nominal horizons, keyed by agent id; the search takes them as its
@@ -457,17 +457,18 @@ def negotiate_arrival_times(
                 "negotiation requires goals at rest"
             )
     m = int(round(config.max_deviation / config.step))
-    plan_cache: dict[tuple[int, int], NegotiatedPlan | None] = {
-        (agent_id, 0): plan if plan.report.converged else None
-        for agent_id, plan in (nominal or {}).items()
-    }
-    verdicts: dict[tuple[int, int, int, int], bool] = {}
     # the coarse grid covers every horizon [t0, tf_nominal + ticks * step]
     grid = np.linspace(min((a.t0 for a in agents), default=0.0),
                        max((a.tf_nominal + m * config.step for a in agents),
                            default=0.0),
                        SCREEN_SAMPLES)
-    profiles: dict[tuple[int, int], _Profile] = {}
+    # a converged plan enters the cache together with its screen profile
+    plan_cache: dict[tuple[int, int], tuple[NegotiatedPlan, _Profile] | None] = {
+        (agent_id, 0): (plan, _profile(plan.trajectory, grid))
+        if plan.report.converged else None
+        for agent_id, plan in (nominal or {}).items()
+    }
+    verdicts: dict[tuple[int, int, int, int], bool] = {}
 
     def plan_with_deviation(agent: AgentSpec, ticks: int):
         key = (agent.id, ticks)
@@ -488,28 +489,23 @@ def negotiate_arrival_times(
             else:
                 elapsed_ms = (time.perf_counter() - started) * 1000.0
                 plan_cache[key] = (
-                    NegotiatedPlan(shifted, traj, report, elapsed_ms)
+                    (NegotiatedPlan(shifted, traj, report, elapsed_ms),
+                     _profile(traj, grid))
                     if report.converged else None
                 )
         return plan_cache[key]
-
-    def profile(agent: AgentSpec, ticks: int) -> _Profile:
-        key = (agent.id, ticks)
-        if key not in profiles:
-            profiles[key] = _profile(plan_cache[key].trajectory, grid)
-        return profiles[key]
 
     def pair_safe(i: int, tick_i: int, j: int, tick_j: int) -> bool:
         key = (i, tick_i, j, tick_j)
         if key not in verdicts:
             a, b = agents[i], agents[j]
-            verdict = _certified_verdict(grid, profile(a, tick_i), a.radius,
-                                         profile(b, tick_j), b.radius)
+            plan_a, profile_a = plan_cache[(a.id, tick_i)]
+            plan_b, profile_b = plan_cache[(b.id, tick_j)]
+            verdict = _certified_verdict(grid, profile_a, a.radius,
+                                         profile_b, b.radius)
             if verdict is None:
-                verdict = _penetration(
-                    plan_cache[(a.id, tick_i)].trajectory, a.radius,
-                    plan_cache[(b.id, tick_j)].trajectory, b.radius,
-                ) is None
+                verdict = _penetration(plan_a.trajectory, a.radius,
+                                       plan_b.trajectory, b.radius) is None
             verdicts[key] = verdict
         return verdicts[key]
 
@@ -521,8 +517,7 @@ def negotiate_arrival_times(
 
     # Nominal plans must exist; surface their failure immediately.
     for agent in agents:
-        nominal = plan_with_deviation(agent, 0)
-        if nominal is None:
+        if plan_with_deviation(agent, 0) is None:
             raise NegotiationError(
                 f"agent {agent.id} has no converged plan at its nominal horizon"
             )
@@ -532,7 +527,7 @@ def negotiate_arrival_times(
         raise NegotiationError(
             f"no conflict-free assignment within +/-{config.max_deviation} s"
         )
-    plans = {agent.id: plan_cache[(agent.id, tick)]
+    plans = {agent.id: plan_cache[(agent.id, tick)][0]
              for agent, tick in zip(agents, ticks)}
     return NegotiationResult(
         {agent_id: plan.spec.tf_nominal for agent_id, plan in plans.items()},

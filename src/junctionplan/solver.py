@@ -429,8 +429,6 @@ def initial_guess(
     path's cross-track offset; when the path aims straight through the
     center the left side (path direction rotated +pi/2) breaks the tie.
     """
-    if not isinstance(violation.constraint, int):
-        raise ValueError("initial_guess requires an obstacle violation")
     obstacle = scenario.obstacle(violation.constraint)
     combined = inflated_radius(obstacle, agent)
     windows = violated_windows(traj, obstacle.center, combined, -SAFETY_TOL)
@@ -475,10 +473,13 @@ def plan_agent(
     returning the report (converged or not). Fails at once when a solve
     that did not converge still violates an obstacle, rather than seeding
     a junction on that iterate; fails too once the junction budget
-    (MAX_JUNCTIONS) is exhausted or the violated obstacle already has a
-    junction at a neighboring time.
+    (MAX_JUNCTIONS) is exhausted, when the violated obstacle already has
+    a junction at a neighboring time, or when the horizon cannot hold
+    one more junction at TIME_MARGIN. Every failure is a PlanningFailure
+    that carries the last iterate, if a solve finished.
     """
     junctions: tuple[Junction, ...] = ()
+    traj = report = None
     while True:
         try:
             traj, report = solve_junctions(agent, junctions, scenario)
@@ -488,6 +489,14 @@ def plan_agent(
             raise PlanningFailure(
                 f"agent {agent.id}: junction system became ill-conditioned "
                 f"during sequence discovery: {exc}",
+            ) from exc
+        except OrderingError as exc:
+            # the horizon cannot hold one more junction at TIME_MARGIN;
+            # the previous solve is the last iterate
+            raise PlanningFailure(
+                f"agent {agent.id}: horizon too short for {len(junctions)} "
+                f"junction(s) at a {TIME_MARGIN} s margin",
+                trajectory=traj, report=report,
             ) from exc
         violation = first_violation(traj, scenario, agent.id)
         if violation is None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -116,11 +116,11 @@ class ViolationRecord:
     """A constraint violation along a trajectory, at one instant.
 
     depth is the penetration of the required separation, in meters.
-    constraint names either an obstacle id or an (i, j) agent pair.
+    constraint is the id of the violated obstacle.
     """
 
     time: float
-    constraint: Union[int, tuple[int, int]]
+    constraint: int
     depth: float
 
     def __post_init__(self):

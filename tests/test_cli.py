@@ -227,6 +227,20 @@ class TestPlan:
         assert report["agents"][0]["converged"] is False
         assert report["agents"][0]["energy"] is None
 
+    def test_horizon_too_short_for_a_junction(self, tmp_path):
+        from junctionplan import Obstacle
+
+        agent = AgentSpec(id=0, radius=0.01, start=rest(0, 0), goal=rest(10, 0),
+                          t0=0.0, tf_nominal=1.5e-3)
+        scen = Scenario(agents=(agent,),
+                        obstacles=(Obstacle(id=0, center=(5.0, 0.0), radius=0.5),))
+        path = write_scenario(tmp_path, scen)
+        out = tmp_path / "run"
+        assert run(["plan", path, "--out", out]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["agents"][0]["converged"] is False
+        assert report["agents"][0]["junction_count"] == 0
+
     def test_samples_below_two_rejected(self, symmetric_file, tmp_path):
         out = tmp_path / "run"
         assert run(["plan", symmetric_file, "--out", out,

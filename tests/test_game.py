@@ -307,6 +307,15 @@ def swap_scenario():
     ), obstacles=())
 
 
+def staggered_crossing(crossing_scenario):
+    """The crossing with agent 2's whole horizon 3 s late, so the two
+    horizons of a pair differ at both ends."""
+    a1, a2 = sorted(crossing_scenario.agents, key=lambda a: a.id)
+    late = AgentSpec(id=a2.id, radius=a2.radius, start=a2.start, goal=a2.goal,
+                     t0=a2.t0 + 3.0, tf_nominal=a2.tf_nominal + 3.0)
+    return Scenario(agents=(a1, late), obstacles=())
+
+
 def negotiation_order(ticks):
     return (sum(abs(x) for x in ticks), max(abs(x) for x in ticks), ticks)
 
@@ -532,14 +541,19 @@ def random_obstacle_world(seed):
 
 
 class TestPairScreen:
-    @pytest.mark.parametrize("name", ["ring", "crossing", "swap"])
+    @pytest.mark.parametrize("name", ["ring", "crossing", "swap", "staggered"])
     def test_certificate_matches_sampled_verdicts(self, crossing_scenario,
                                                   name):
         scenario = {"ring": ring_scenario(), "crossing": crossing_scenario,
-                    "swap": swap_scenario()}[name]
+                    "swap": swap_scenario(),
+                    "staggered": staggered_crossing(crossing_scenario)}[name]
         pairs = list(screened_pairs(scenario, NegotiationConfig()))
         decided = [(got, want) for got, want, _ in pairs if got is not None]
         assert all(got == want for got, want in decided)
+        # only the swap has no safe tick pair; in the staggered crossing
+        # coarse points outside one plan's horizon decide both kinds too
+        assert {got for got, _ in decided} == (
+            {False} if name == "swap" else {True, False})
         # every tick pair of the swap conflicts, and the screen proves it
         floor = 1.0 if name == "swap" else 0.85
         assert len(decided) >= floor * len(pairs) > 0
@@ -589,6 +603,25 @@ class TestPairScreen:
             arrival = negotiate_arrival_times(scenario, config).arrival_times
             assert arrival == {0: 10.0, 1: 10.0}
             assert sampled_checks == [(10.0, 10.0)]
+
+    def test_distance_within_rounding_of_the_limit_is_sampled(self,
+                                                             sampled_checks):
+        # two agents at rest whose sampled distance lies SEPARATION_TOL
+        # short of the combined radius, a conflict; the screen's complex
+        # modulus rounds 4.4e-16 m longer, so without SCREEN_EPS it would
+        # clear the pair
+        far = math.sqrt(0.2 * 0.2 + 3.0 * 3.0)
+        scenario = Scenario(agents=(
+            AgentSpec(id=0, radius=0.5, start=rest(0, 0), goal=rest(0, 0),
+                      t0=0.0, tf_nominal=10.0),
+            AgentSpec(id=1, radius=far + game.SEPARATION_TOL - 0.5,
+                      start=rest(0.2, 3.0), goal=rest(0.2, 3.0),
+                      t0=0.0, tf_nominal=10.0),
+        ), obstacles=())
+        with pytest.raises(NegotiationError):
+            negotiate_arrival_times(scenario, NegotiationConfig(step=1.0,
+                                                                max_deviation=0.0))
+        assert sampled_checks == [(10.0, 10.0)]
 
     def test_swap_fails_without_sampling(self, sampled_checks):
         with pytest.raises(NegotiationError):

@@ -471,16 +471,6 @@ class TestInitialGuess:
         p, _, _ = eval_trajectory(traj, guess.time)
         assert constraint_value(p, obstacle.center, combined) > 0
 
-    def test_requires_obstacle_violation(self):
-        agent, scen = symmetric_agent_and_obstacle()
-        seg = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
-        from junctionplan import PiecewiseTrajectory
-
-        traj = PiecewiseTrajectory(segments=(seg,))
-        pair_violation = ViolationRecord(time=5.0, constraint=(0, 1), depth=0.1)
-        with pytest.raises(ValueError):
-            initial_guess(traj, pair_violation, scen, agent)
-
     def test_time_outside_every_window_rejected(self):
         agent, scen = symmetric_agent_and_obstacle()
         seg = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
@@ -592,6 +582,20 @@ class TestPlanAgent:
         assert isinstance(excinfo.value.__cause__, ConditioningError)
         assert excinfo.value.trajectory is None
         assert excinfo.value.report is None
+
+    def test_horizon_too_short_for_a_junction_carries_last_iterate(self):
+        # the obstacle blocks the path, but a 1.5 ms horizon cannot hold a
+        # junction TIME_MARGIN = 1 ms from both of its ends
+        agent = AgentSpec(id=3, radius=0.01, start=rest(0, 0), goal=rest(10, 0),
+                          t0=0.0, tf_nominal=1.5e-3)
+        scen = Scenario(agents=(agent,),
+                        obstacles=(Obstacle(id=0, center=(5.0, 0.0), radius=0.5),))
+        with pytest.raises(PlanningFailure, match="agent 3: horizon too short") \
+                as excinfo:
+            plan_agent(agent, scen)
+        assert isinstance(excinfo.value.__cause__, OrderingError)
+        assert excinfo.value.report.junction_sequence == ()
+        assert first_violation(excinfo.value.trajectory, scen, 3) is not None
 
     def test_deterministic_reports(self):
         agent, scen = symmetric_agent_and_obstacle()
