@@ -79,6 +79,11 @@ MAX_ITERATIONS = 200
 # A junction solve converges when its residual 2-norm is at or below this.
 RESIDUAL_TOL = 1e-7
 
+# Damping bounds of the LM iteration. At MAX_DAMPING a rejected step
+# leaves everything the next iteration reads unchanged.
+MIN_DAMPING = 1e-12
+MAX_DAMPING = 1e12
+
 # Most junctions greedy discovery inserts before plan_agent gives up.
 MAX_JUNCTIONS = 8
 
@@ -119,6 +124,9 @@ class SolveReport:
 
     converged: bool
     residual_norm: float
+    # LM iterations counted against MAX_ITERATIONS: a solve stopped by a
+    # rejection at MAX_DAMPING counts the iterations that would only have
+    # repeated it, so it reports MAX_ITERATIONS.
     iterations: int
     junction_sequence: tuple[Junction, ...]
     energy: float
@@ -147,11 +155,33 @@ def contact_point(obstacle: Obstacle, combined_r: float, theta: float) -> np.nda
     )
 
 
+# Turns (cos, sin) columns, read in reverse, into the tangent (-sin, cos).
+_ROTATE = np.array([-1.0, 1.0])
+
+
+class _Fixed(NamedTuple):
+    """What one junction solve holds fixed: the horizon, the boundary
+    states and the junctions' obstacles, plus the index arrays and the
+    time-derivative pattern that depend only on the junction count n."""
+
+    t0: float
+    tf: float
+    points: np.ndarray  # start and goal positions in rows 0 and n+1, (n+2, 2)
+    vel: np.ndarray  # start and goal velocities in rows 0 and n+1, (n+2, 2)
+    ends: np.ndarray  # start and goal velocities, (2, 2)
+    centers: np.ndarray  # obstacle centers, (n, 2)
+    radii: np.ndarray  # inflated radii, (n, 1)
+    node: np.ndarray  # node of junction k, k + 1, (n,)
+    theta_col: np.ndarray  # parameter index of theta_k, 2k, (n,)
+    d_h: np.ndarray  # dh_j/dt_k: +1 at j = k, -1 at j = k+1, (n+1, 2n, 1)
+
+
 class _Spline(NamedTuple):
     """The clamped cubic spline of one parameter vector, in local time."""
 
     knots: list[float]
-    h: np.ndarray  # segment lengths, (n+1,)
+    inv: np.ndarray  # 1 / h_j per segment, (n+1, 1)
+    inv2: np.ndarray  # (1 / h_j)**2 per segment, (n+1, 1)
     m: np.ndarray  # junction matrix M, (n, n)
     normal: np.ndarray  # outward contact normals, (n, 2)
     points: np.ndarray  # start, contact points and goal, (n+2, 2)
@@ -161,9 +191,40 @@ class _Spline(NamedTuple):
     a3: np.ndarray  # local coefficients of s**3 per segment, (n+1, 2)
 
 
-def _spline(
-    agent: AgentSpec, params: np.ndarray, centers: np.ndarray, radii: np.ndarray
-) -> _Spline:
+def _setup(
+    agent: AgentSpec, junctions: Sequence[Junction], scenario: Scenario
+) -> tuple[np.ndarray, _Fixed]:
+    """Parameter vector (theta_0, t_0, theta_1, ...) of the junctions and
+    what every spline of the agent through their obstacles shares."""
+    obstacles = [scenario.obstacle(j.obstacle_id) for j in junctions]
+    n = len(obstacles)
+    k = np.arange(n)
+    ends = np.stack([agent.start.v, agent.goal.v])
+    points = np.zeros((n + 2, 2))
+    points[0], points[-1] = agent.start.p, agent.goal.p
+    vel = np.zeros((n + 2, 2))
+    vel[0], vel[-1] = ends
+    d_h = np.zeros((n + 1, 2 * n, 1))
+    d_h[k, 2 * k + 1] = 1.0
+    d_h[k + 1, 2 * k + 1] = -1.0
+    fixed = _Fixed(
+        t0=agent.t0,
+        tf=agent.tf_nominal,
+        points=points,
+        vel=vel,
+        ends=ends,
+        centers=np.array([o.center for o in obstacles], dtype=float).reshape(-1, 2),
+        radii=np.array([inflated_radius(o, agent) for o in obstacles],
+                       dtype=float)[:, None],
+        node=k + 1,
+        theta_col=2 * k,
+        d_h=d_h,
+    )
+    params = np.array([v for j in junctions for v in (j.theta, j.time)], dtype=float)
+    return params, fixed
+
+
+def _spline(params: np.ndarray, fixed: _Fixed) -> _Spline:
     """Solve the junction system at the parameters (theta_0, t_0, theta_1, ...).
 
     Segment j runs over [knot_j, knot_(j+1)] as P_j + V_j s + a2_j s^2 +
@@ -178,34 +239,28 @@ def _spline(
     side. M is strictly diagonally dominant, so a plain solve is stable
     once no segment is shorter than MIN_SEGMENT.
     """
-    times = params[1::2]
-    n = len(times)
-    knots = [agent.t0, *times.tolist(), agent.tf_nominal]
-    h = np.empty(n + 1)
-    h[:-1] = times
-    h[-1] = agent.tf_nominal
-    h[1:] -= times
-    h[0] -= agent.t0
-    if not np.all(h > 0):
+    knots = [fixed.t0, *params[1::2].tolist(), fixed.tf]
+    h = [b - a for a, b in zip(knots, knots[1:])]
+    if not all(length > 0 for length in h):
         raise OrderingError(
             f"junction times {knots[1:-1]} must be strictly increasing inside "
-            f"({agent.t0}, {agent.tf_nominal})"
+            f"({fixed.t0}, {fixed.tf})"
         )
-    if h.min() < MIN_SEGMENT:
+    if min(h) < MIN_SEGMENT:
         raise ConditioningError(
-            f"segment of {h.min():.3e} s is shorter than {MIN_SEGMENT:.0e} s; "
+            f"segment of {min(h):.3e} s is shorter than {MIN_SEGMENT:.0e} s; "
             "junction times too close together or to the boundary"
         )
-    theta = params[0::2]
+    n = len(h) - 1
+    inv = (1.0 / np.array(h))[:, None]
+    inv2 = inv**2
     normal = np.empty((n, 2))
+    theta = params[0::2]
     np.cos(theta, out=normal[:, 0])
     np.sin(theta, out=normal[:, 1])
-    points = np.empty((n + 2, 2))
-    points[0] = agent.start.p
-    points[1:-1] = centers + radii[:, None] * normal
-    points[-1] = agent.goal.p
-    inv = (1.0 / h)[:, None]
-    slope = np.diff(points, axis=0) * inv
+    points = fixed.points.copy()
+    points[1:-1] = fixed.centers + fixed.radii * normal
+    slope = (points[1:] - points[:-1]) * inv
     # row i-1 holds the coefficients of V_(i-1), V_i, V_(i+1): in the
     # flat band they are the three diagonals of stride n + 3
     band = np.zeros((n, n + 2))
@@ -214,42 +269,28 @@ def _spline(
     diagonals[1::n + 3] = 4.0 * (inv[:-1, 0] + inv[1:, 0])
     diagonals[2::n + 3] = 2.0 * inv[1:, 0]
     rhs = 6.0 * (slope[:-1] * inv[:-1] + slope[1:] * inv[1:])
-    rhs -= band[:, [0, -1]] @ np.stack([agent.start.v, agent.goal.v])
+    rhs -= band[:, [0, -1]] @ fixed.ends
     m = band[:, 1:-1]
-    vel = np.empty((n + 2, 2))
-    vel[0] = agent.start.v
+    vel = fixed.vel.copy()
     vel[1:-1] = np.linalg.solve(m, rhs)
-    vel[-1] = agent.goal.v
-    a3 = (vel[:-1] + vel[1:] - 2.0 * slope) * inv**2
+    a3 = (vel[:-1] + vel[1:] - 2.0 * slope) * inv2
     a2 = (3.0 * slope - 2.0 * vel[:-1] - vel[1:]) * inv
-    return _Spline(knots, h, m, normal, points, vel, slope, a2, a3)
+    return _Spline(knots, inv, inv2, m, normal, points, vel, slope, a2, a3)
 
 
 def _trajectory(s: _Spline) -> PiecewiseTrajectory:
     """The spline's segments, each in its own local time."""
     return PiecewiseTrajectory(segments=tuple(
         CubicSegment(s.points[k], s.vel[k], s.a2[k], s.a3[k], s.knots[k], s.knots[k + 1])
-        for k in range(len(s.h))
+        for k in range(len(s.knots) - 1)
     ))
-
-
-def _geometry(
-    agent: AgentSpec, junctions: Sequence[Junction], scenario: Scenario
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parameter vector, obstacle centers and inflated radii of junctions."""
-    obstacles = [scenario.obstacle(j.obstacle_id) for j in junctions]
-    return (
-        np.array([v for j in junctions for v in (j.theta, j.time)], dtype=float),
-        np.array([o.center for o in obstacles], dtype=float).reshape(-1, 2),
-        np.array([inflated_radius(o, agent) for o in obstacles], dtype=float),
-    )
 
 
 def solve_coefficients(
     agent: AgentSpec, junctions: tuple[Junction, ...], scenario: Scenario
 ) -> PiecewiseTrajectory:
     """Solve the junction system and split the result at junction times."""
-    return _trajectory(_spline(agent, *_geometry(agent, junctions, scenario)))
+    return _trajectory(_spline(*_setup(agent, junctions, scenario)))
 
 
 def _residuals(s: _Spline) -> np.ndarray:
@@ -257,8 +298,8 @@ def _residuals(s: _Spline) -> np.ndarray:
     the control slope on segment j is 6 a3_j."""
     v = s.vel[1:-1]
     res = np.empty(2 * len(v))
-    res[0::2] = np.sum(v * s.normal, axis=1)
-    res[1::2] = 6.0 * np.sum((s.a3[:-1] - s.a3[1:]) * v, axis=1)
+    res[0::2] = (v * s.normal).sum(axis=1)
+    res[1::2] = 6.0 * ((s.a3[:-1] - s.a3[1:]) * v).sum(axis=1)
     return res
 
 
@@ -266,10 +307,10 @@ def residuals(
     agent: AgentSpec, junctions: tuple[Junction, ...], scenario: Scenario
 ) -> np.ndarray:
     """Optimality residuals (tangency, jump) for each junction."""
-    return _residuals(_spline(agent, *_geometry(agent, junctions, scenario)))
+    return _residuals(_spline(*_setup(agent, junctions, scenario)))
 
 
-def _residual_jacobian(s: _Spline, radii: np.ndarray) -> np.ndarray:
+def _residual_jacobian(s: _Spline, fixed: _Fixed) -> np.ndarray:
     """Exact Jacobian of the junction residuals of the spline s.
 
     Columns follow the stacked parameters (theta_0, t_0, theta_1, ...).
@@ -279,31 +320,30 @@ def _residual_jacobian(s: _Spline, radii: np.ndarray) -> np.ndarray:
     f_i = u_end(i-1) - u_start(i) of M V - R; differentiating M V = R
     then gives every dV from one solve with 4n columns.
     """
-    n = len(s.h) - 1
-    k = np.arange(n)
-    inv = (1.0 / s.h)[:, None, None]
+    n = len(fixed.node)
+    col = fixed.theta_col
+    inv, inv2 = s.inv[:, :, None], s.inv2[:, :, None]
     # d[node or segment, parameter, axis]
-    d_normal = np.stack([-s.normal[:, 1], s.normal[:, 0]], axis=1)
+    d_normal = s.normal[:, ::-1] * _ROTATE
     d_points = np.zeros((n + 2, 2 * n, 2))
-    d_points[k + 1, 2 * k] = radii[:, None] * d_normal
-    d_h = np.zeros((n + 1, 2 * n, 1))
-    d_h[k, 2 * k + 1] = 1.0
-    d_h[k + 1, 2 * k + 1] = -1.0
-    d_chord = np.diff(d_points, axis=0)
+    d_points[fixed.node, col] = fixed.radii * d_normal
+    d_chord = d_points[1:] - d_points[:-1]
+    d_h = fixed.d_h
     v0, v1, slope = s.vel[:-1, None], s.vel[1:, None], s.slope[:, None]
-    d_u_end = (d_h * (12.0 * slope - 2.0 * v0 - 4.0 * v1) - 6.0 * d_chord) * inv**2
-    d_u_start = (6.0 * d_chord - d_h * (12.0 * slope - 4.0 * v0 - 2.0 * v1)) * inv**2
+    chord6 = 6.0 * d_chord
+    d_u_end = (d_h * (12.0 * slope - 2.0 * v0 - 4.0 * v1) - chord6) * inv2
+    d_u_start = (chord6 - d_h * (12.0 * slope - 4.0 * v0 - 2.0 * v1)) * inv2
     d_vel = np.zeros((n + 2, 2 * n, 2))
     d_vel[1:-1] = -np.linalg.solve(
         s.m, (d_u_end[:-1] - d_u_start[1:]).reshape(n, -1)
     ).reshape(n, 2 * n, 2)
-    d_a3 = (d_vel[:-1] + d_vel[1:] - 2.0 * d_chord * inv) * inv**2 + (
+    d_a3 = (d_vel[:-1] + d_vel[1:] - 2.0 * d_chord * inv) * inv2 + (
         d_h * (6.0 * slope - 2.0 * (v0 + v1)) * inv**3
     )
     v, dv = s.vel[1:-1], d_vel[1:-1]
     jac = np.empty((2 * n, 2 * n))
     jac[0::2] = np.einsum("kpa,ka->kp", dv, s.normal)
-    jac[2 * k, 2 * k] += np.sum(v * d_normal, axis=1)
+    jac[col, col] += (v * d_normal).sum(axis=1)
     jac[1::2] = 6.0 * (
         np.einsum("kpa,ka->kp", d_a3[:-1] - d_a3[1:], v)
         + np.einsum("kpa,ka->kp", dv, s.a3[:-1] - s.a3[1:])
@@ -312,19 +352,20 @@ def _residual_jacobian(s: _Spline, radii: np.ndarray) -> np.ndarray:
 
 
 def _clamp_times(
-    times: np.ndarray, t0: float, tf: float, margin: float
-) -> np.ndarray:
+    times: list[float], t0: float, tf: float, margin: float
+) -> list[float]:
     """Clamp junction times into [t0+margin, tf-margin] with pairwise
     margins between neighbors, preserving order."""
-    clamped = np.clip(times, t0 + margin, tf - margin)
+    lo, hi = t0 + margin, tf - margin
+    clamped = [min(max(t, lo), hi) for t in times]
     for k in range(1, len(clamped)):
         clamped[k] = max(clamped[k], clamped[k - 1] + margin)
-    if len(clamped):
-        clamped[-1] = min(clamped[-1], tf - margin)
+    if clamped:
+        clamped[-1] = min(clamped[-1], hi)
     for k in range(len(clamped) - 2, -1, -1):
         clamped[k] = min(clamped[k], clamped[k + 1] - margin)
-    if len(clamped) and (
-        clamped[0] < t0 + margin - 1e-12
+    if clamped and (
+        clamped[0] < lo - 1e-12
         or any(b - a < margin - 1e-12 for a, b in zip(clamped, clamped[1:]))
     ):
         raise OrderingError("horizon too short for the requested junction count")
@@ -345,22 +386,31 @@ def solve_junctions(
     from them. The Jacobian is exact, by implicit differentiation of the
     junction system, and is recomputed only after an accepted step, from
     that step's spline, together with the normal equations J^T J and
-    -J^T r and the Marquardt scale. Each iteration costs one damped
-    solve and one candidate spline, plus one Jacobian solve after an
-    accepted step. Proposed junction times are clamped to keep
-    TIME_MARGIN from the horizon and from each other, so every segment is
-    longer than MIN_SEGMENT and no iterate is ill-conditioned; angles are
-    wrapped into [-pi, pi). Raises OrderingError when the horizon cannot
-    hold the junctions at that margin, and ConditioningError only for a
-    horizon shorter than MIN_SEGMENT. Convergence is a residual 2-norm at
-    or below RESIDUAL_TOL. The Junction objects and the trajectory are
-    built once, from the final iterate.
+    -J^T r and the Marquardt scale. What the solve holds fixed (boundary
+    states, obstacles, index arrays, the time pattern of dh/dt) is built
+    once per call. One iteration costs one 2n x 2n damped solve and one
+    candidate spline, whose times are clamped and angles wrapped on
+    Python floats: a tridiagonal n x n solve with two right-hand sides
+    and its residuals. An accepted step adds one Jacobian, an n x n
+    solve with 4n right-hand sides, and the new normal equations.
+    A step rejected at MAX_DAMPING, or a damped system that is singular
+    there, ends the loop with iterations = MAX_ITERATIONS: the Jacobian,
+    the normal equations, the scale and the damping are all unchanged,
+    so each remaining iteration would repeat that rejection. Proposed
+    junction times are clamped to keep TIME_MARGIN from the horizon and
+    from each other, so every segment is longer than MIN_SEGMENT and no
+    iterate is ill-conditioned; angles are wrapped into [-pi, pi).
+    Raises OrderingError when the horizon cannot hold the junctions at
+    that margin, and ConditioningError only for a horizon shorter than
+    MIN_SEGMENT. Convergence is a residual 2-norm at or below
+    RESIDUAL_TOL. The Junction objects and the trajectory are built
+    once, from the final iterate.
     """
     junctions = tuple(initial_junctions)
     t0, tf = agent.t0, agent.tf_nominal
-    params, centers, radii = _geometry(agent, junctions, scenario)
-    params[1::2] = _clamp_times(params[1::2], t0, tf, TIME_MARGIN)
-    spline = _spline(agent, params, centers, radii)
+    params, fixed = _setup(agent, junctions, scenario)
+    params[1::2] = _clamp_times(params[1::2].tolist(), t0, tf, TIME_MARGIN)
+    spline = _spline(params, fixed)
     res = _residuals(spline)
 
     norm = float(np.linalg.norm(res))
@@ -370,7 +420,7 @@ def solve_junctions(
     while iterations < MAX_ITERATIONS and norm > RESIDUAL_TOL:
         iterations += 1
         if jac is None:
-            jac = _residual_jacobian(spline, radii)
+            jac = _residual_jacobian(spline, fixed)
             gram = jac.T @ jac
             rhs = -jac.T @ res
             # Marquardt scaling keeps the damping visible whatever the
@@ -379,20 +429,25 @@ def solve_junctions(
         try:
             step = np.linalg.solve(gram + damping * scale, rhs)
         except np.linalg.LinAlgError:
-            damping = min(damping * 10.0, 1e12)
-            continue
-        candidate = params + step
-        candidate[1::2] = _clamp_times(candidate[1::2], t0, tf, TIME_MARGIN)
-        candidate[0::2] = [_wrap_angle(v) for v in candidate[0::2]]
-        cand_spline = _spline(agent, candidate, centers, radii)
-        cand_res = _residuals(cand_spline)
-        cand_norm = float(np.linalg.norm(cand_res))
-        if cand_norm < norm:
-            params, spline, res, norm = candidate, cand_spline, cand_res, cand_norm
-            damping = max(damping * 0.3, 1e-12)
-            jac = None
-        else:
-            damping = min(damping * 10.0, 1e12)
+            step = None
+        if step is not None:
+            values = (params + step).tolist()
+            values[1::2] = _clamp_times(values[1::2], t0, tf, TIME_MARGIN)
+            values[0::2] = [_wrap_angle(v) for v in values[0::2]]
+            candidate = np.array(values)
+            cand_spline = _spline(candidate, fixed)
+            cand_res = _residuals(cand_spline)
+            cand_norm = float(np.linalg.norm(cand_res))
+            if cand_norm < norm:
+                params, spline, res, norm = candidate, cand_spline, cand_res, cand_norm
+                damping = max(damping * 0.3, MIN_DAMPING)
+                jac = None
+                continue
+        if damping == MAX_DAMPING:
+            # every later iteration would repeat this rejection
+            iterations = MAX_ITERATIONS
+            break
+        damping = min(damping * 10.0, MAX_DAMPING)
 
     traj = _trajectory(spline)
     junctions = tuple(

@@ -51,6 +51,8 @@ from junctionplan import (
 from junctionplan.cli import main
 from junctionplan.game import _conflicts_between
 
+from conftest import REFERENCE_SEEDS, reference_world
+
 
 @pytest.fixture
 def announce(capfd):
@@ -100,10 +102,8 @@ def batch():
     """Seeds 1-50, 1-6 obstacles each; keeps the converged plans."""
     instances = []
     failures = 0
-    for seed in range(1, 51):
-        agent = AgentSpec(id=0, radius=0.5, start=rest(-10, -10),
-                          goal=rest(10, 10), t0=0.0, tf_nominal=10.0)
-        scenario = gen_world(seed, 1 + seed % 6, Bounds(-8, -8, 8, 8), (agent,))
+    for seed in REFERENCE_SEEDS:
+        agent, scenario = reference_world(seed)
         try:
             traj, report = plan_agent(agent, scenario)
         except PlanningFailure:

@@ -29,8 +29,10 @@ from junctionplan import (
     solve_junctions,
 )
 from junctionplan import solver
-from junctionplan.solver import _geometry, _residual_jacobian, _spline
-from junctionplan.world import Bounds, ViolationRecord, gen_world
+from junctionplan.solver import _residual_jacobian, _setup, _spline
+from junctionplan.world import ViolationRecord
+
+from conftest import reference_world
 
 
 def rest(x, y):
@@ -335,8 +337,8 @@ class TestResidualJacobian:
     @pytest.mark.parametrize("case", ["one", "two", "three_crowded"])
     def test_matches_central_differences(self, case):
         agent, scen, junctions = junction_case(case)
-        params, centers, radii = _geometry(agent, junctions, scen)
-        exact = _residual_jacobian(_spline(agent, params, centers, radii), radii)
+        params, fixed = _setup(agent, junctions, scen)
+        exact = _residual_jacobian(_spline(params, fixed), fixed)
         approx = self.central_differences(agent, junctions, scen)
         assert exact.shape == (2 * len(junctions),) * 2
         # relative to each residual's own gradient scale
@@ -532,9 +534,7 @@ class TestPlanAgent:
     def test_seed_window_runs_across_a_touching_junction(self, world, obstacles):
         # the path re-enters an obstacle it already touches at a junction;
         # the seed window must not split at that touch point
-        agent = AgentSpec(id=0, radius=0.5, start=rest(-10, -10),
-                          goal=rest(10, 10), t0=0.0, tf_nominal=10.0)
-        scen = gen_world(world, 1 + world % 6, Bounds(-8, -8, 8, 8), (agent,))
+        agent, scen = reference_world(world)
         traj, report = plan_agent(agent, scen)
         assert report.converged
         assert [j.obstacle_id for j in report.junction_sequence] == obstacles
@@ -555,10 +555,7 @@ class TestPlanAgent:
         assert excinfo.value.report is not None
 
     def test_unconverged_solve_ends_discovery(self, monkeypatch):
-        # reference world 47 of the diagonal batch agent
-        agent = AgentSpec(id=0, radius=0.5, start=rest(-10, -10),
-                          goal=rest(10, 10), t0=0.0, tf_nominal=10.0)
-        scen = gen_world(47, 1 + 47 % 6, Bounds(-8, -8, 8, 8), (agent,))
+        agent, scen = reference_world(47)
         solves = []
         solve = solver.solve_junctions
 

@@ -36,6 +36,8 @@ from junctionplan.world import (
     violated_windows,
 )
 
+from conftest import reference_world
+
 LEVELS = (-SAFETY_TOL, 0.0, SAFETY_TOL)
 
 
@@ -148,9 +150,7 @@ class TestWindowsParity:
     def test_planned_worlds(self, world):
         # converged plans touch their obstacles at the knots; failing ones
         # still cross them
-        agent = AgentSpec(id=0, radius=0.5, start=rest(-10, -10),
-                          goal=rest(10, 10), t0=0.0, tf_nominal=10.0)
-        scen = gen_world(world, 1 + world % 6, Bounds(-8, -8, 8, 8), (agent,))
+        agent, scen = reference_world(world)
         try:
             traj, _ = plan_agent(agent, scen)
         except PlanningFailure as exc:
