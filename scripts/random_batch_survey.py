@@ -1,52 +1,84 @@
 #!/usr/bin/env python3
 """Survey planner behavior over randomized sphere worlds.
 
-Plans one diagonal agent through 50 seeded worlds with 1-6 obstacles
-each and tabulates convergence, junction counts, energy overhead above
-the unconstrained transfer, and wall-clock time. Every planned seed is
+Plans one diagonal agent through the seeded reference worlds (seeds
+1-50 unless --seeds says otherwise), each with 1-6 obstacles, and
+tabulates convergence, junction counts, energy overhead above the
+unconstrained transfer, and wall-clock time. Every planned seed is
 timed, failed ones included, and the time spent in failed seeds is
 reported beside the total.
+
+With --answers it prints, instead, one line per world and no times:
+the outcome, the junction count, and the repr of the energy, the
+residual and each junction's (obstacle, theta, time), followed by the
+failure message where planning failed. Two checkouts give the same
+lines exactly when they give the same answers, so
+
+    python scripts/random_batch_survey.py --seeds 1 300 --answers
+
+run in each can be compared with diff.
 """
 
+import argparse
 import time
 
 from junctionplan import (
-    AgentSpec,
-    Bounds,
     GenerationError,
-    KinematicState,
     PlanningFailure,
-    gen_world,
     plan_agent,
     segment_energy,
     solve_boundary,
 )
+from junctionplan.world import reference_world
 
 
-def main():
+def answer_line(seed, report, failure):
+    """One world's answer; report is the last iterate, if any."""
+    if report is None:
+        return f"world {seed}: failed - | {failure}"
+    outcome = "failed" if failure else (
+        "converged" if report.converged else "unconverged")
+    junctions = tuple((j.obstacle_id, j.theta, j.time)
+                      for j in report.junction_sequence)
+    line = (f"world {seed}: {outcome} {len(junctions)} {report.energy!r} "
+            f"{report.residual_norm!r} {junctions!r}")
+    return f"{line} | {failure}" if failure else line
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs=2, default=(1, 50),
+                        metavar=("FIRST", "LAST"),
+                        help="inclusive seed range (default 1 50)")
+    parser.add_argument("--answers", action="store_true",
+                        help="print each world's answer instead of the summary")
+    args = parser.parse_args(argv)
+    first, last = args.seeds
+
     converged = failed = 0
     junction_counts = {}
     overheads = []
     times_ms = []
     failed_ms = 0.0
-    for seed in range(1, 51):
-        agent = AgentSpec(
-            id=0, radius=0.5,
-            start=KinematicState.at_rest(-10.0, -10.0),
-            goal=KinematicState.at_rest(10.0, 10.0),
-            t0=0.0, tf_nominal=10.0,
-        )
+    for seed in range(first, last + 1):
         try:
-            scenario = gen_world(seed, 1 + seed % 6, Bounds(-8, -8, 8, 8),
-                                 (agent,))
-        except GenerationError:
+            agent, scenario = reference_world(seed)
+        except GenerationError as exc:
+            if args.answers:
+                print(f"world {seed}: no world | {exc}")
             continue
         started = time.perf_counter()
         try:
             _, report = plan_agent(agent, scenario)
         except PlanningFailure as exc:
+            if args.answers:
+                print(answer_line(seed, exc.report, exc))
+            else:
+                print(f"  seed {seed:2d}: FAILED ({exc})")
             report = None
-            print(f"  seed {seed:2d}: FAILED ({exc})")
+        else:
+            if args.answers:
+                print(answer_line(seed, report, None))
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         times_ms.append(elapsed_ms)
         if report is None or not report.converged:
@@ -60,8 +92,10 @@ def main():
             solve_boundary(agent.start, agent.goal, agent.t0, agent.tf_nominal)
         )
         overheads.append(report.energy / base - 1.0)
+    if args.answers:
+        return
 
-    print("random batch survey (seeds 1-50)")
+    print(f"random batch survey (seeds {first}-{last})")
     print(f"  converged {converged}, failed {failed}")
     print(f"  junction count histogram: "
           f"{dict(sorted(junction_counts.items()))}")

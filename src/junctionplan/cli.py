@@ -416,22 +416,32 @@ def cmd_bench(args) -> int:
 
         started = time.perf_counter()
         plans = {}
+        # the planner is deterministic, so every repeat fails the same agents
+        failed = []
         for agent in agents:
             plan_started = time.perf_counter()
-            traj, report = plan_agent(agent, scenario)
+            try:
+                traj, report = plan_agent(agent, scenario)
+            except PlanningFailure:
+                failed.append(agent.id)
+                continue
+            if not report.converged:
+                failed.append(agent.id)
             plans[agent.id] = NegotiatedPlan(
                 agent, traj, report, (time.perf_counter() - plan_started) * 1e3
             )
         phases["junction_ms"].append((time.perf_counter() - started) * 1e3)
 
         started = time.perf_counter()
-        if len(agents) > 1:
+        # as in plan, a failed agent leaves nothing to negotiate
+        if len(agents) > 1 and not failed:
             msgs = [encode_message(a, plans[a.id].report) for a in agents]
             if detect_conflicts(msgs, scenario):
                 negotiate_arrival_times(scenario, negotiation_config, plans)
         phases["negotiation_ms"].append((time.perf_counter() - started) * 1e3)
     doc = {
         "repeat": args.repeat,
+        "failures": len(failed),
         "phases": {
             name: {
                 "min": min(samples),
@@ -443,6 +453,10 @@ def cmd_bench(args) -> int:
         },
     }
     print(json.dumps(doc, indent=2))
+    if failed:
+        print(f"planning failed for agent(s) {', '.join(map(str, failed))}",
+              file=sys.stderr)
+        return EXIT_PLANNING
     return EXIT_OK
 
 

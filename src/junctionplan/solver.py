@@ -19,13 +19,19 @@ the contact angle and time:
              is constant on each segment.
 
 An outer damped least-squares iteration drives both residuals to zero
-over the stacked (theta_k, t_k) parameters. Its iterate is plain arrays:
-the parameter vector, the spline's velocities and local coefficients,
-and the residuals read from them; Junction objects and the
+over the stacked (theta_k, t_k) parameters. A solve has at most
+MAX_JUNCTIONS = 8 junctions, and at that size NumPy's fixed cost per
+call outweighs the arithmetic, so the iterate is Python floats: the
+parameter list, the spline's contact points, slopes, velocities and
+local coefficients as (x, y) pairs, and the residuals read from them.
+NumPy and LAPACK keep the calls whose bits their kernels fix: the
+linear solves, the boundary-velocity product, the residual norm,
+np.cos/np.sin and the cube of 1/h. Junction objects and the
 PiecewiseTrajectory are built once, when the solve returns, each
-segment straight from the spline's local coefficients. The Jacobian is
-exact: the velocity derivatives come from implicit differentiation of
-M(h) V = R(h, P), one solve with two right-hand sides per parameter.
+segment straight from the spline's floats. The Jacobian is exact: the
+velocity derivatives come from implicit differentiation of
+M(h) V = R(h, P), one solve with two right-hand sides per parameter,
+whose right-hand sides have three nonzero rows each.
 Activation sequences are discovered greedily: plan, find the first
 violated obstacle, seed a junction there, replan. Violations and the
 seed's time window are found exactly, from the roots of each segment's
@@ -155,76 +161,63 @@ def contact_point(obstacle: Obstacle, combined_r: float, theta: float) -> np.nda
     )
 
 
-# Turns (cos, sin) columns, read in reverse, into the tangent (-sin, cos).
-_ROTATE = np.array([-1.0, 1.0])
-
-
 class _Fixed(NamedTuple):
     """What one junction solve holds fixed: the horizon, the boundary
-    states and the junctions' obstacles, plus the index arrays and the
-    time-derivative pattern that depend only on the junction count n."""
+    states and the junctions' obstacles, as Python floats, plus the
+    boundary velocities as the (2, 2) array of the boundary product."""
 
     t0: float
     tf: float
-    points: np.ndarray  # start and goal positions in rows 0 and n+1, (n+2, 2)
-    vel: np.ndarray  # start and goal velocities in rows 0 and n+1, (n+2, 2)
+    start: tuple[float, float]  # start position
+    goal: tuple[float, float]  # goal position
+    v_start: tuple[float, float]  # start velocity
+    v_goal: tuple[float, float]  # goal velocity
     ends: np.ndarray  # start and goal velocities, (2, 2)
-    centers: np.ndarray  # obstacle centers, (n, 2)
-    radii: np.ndarray  # inflated radii, (n, 1)
-    node: np.ndarray  # node of junction k, k + 1, (n,)
-    theta_col: np.ndarray  # parameter index of theta_k, 2k, (n,)
-    d_h: np.ndarray  # dh_j/dt_k: +1 at j = k, -1 at j = k+1, (n+1, 2n, 1)
+    centers: list[tuple[float, float]]  # obstacle centers, n
+    radii: list[float]  # inflated radii, n
 
 
 class _Spline(NamedTuple):
-    """The clamped cubic spline of one parameter vector, in local time."""
+    """The clamped cubic spline of one parameter vector, in local time.
+
+    Per-node and per-segment values are (x, y) pairs of Python floats;
+    only M stays an array, for the Jacobian's solve."""
 
     knots: list[float]
-    inv: np.ndarray  # 1 / h_j per segment, (n+1, 1)
-    inv2: np.ndarray  # (1 / h_j)**2 per segment, (n+1, 1)
+    inv: list[float]  # 1 / h_j per segment, n+1
+    inv2: list[float]  # (1 / h_j)**2 per segment, n+1
     m: np.ndarray  # junction matrix M, (n, n)
-    normal: np.ndarray  # outward contact normals, (n, 2)
-    points: np.ndarray  # start, contact points and goal, (n+2, 2)
-    vel: np.ndarray  # node velocities V, (n+2, 2)
-    slope: np.ndarray  # (P_(j+1) - P_j) / h_j, (n+1, 2)
-    a2: np.ndarray  # local coefficients of s**2 per segment, (n+1, 2)
-    a3: np.ndarray  # local coefficients of s**3 per segment, (n+1, 2)
+    normal: list  # outward contact normals (cos, sin), n
+    points: list  # start, contact points and goal, n+2
+    vel: list  # node velocities V, n+2
+    slope: list  # (P_(j+1) - P_j) / h_j per segment, n+1
+    a2: list  # local coefficients of s**2 per segment, n+1
+    a3: list  # local coefficients of s**3 per segment, n+1
 
 
 def _setup(
     agent: AgentSpec, junctions: Sequence[Junction], scenario: Scenario
-) -> tuple[np.ndarray, _Fixed]:
+) -> tuple[list[float], _Fixed]:
     """Parameter vector (theta_0, t_0, theta_1, ...) of the junctions and
     what every spline of the agent through their obstacles shares."""
     obstacles = [scenario.obstacle(j.obstacle_id) for j in junctions]
-    n = len(obstacles)
-    k = np.arange(n)
     ends = np.stack([agent.start.v, agent.goal.v])
-    points = np.zeros((n + 2, 2))
-    points[0], points[-1] = agent.start.p, agent.goal.p
-    vel = np.zeros((n + 2, 2))
-    vel[0], vel[-1] = ends
-    d_h = np.zeros((n + 1, 2 * n, 1))
-    d_h[k, 2 * k + 1] = 1.0
-    d_h[k + 1, 2 * k + 1] = -1.0
     fixed = _Fixed(
         t0=agent.t0,
         tf=agent.tf_nominal,
-        points=points,
-        vel=vel,
+        start=tuple(agent.start.p.tolist()),
+        goal=tuple(agent.goal.p.tolist()),
+        v_start=tuple(agent.start.v.tolist()),
+        v_goal=tuple(agent.goal.v.tolist()),
         ends=ends,
-        centers=np.array([o.center for o in obstacles], dtype=float).reshape(-1, 2),
-        radii=np.array([inflated_radius(o, agent) for o in obstacles],
-                       dtype=float)[:, None],
-        node=k + 1,
-        theta_col=2 * k,
-        d_h=d_h,
+        centers=[tuple(o.center.tolist()) for o in obstacles],
+        radii=[float(inflated_radius(o, agent)) for o in obstacles],
     )
-    params = np.array([v for j in junctions for v in (j.theta, j.time)], dtype=float)
+    params = [float(v) for j in junctions for v in (j.theta, j.time)]
     return params, fixed
 
 
-def _spline(params: np.ndarray, fixed: _Fixed) -> _Spline:
+def _spline(params: list[float], fixed: _Fixed) -> _Spline:
     """Solve the junction system at the parameters (theta_0, t_0, theta_1, ...).
 
     Segment j runs over [knot_j, knot_(j+1)] as P_j + V_j s + a2_j s^2 +
@@ -238,8 +231,12 @@ def _spline(params: np.ndarray, fixed: _Fixed) -> _Spline:
     with V_0 and V_(n+1) the boundary velocities moved to the right-hand
     side. M is strictly diagonally dominant, so a plain solve is stable
     once no segment is shorter than MIN_SEGMENT.
+
+    n is at most MAX_JUNCTIONS, so the arithmetic runs on Python floats;
+    NumPy keeps the calls whose bits its kernels fix: np.cos and np.sin,
+    the boundary-velocity product and the solve.
     """
-    knots = [fixed.t0, *params[1::2].tolist(), fixed.tf]
+    knots = [fixed.t0, *params[1::2], fixed.tf]
     h = [b - a for a, b in zip(knots, knots[1:])]
     if not all(length > 0 for length in h):
         raise OrderingError(
@@ -252,37 +249,51 @@ def _spline(params: np.ndarray, fixed: _Fixed) -> _Spline:
             "junction times too close together or to the boundary"
         )
     n = len(h) - 1
-    inv = (1.0 / np.array(h))[:, None]
-    inv2 = inv**2
-    normal = np.empty((n, 2))
-    theta = params[0::2]
-    np.cos(theta, out=normal[:, 0])
-    np.sin(theta, out=normal[:, 1])
-    points = fixed.points.copy()
-    points[1:-1] = fixed.centers + fixed.radii * normal
-    slope = (points[1:] - points[:-1]) * inv
-    # row i-1 holds the coefficients of V_(i-1), V_i, V_(i+1): in the
-    # flat band they are the three diagonals of stride n + 3
-    band = np.zeros((n, n + 2))
-    diagonals = band.reshape(-1)
-    diagonals[0::n + 3] = 2.0 * inv[:-1, 0]
-    diagonals[1::n + 3] = 4.0 * (inv[:-1, 0] + inv[1:, 0])
-    diagonals[2::n + 3] = 2.0 * inv[1:, 0]
-    rhs = 6.0 * (slope[:-1] * inv[:-1] + slope[1:] * inv[1:])
-    rhs -= band[:, [0, -1]] @ fixed.ends
-    m = band[:, 1:-1]
-    vel = fixed.vel.copy()
-    vel[1:-1] = np.linalg.solve(m, rhs)
-    a3 = (vel[:-1] + vel[1:] - 2.0 * slope) * inv2
-    a2 = (3.0 * slope - 2.0 * vel[:-1] - vel[1:]) * inv
+    inv = [1.0 / length for length in h]
+    inv2 = [w * w for w in inv]
+    theta = np.array(params[0::2])
+    normal = list(zip(np.cos(theta).tolist(), np.sin(theta).tolist()))
+    points = [
+        fixed.start,
+        *[(cx + r * c, cy + r * s)
+          for (cx, cy), r, (c, s) in zip(fixed.centers, fixed.radii, normal)],
+        fixed.goal,
+    ]
+    slope = [((x1 - x0) * w, (y1 - y0) * w)
+             for (x0, y0), (x1, y1), w in zip(points, points[1:], inv)]
+    # row r couples V_r, V_(r+1) and V_(r+2) by 2/h_r ("lower"),
+    # 4 (1/h_r + 1/h_(r+1)) and 2/h_(r+1) ("upper"); V_0 in row 0 and
+    # V_(n+1) in row n-1 are the boundary velocities, whose coefficients
+    # go to the (n, 2) matrix of the boundary product
+    lower = [2.0 * w for w in inv[:-1]]
+    upper = [2.0 * w for w in inv[1:]]
+    flat = [0.0] * (n * n)
+    flat[0::n + 1] = [4.0 * (a + b) for a, b in zip(inv, inv[1:])]
+    flat[1::n + 1] = upper[:-1]
+    flat[n::n + 1] = lower[1:]
+    m = np.array(flat).reshape(n, n)
+    boundary = [0.0] * (2 * n)
+    boundary[:1], boundary[-1:] = lower[:1], upper[-1:]  # no-ops when n = 0
+    rhs = np.array([
+        (6.0 * (sx0 * w0 + sx1 * w1), 6.0 * (sy0 * w0 + sy1 * w1))
+        for (sx0, sy0), (sx1, sy1), w0, w1 in zip(slope, slope[1:], inv, inv[1:])
+    ]).reshape(n, 2)
+    rhs -= np.array(boundary).reshape(n, 2) @ fixed.ends
+    vel = [fixed.v_start, *np.linalg.solve(m, rhs).tolist(), fixed.v_goal]
+    a3 = []
+    a2 = []
+    for (v0x, v0y), (v1x, v1y), (sx, sy), w, w2 in zip(vel, vel[1:], slope, inv, inv2):
+        a3.append(((v0x + v1x - 2.0 * sx) * w2, (v0y + v1y - 2.0 * sy) * w2))
+        a2.append(((3.0 * sx - 2.0 * v0x - v1x) * w, (3.0 * sy - 2.0 * v0y - v1y) * w))
     return _Spline(knots, inv, inv2, m, normal, points, vel, slope, a2, a3)
 
 
 def _trajectory(s: _Spline) -> PiecewiseTrajectory:
     """The spline's segments, each in its own local time."""
     return PiecewiseTrajectory(segments=tuple(
-        CubicSegment(s.points[k], s.vel[k], s.a2[k], s.a3[k], s.knots[k], s.knots[k + 1])
-        for k in range(len(s.knots) - 1)
+        CubicSegment(*coefficients, t_start, t_end)
+        for *coefficients, t_start, t_end
+        in zip(s.points, s.vel, s.a2, s.a3, s.knots, s.knots[1:])
     ))
 
 
@@ -296,11 +307,12 @@ def solve_coefficients(
 def _residuals(s: _Spline) -> np.ndarray:
     """(tangency, jump) residuals per junction, read from V_i and a3;
     the control slope on segment j is 6 a3_j."""
-    v = s.vel[1:-1]
-    res = np.empty(2 * len(v))
-    res[0::2] = (v * s.normal).sum(axis=1)
-    res[1::2] = 6.0 * ((s.a3[:-1] - s.a3[1:]) * v).sum(axis=1)
-    return res
+    res = []
+    for (vx, vy), (c, sn), (ax0, ay0), (ax1, ay1) in zip(
+        s.vel[1:-1], s.normal, s.a3, s.a3[1:]
+    ):
+        res += (vx * c + vy * sn, 6.0 * ((ax0 - ax1) * vx + (ay0 - ay1) * vy))
+    return np.array(res)
 
 
 def residuals(
@@ -315,40 +327,90 @@ def _residual_jacobian(s: _Spline, fixed: _Fixed) -> np.ndarray:
 
     Columns follow the stacked parameters (theta_0, t_0, theta_1, ...).
     theta_k moves P_(k+1) by r (-sin, cos); t_k lengthens segment k and
-    shortens segment k+1. With V held fixed, each moves the segments'
-    start and end controls u = 2 a2 and 2 a2 + 6 a3 h, and so the rows
-    f_i = u_end(i-1) - u_start(i) of M V - R; differentiating M V = R
-    then gives every dV from one solve with 4n columns.
+    shortens segment k+1. With V held fixed, each moves the start and
+    end controls u = 2 a2 and 2 a2 + 6 a3 h of segments k and k+1 only,
+    and so only rows k-1..k+1 of f_i = u_end(i-1) - u_start(i), the rows
+    of M V - R. Differentiating M V = R gives every dV from one solve
+    with 4n right-hand sides, (parameter, axis) in order, built from
+    those three rows per parameter. Everything else is Python floats.
     """
-    n = len(fixed.node)
-    col = fixed.theta_col
-    inv, inv2 = s.inv[:, :, None], s.inv2[:, :, None]
-    # d[node or segment, parameter, axis]
-    d_normal = s.normal[:, ::-1] * _ROTATE
-    d_points = np.zeros((n + 2, 2 * n, 2))
-    d_points[fixed.node, col] = fixed.radii * d_normal
-    d_chord = d_points[1:] - d_points[:-1]
-    d_h = fixed.d_h
-    v0, v1, slope = s.vel[:-1, None], s.vel[1:, None], s.slope[:, None]
-    chord6 = 6.0 * d_chord
-    d_u_end = (d_h * (12.0 * slope - 2.0 * v0 - 4.0 * v1) - chord6) * inv2
-    d_u_start = (chord6 - d_h * (12.0 * slope - 4.0 * v0 - 2.0 * v1)) * inv2
-    d_vel = np.zeros((n + 2, 2 * n, 2))
-    d_vel[1:-1] = -np.linalg.solve(
-        s.m, (d_u_end[:-1] - d_u_start[1:]).reshape(n, -1)
-    ).reshape(n, 2 * n, 2)
-    d_a3 = (d_vel[:-1] + d_vel[1:] - 2.0 * d_chord * inv) * inv2 + (
-        d_h * (6.0 * slope - 2.0 * (v0 + v1)) * inv**3
-    )
-    v, dv = s.vel[1:-1], d_vel[1:-1]
-    jac = np.empty((2 * n, 2 * n))
-    jac[0::2] = np.einsum("kpa,ka->kp", dv, s.normal)
-    jac[col, col] += (v * d_normal).sum(axis=1)
-    jac[1::2] = 6.0 * (
-        np.einsum("kpa,ka->kp", d_a3[:-1] - d_a3[1:], v)
-        + np.einsum("kpa,ka->kp", dv, s.a3[:-1] - s.a3[1:])
-    )
-    return jac
+    n = len(s.normal)
+    inv, inv2 = s.inv, s.inv2
+    inv3 = (np.array(inv) ** 3).tolist()
+    # per segment and axis, with V fixed: d u_end / dh, -d u_start / dh
+    # and d a3 / dh
+    end_dh, start_dh, a3_dh = [], [], []
+    for (v0x, v0y), (v1x, v1y), (sx, sy), w2, w3 in zip(
+        s.vel, s.vel[1:], s.slope, inv2, inv3
+    ):
+        end_dh.append(((12.0 * sx - 2.0 * v0x - 4.0 * v1x) * w2,
+                       (12.0 * sy - 2.0 * v0y - 4.0 * v1y) * w2))
+        start_dh.append(((12.0 * sx - 4.0 * v0x - 2.0 * v1x) * w2,
+                         (12.0 * sy - 4.0 * v0y - 2.0 * v1y) * w2))
+        a3_dh.append(((6.0 * sx - 2.0 * (v0x + v1x)) * w3,
+                      (6.0 * sy - 2.0 * (v0y + v1y)) * w3))
+    # d P_(k+1) / d theta_k, and 6 times it over h_k^2 and over h_(k+1)^2
+    d_point = [(r * (sn * -1.0), r * c) for r, (c, sn) in zip(fixed.radii, s.normal)]
+    here = [(6.0 * dx * w2, 6.0 * dy * w2) for (dx, dy), w2 in zip(d_point, inv2)]
+    after = [(6.0 * dx * w2, 6.0 * dy * w2) for (dx, dy), w2 in zip(d_point, inv2[1:])]
+    # Row i of the right-hand side, negated so that the solve returns dV
+    # itself (an LU solve commutes with negation bit for bit):
+    # (theta_k x, y, t_k x, y) for k = i-1, i, i+1. In a row of
+    # 4 n + 8 it starts 4 i columns in, a stride of 4 n + 12 in the flat
+    # buffer; the 4 columns on either side, where k = -1 and k = n, are
+    # cut off.
+    pad = (0.0, 0.0)
+    band = [
+        [-px, -py, ex, ey, hx - bx, hy - by, ux - ex, uy - ey, nx, ny, -ux, -uy]
+        for (px, py), (hx, hy), (bx, by), (nx, ny), (ex, ey), (ux, uy)
+        in zip([pad, *after], here, after, [*here[1:], pad], end_dh, start_dh[1:])
+    ]
+    buffer = np.zeros(n * (4 * n + 12))
+    buffer.reshape(n, 4 * n + 12)[:, :12] = band
+    d_f = buffer[:n * (4 * n + 8)].reshape(n, 4 * n + 8)[:, 4:4 * n + 4]
+    # dV per node as x and y columns in parameter order; V_0 and V_(n+1)
+    # are fixed
+    zero = [0.0] * (2 * n)
+    d_vel = [(zero, zero)]
+    d_vel += [(row[0::2], row[1::2]) for row in np.linalg.solve(s.m, d_f).tolist()]
+    d_vel.append((zero, zero))
+    # d a3 per segment, from dV at both ends; theta_(j-1) and theta_j also
+    # move the chord of segment j, t_(j-1) shortens it and t_j lengthens it
+    d_a3 = []
+    for j, ((lo_x, lo_y), (hi_x, hi_y), w, w2) in enumerate(
+        zip(d_vel, d_vel[1:], inv, inv2)
+    ):
+        ax = [(a + b) * w2 for a, b in zip(lo_x, hi_x)]
+        ay = [(a + b) * w2 for a, b in zip(lo_y, hi_y)]
+        if j > 0:
+            c = 2 * j - 2
+            (dx, dy), (gx, gy) = d_point[j - 1], a3_dh[j]
+            ax[c] = (lo_x[c] + hi_x[c] + 2.0 * dx * w) * w2
+            ay[c] = (lo_y[c] + hi_y[c] + 2.0 * dy * w) * w2
+            ax[c + 1] -= gx
+            ay[c + 1] -= gy
+        if j < n:
+            c = 2 * j
+            (dx, dy), (gx, gy) = d_point[j], a3_dh[j]
+            ax[c] = (lo_x[c] + hi_x[c] - 2.0 * dx * w) * w2
+            ay[c] = (lo_y[c] + hi_y[c] - 2.0 * dy * w) * w2
+            ax[c + 1] += gx
+            ay[c + 1] += gy
+        d_a3.append((ax, ay))
+    jac = []
+    for i, ((vx, vy), (c, sn), (ax0, ay0), (ax1, ay1)) in enumerate(
+        zip(s.vel[1:-1], s.normal, s.a3, s.a3[1:])
+    ):
+        dax, day = ax0 - ax1, ay0 - ay1
+        (dvx, dvy), (lo_x, lo_y), (hi_x, hi_y) = d_vel[i + 1], d_a3[i], d_a3[i + 1]
+        tangency = [x * c + y * sn for x, y in zip(dvx, dvy)]
+        tangency[2 * i] += vx * (sn * -1.0) + vy * c
+        jac.append(tangency)
+        jac.append([
+            6.0 * (((lx - hx) * vx + (ly - hy) * vy) + (x * dax + y * day))
+            for lx, ly, hx, hy, x, y in zip(lo_x, lo_y, hi_x, hi_y, dvx, dvy)
+        ])
+    return np.array(jac)
 
 
 def _clamp_times(
@@ -381,18 +443,23 @@ def solve_junctions(
 
     Gauss-Newton steps on the stacked (tangency, jump) residuals with
     adaptive Levenberg damping. The iterate is the parameter vector
-    (theta_0, t_0, theta_1, ...); each evaluation solves the n x n
-    junction system for the junction velocities and reads the residuals
-    from them. The Jacobian is exact, by implicit differentiation of the
-    junction system, and is recomputed only after an accepted step, from
-    that step's spline, together with the normal equations J^T J and
-    -J^T r and the Marquardt scale. What the solve holds fixed (boundary
-    states, obstacles, index arrays, the time pattern of dh/dt) is built
-    once per call. One iteration costs one 2n x 2n damped solve and one
-    candidate spline, whose times are clamped and angles wrapped on
-    Python floats: a tridiagonal n x n solve with two right-hand sides
-    and its residuals. An accepted step adds one Jacobian, an n x n
-    solve with 4n right-hand sides, and the new normal equations.
+    (theta_0, t_0, theta_1, ...), a list of Python floats; each
+    evaluation solves the n x n junction system for the junction
+    velocities and reads the residuals from them. n is at most
+    MAX_JUNCTIONS, small enough that NumPy's cost per call would outweigh
+    the arithmetic, so the evaluation runs on floats and keeps NumPy for
+    the linear solves, the boundary-velocity product, np.cos/np.sin, the
+    residual norm and the cube of 1/h, whose bits its kernels fix. The
+    Jacobian is exact, by implicit differentiation of the junction
+    system, and is recomputed only after an accepted step, from that
+    step's spline, together with the normal equations J^T J and -J^T r
+    and the Marquardt scale; these stay arrays. What the solve holds
+    fixed (boundary states and obstacles) is built once per call. One
+    iteration costs one 2n x 2n damped solve and one candidate spline,
+    whose times are clamped and angles wrapped on floats: a tridiagonal
+    n x n solve with two right-hand sides and its residuals. An accepted
+    step adds one Jacobian, an n x n solve with 4n right-hand sides of
+    three nonzero rows each, and the new normal equations.
     A step rejected at MAX_DAMPING, or a damped system that is singular
     there, ends the loop with iterations = MAX_ITERATIONS: the Jacobian,
     the normal equations, the scale and the damping are all unchanged,
@@ -409,7 +476,7 @@ def solve_junctions(
     junctions = tuple(initial_junctions)
     t0, tf = agent.t0, agent.tf_nominal
     params, fixed = _setup(agent, junctions, scenario)
-    params[1::2] = _clamp_times(params[1::2].tolist(), t0, tf, TIME_MARGIN)
+    params[1::2] = _clamp_times(params[1::2], t0, tf, TIME_MARGIN)
     spline = _spline(params, fixed)
     res = _residuals(spline)
 
@@ -425,16 +492,15 @@ def solve_junctions(
             rhs = -jac.T @ res
             # Marquardt scaling keeps the damping visible whatever the
             # magnitude of the residual surface.
-            scale = np.diag(np.maximum(np.diag(gram), 1e-30))
+            scale = np.diag(np.maximum(gram.diagonal(), 1e-30))
         try:
             step = np.linalg.solve(gram + damping * scale, rhs)
         except np.linalg.LinAlgError:
             step = None
         if step is not None:
-            values = (params + step).tolist()
-            values[1::2] = _clamp_times(values[1::2], t0, tf, TIME_MARGIN)
-            values[0::2] = [_wrap_angle(v) for v in values[0::2]]
-            candidate = np.array(values)
+            candidate = [p + d for p, d in zip(params, step.tolist())]
+            candidate[1::2] = _clamp_times(candidate[1::2], t0, tf, TIME_MARGIN)
+            candidate[0::2] = [_wrap_angle(v) for v in candidate[0::2]]
             cand_spline = _spline(candidate, fixed)
             cand_res = _residuals(cand_spline)
             cand_norm = float(np.linalg.norm(cand_res))
@@ -452,10 +518,12 @@ def solve_junctions(
     traj = _trajectory(spline)
     junctions = tuple(
         Junction(obstacle_id=j.obstacle_id, theta=theta, time=t)
-        for j, theta, t in zip(junctions, params[0::2].tolist(), spline.knots[1:-1])
+        for j, theta, t in zip(junctions, params[0::2], spline.knots[1:-1])
     )
-    speeds = np.linalg.norm(spline.vel[1:-1], axis=1)
-    degenerate = tuple(np.flatnonzero(speeds < DEGENERATE_SPEED).tolist())
+    degenerate = tuple(
+        k for k, (vx, vy) in enumerate(spline.vel[1:-1])
+        if math.sqrt(vx * vx + vy * vy) < DEGENERATE_SPEED
+    )
     report = SolveReport(
         converged=norm <= RESIDUAL_TOL,
         residual_norm=norm,

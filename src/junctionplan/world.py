@@ -323,6 +323,20 @@ def gen_world(
     return Scenario(agents=agents, obstacles=tuple(obstacles))
 
 
+def reference_world(seed: int) -> tuple[AgentSpec, Scenario]:
+    """World `seed` of the reference family: 1 + seed % 6 random
+    obstacles in [-8, 8]^2 and one agent of radius 0.5 from (-10, -10)
+    to (10, 10), at rest at both ends, over [0, 10] s. Seeds 1-50 are
+    the reference batch; raises GenerationError where gen_world does."""
+    agent = AgentSpec(
+        id=0, radius=0.5,
+        start=KinematicState.at_rest(-10.0, -10.0),
+        goal=KinematicState.at_rest(10.0, 10.0),
+        t0=0.0, tf_nominal=10.0,
+    )
+    return agent, gen_world(seed, 1 + seed % 6, Bounds(-8, -8, 8, 8), (agent,))
+
+
 # --- JSON schema -----------------------------------------------------------
 #
 # {"agents":[{"id":int,"radius":num,"start":{"p":[x,y],"v":[x,y]},

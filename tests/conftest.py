@@ -1,23 +1,11 @@
 import pytest
 
-from junctionplan import AgentSpec, Bounds, KinematicState, Obstacle, Scenario, gen_world
+from junctionplan import AgentSpec, KinematicState, Obstacle, Scenario
+from junctionplan.world import reference_world  # noqa: F401 (shared by the tests)
 
 # Seeds of the 50 reference worlds; 46 plan and converge, worlds 2, 22,
 # 41 and 47 fail.
 REFERENCE_SEEDS = range(1, 51)
-
-
-def reference_world(seed: int) -> tuple[AgentSpec, Scenario]:
-    """World `seed` of the reference family: 1 + seed % 6 random
-    obstacles in [-8, 8]^2 and one agent of radius 0.5 from (-10, -10)
-    to (10, 10), at rest at both ends, over [0, 10] s."""
-    agent = AgentSpec(
-        id=0, radius=0.5,
-        start=KinematicState.at_rest(-10.0, -10.0),
-        goal=KinematicState.at_rest(10.0, 10.0),
-        t0=0.0, tf_nominal=10.0,
-    )
-    return agent, gen_world(seed, 1 + seed % 6, Bounds(-8, -8, 8, 8), (agent,))
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from junctionplan import (
 )
 from junctionplan import cli as cli_mod
 from junctionplan import game, solver
+from junctionplan.world import reference_world
 from junctionplan.cli import (
     CSV_HEADER,
     EXIT_INPUT,
@@ -494,6 +495,7 @@ class TestBench:
         assert run(["bench", symmetric_file, "--repeat", 10]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["repeat"] == 10
+        assert doc["failures"] == 0
         for phase in ("unconstrained_ms", "junction_ms", "negotiation_ms"):
             assert len(doc["phases"][phase]["samples"]) == 10
         # generous bounds to tolerate hardware variance
@@ -516,6 +518,27 @@ class TestBench:
                     "--step", 2.0, "--max-dev", 4.0]) == 0
         # the nominal (1, 10.0) and (2, 10.0) come from the junction phase
         assert sorted(calls) == [(1, 8.0), (1, 12.0), (2, 8.0), (2, 12.0)]
+
+    def test_failing_agent_is_timed_and_counted(self, tmp_path, monkeypatch, capsys):
+        # reference world 2 has one agent, whose junction solve does not
+        # converge; a second agent far away plans cleanly
+        agent, world = reference_world(2)
+        other = AgentSpec(id=1, radius=0.5, start=rest(20.0, 20.0),
+                          goal=rest(30.0, 20.0), t0=0.0, tf_nominal=10.0)
+        screened = []
+        monkeypatch.setattr(cli_mod, "detect_conflicts",
+                            lambda *a: screened.append(a))
+        for agents in ((agent,), (agent, other)):
+            path = write_scenario(tmp_path, Scenario(agents, world.obstacles))
+            assert run(["bench", path, "--repeat", 2]) == 3
+            captured = capsys.readouterr()
+            doc = json.loads(captured.out)
+            assert doc["failures"] == 1
+            for phase in ("unconstrained_ms", "junction_ms", "negotiation_ms"):
+                assert len(doc["phases"][phase]["samples"]) == 2
+            assert "planning failed for agent(s) 0" in captured.err
+        # as in plan, no conflict screen or negotiation follows a failure
+        assert screened == []
 
 
 class TestParser:

@@ -1,14 +1,17 @@
 """Bit parity of the junction solve with its earlier form.
 
-solver._spline and solver._residual_jacobian take what a solve holds
-fixed (boundary states, obstacles, index arrays, the dh/dt pattern)
-from one _setup per solve_junctions call, and the LM loop clamps times
-and wraps angles on Python floats. Every element still goes through the
-same arithmetic, so every report and every segment must keep its bits.
-The loop also stops at the first step rejected at the damping cap and
-reports MAX_ITERATIONS, which is what the earlier loop reached by
-repeating that rejection. The reference below keeps the spline, the
-Jacobian and the loop as they were before both changes.
+solver._spline, solver._residuals and solver._residual_jacobian work on
+Python floats, keep NumPy only for np.cos/np.sin, the boundary-velocity
+product, the linear solves, the residual norm and the cube of 1/h, take
+what a solve holds fixed from one _setup per solve_junctions call, and
+build the Jacobian's right-hand side from its three nonzero rows per
+parameter; the LM loop clamps times and wraps angles on floats. Every
+element still goes through the same arithmetic, so every report and
+every segment must keep its bits. The loop also stops at the first step
+rejected at the damping cap and reports MAX_ITERATIONS, which is what
+the earlier loop reached by repeating that rejection. The reference
+below keeps the array spline, the dense Jacobian and the loop as they
+were before these changes.
 """
 
 from collections.abc import Sequence
@@ -42,6 +45,7 @@ from junctionplan.solver import (
     TIME_MARGIN,
     _clamp_times,
     _residual_jacobian,
+    _residuals,
     _setup,
     _spline,
     _wrap_angle,
@@ -337,6 +341,15 @@ class TestSolveParity:
     def test_every_greedy_round_of_the_reference_worlds(self, seed):
         assert_rounds_match(*reference_world(seed))
 
+    # the longest converging solves on worlds 1-300 (up to 153 LM
+    # iterations), where a drift in the last bit would build up
+    @pytest.mark.parametrize("seed", (53, 80, 148))
+    def test_long_solves_beyond_the_reference_worlds(self, seed):
+        agent, scen = reference_world(seed)
+        rounds = assert_rounds_match(agent, scen)
+        reports = [solve_junctions(agent, junctions, scen)[1] for junctions in rounds]
+        assert max(r.iterations for r in reports if r.converged) > 50
+
     def test_symmetric_scenario(self, symmetric_scenario):
         agent = symmetric_scenario.agents[0]
         rounds = assert_rounds_match(agent, symmetric_scenario)
@@ -367,10 +380,10 @@ class TestEvaluationParity:
         params, fixed = _setup(agent, junctions, scen)
         got = _spline(params, fixed)
         want = reference_spline(agent, *reference_geometry(agent, junctions, scen))
-        assert got.knots == want.knots
-        assert got.inv.tobytes() == (1.0 / want.h)[:, None].tobytes()
-        for name in ("m", "normal", "points", "vel", "slope", "a2", "a3"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert np.array(got.vel).tobytes() == want.vel.tobytes()
+        assert segment_bits(solver._trajectory(got)) == segment_bits(
+            reference_trajectory(want))
+        assert _residuals(got).tobytes() == reference_residuals(want).tobytes()
         _, _, radii = reference_geometry(agent, junctions, scen)
         assert (_residual_jacobian(got, fixed).tobytes()
                 == reference_residual_jacobian(want, radii).tobytes())
@@ -414,7 +427,7 @@ class TestDampingCap:
             return s
 
         def counted(params, fixed):
-            got_params.append(params.tobytes())
+            got_params.append(np.array(params).tobytes())
             return spline(params, fixed)
 
         monkeypatch.setitem(globals(), "reference_spline", reference_counted)
