@@ -16,7 +16,11 @@ lines exactly when they give the same answers, so
 
     python scripts/random_batch_survey.py --seeds 1 300 --answers
 
-run in each can be compared with diff.
+run in each can be compared with diff. --oracle (with --answers) also
+solves each converged world with the discrete penalty oracle at its
+default settings and appends "oracle", the repr of the oracle's cost and
+the repr of the planner's relative energy gap to it, so the oracle's
+bits can be compared the same way.
 """
 
 import argparse
@@ -25,6 +29,8 @@ import time
 from junctionplan import (
     GenerationError,
     PlanningFailure,
+    compare,
+    discrete_min_energy_constrained,
     plan_agent,
     segment_energy,
     solve_boundary,
@@ -52,7 +58,12 @@ def main(argv=None):
                         help="inclusive seed range (default 1 50)")
     parser.add_argument("--answers", action="store_true",
                         help="print each world's answer instead of the summary")
+    parser.add_argument("--oracle", action="store_true",
+                        help="with --answers, add the oracle cost and the gap "
+                             "to each converged world")
     args = parser.parse_args(argv)
+    if args.oracle and not args.answers:
+        parser.error("--oracle needs --answers")
     first, last = args.seeds
 
     converged = failed = 0
@@ -69,7 +80,7 @@ def main(argv=None):
             continue
         started = time.perf_counter()
         try:
-            _, report = plan_agent(agent, scenario)
+            traj, report = plan_agent(agent, scenario)
         except PlanningFailure as exc:
             if args.answers:
                 print(answer_line(seed, exc.report, exc))
@@ -78,7 +89,11 @@ def main(argv=None):
             report = None
         else:
             if args.answers:
-                print(answer_line(seed, report, None))
+                line = answer_line(seed, report, None)
+                if args.oracle and report.converged:
+                    plan = discrete_min_energy_constrained(agent, scenario)
+                    line += f" oracle {plan.cost!r} {compare(traj, plan)!r}"
+                print(line)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         times_ms.append(elapsed_ms)
         if report is None or not report.converged:

@@ -119,7 +119,7 @@ class Junction:
     time: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.theta) and np.isfinite(self.time)):
+        if not (math.isfinite(self.theta) and math.isfinite(self.time)):
             raise ValueError("junction parameters must be finite")
         object.__setattr__(self, "theta", _wrap_angle(float(self.theta)))
 

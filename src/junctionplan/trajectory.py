@@ -15,6 +15,7 @@ and energy works in that form.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -28,7 +29,8 @@ MIN_HORIZON = 1e-9
 
 def _vec2(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=float).reshape(2)
-    if not np.all(np.isfinite(arr)):
+    x, y = arr.tolist()
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"{name} must be finite, got {arr}")
     arr.setflags(write=False)
     return arr
@@ -74,7 +76,7 @@ class CubicSegment:
     def __post_init__(self):
         for name in ("p", "v", "a2", "a3"):
             object.__setattr__(self, name, _vec2(getattr(self, name), name))
-        if not (np.isfinite(self.t_start) and np.isfinite(self.t_end)):
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
             raise ValueError("segment times must be finite")
         if not self.t_start < self.t_end:
             raise ValueError(

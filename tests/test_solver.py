@@ -134,6 +134,16 @@ def assert_matches_dense_block_solve(agent, junctions, scen):
     assert np.abs(coeffs - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
+class TestJunction:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["theta", "time"])
+    def test_nonfinite_parameter_rejected(self, field, bad):
+        params = dict(theta=0.5, time=2.0)
+        params[field] = bad
+        with pytest.raises(ValueError, match="^junction parameters must be finite$"):
+            Junction(obstacle_id=0, **params)
+
+
 class TestContactPoint:
     def test_axis_cases(self):
         obs = Obstacle(id=0, center=(0, 0), radius=1.0)

@@ -106,6 +106,32 @@ class TestSegmentInvariants:
         with pytest.raises(ValueError):
             KinematicState(p=(np.inf, 0.0), v=(0.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["p", "v", "a2", "a3"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_nonfinite_vector_field_rejected(self, field, axis, bad):
+        fields = dict(p=[0.0, 0.0], v=[1.0, 0.0], a2=[0.0, 0.5], a3=[0.0, 0.0])
+        fields[field][axis] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            CubicSegment(**fields, t_start=0.0, t_end=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["t_start", "t_end"])
+    def test_nonfinite_time_rejected(self, field, bad):
+        times = dict(t_start=0.0, t_end=1.0)
+        times[field] = bad
+        with pytest.raises(ValueError, match="^segment times must be finite$"):
+            CubicSegment(p=(0, 0), v=(1, 0), a2=(0, 0), a3=(0, 0), **times)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["p", "v"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_nonfinite_state_component_rejected(self, field, axis, bad):
+        fields = dict(p=[0.0, 0.0], v=[0.0, 0.0])
+        fields[field][axis] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            KinematicState(**fields)
+
 
 class TestSolveBoundary:
     def test_stationary(self):
