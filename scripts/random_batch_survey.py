@@ -16,11 +16,13 @@ lines exactly when they give the same answers, so
 
     python scripts/random_batch_survey.py --seeds 1 300 --answers
 
-run in each can be compared with diff. --oracle (with --answers) also
-solves each converged world with the discrete penalty oracle at its
-default settings and appends "oracle", the repr of the oracle's cost and
-the repr of the planner's relative energy gap to it, so the oracle's
-bits can be compared the same way.
+run in each can be compared with diff. --oracle also solves each
+converged world with the discrete penalty oracle at its default
+settings. With --answers it appends "oracle", the repr of the oracle's
+cost and the repr of the planner's relative energy gap to it, so the
+oracle's bits can be compared the same way; without it, the summary
+gains one line timing the oracle over those worlds (total, median and
+max seconds; the plan times leave it out).
 """
 
 import argparse
@@ -59,11 +61,10 @@ def main(argv=None):
     parser.add_argument("--answers", action="store_true",
                         help="print each world's answer instead of the summary")
     parser.add_argument("--oracle", action="store_true",
-                        help="with --answers, add the oracle cost and the gap "
-                             "to each converged world")
+                        help="solve each converged world with the oracle: "
+                             "with --answers add its cost and the gap, "
+                             "otherwise time it")
     args = parser.parse_args(argv)
-    if args.oracle and not args.answers:
-        parser.error("--oracle needs --answers")
     first, last = args.seeds
 
     converged = failed = 0
@@ -71,6 +72,7 @@ def main(argv=None):
     overheads = []
     times_ms = []
     failed_ms = 0.0
+    oracle_s = []
     for seed in range(first, last + 1):
         try:
             agent, scenario = reference_world(seed)
@@ -96,6 +98,10 @@ def main(argv=None):
                 print(line)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         times_ms.append(elapsed_ms)
+        if args.oracle and not args.answers and report is not None and report.converged:
+            started = time.perf_counter()
+            discrete_min_energy_constrained(agent, scenario)
+            oracle_s.append(time.perf_counter() - started)
         if report is None or not report.converged:
             failed += 1
             failed_ms += elapsed_ms
@@ -124,6 +130,12 @@ def main(argv=None):
               f"(failed seeds {failed_ms / 1000.0:.2f} s), "
               f"median {times_ms[len(times_ms) // 2]:.0f} ms, "
               f"max {times_ms[-1]:.0f} ms")
+    if oracle_s:
+        oracle_s.sort()
+        print(f"  oracle wall clock ({len(oracle_s)} converged worlds): "
+              f"total {sum(oracle_s):.3f} s, "
+              f"median {oracle_s[len(oracle_s) // 2]:.3f} s, "
+              f"max {oracle_s[-1]:.3f} s")
 
 
 if __name__ == "__main__":

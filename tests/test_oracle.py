@@ -7,6 +7,7 @@ from junctionplan import (
     AgentSpec,
     ComparisonError,
     DegenerateHorizonError,
+    DiscretePlan,
     KinematicState,
     Obstacle,
     OracleConfig,
@@ -97,6 +98,35 @@ class TestDiscreteMinEnergy:
         states = plan.states
         assert len(states) == 11
         assert np.array_equal(states[0].p, plan.positions[0])
+
+
+class TestDiscretePlan:
+    def arrays(self, n=5):
+        rng = np.random.default_rng(3)
+        return (rng.standard_normal((n, 2)), rng.standard_normal((n + 1, 2)),
+                rng.standard_normal((n + 1, 2)))
+
+    def test_caller_arrays_stay_writeable(self):
+        controls, positions, velocities = self.arrays()
+        plan = DiscretePlan(t_start=0.0, t_end=1.0, dt=0.2, controls=controls,
+                            positions=positions, velocities=velocities, cost=1.0)
+        for given, held in ((controls, plan.controls), (positions, plan.positions),
+                            (velocities, plan.velocities)):
+            assert given.flags.writeable
+            assert not held.flags.writeable
+            assert not np.shares_memory(given, held)
+            assert np.array_equal(given, held)
+        controls[0, 0] += 1.0
+        assert plan.controls[0, 0] != controls[0, 0]
+
+    def test_transposed_views_become_c_order_copies(self):
+        rows = [np.ascontiguousarray(a.T) for a in self.arrays()]
+        plan = DiscretePlan(t_start=0.0, t_end=1.0, dt=0.2, controls=rows[0].T,
+                            positions=rows[1].T, velocities=rows[2].T, cost=1.0)
+        for held, given in zip((plan.controls, plan.positions, plan.velocities), rows):
+            assert held.flags.c_contiguous and not held.flags.writeable
+            assert held.dtype == np.float64
+            assert held.tobytes() == np.ascontiguousarray(given.T).tobytes()
 
 
 class TestDiscreteMinEnergyConstrained:

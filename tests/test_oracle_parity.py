@@ -1,16 +1,20 @@
 """Bit parity of the penalty oracle with its earlier, state-major form.
 
-oracle._simulate, _penalty_terms, _objective, _gradient and
-_project_out_terminal work on axis-major (2, N) rows: every elementwise
-operation and every cumsum is the one the (N, 2) kernels made, the sum
-of the penalty forces over obstacles runs from +0.0 in obstacle order as
-np.sum over the obstacle axis did, and the full reductions (control
-cost, squared gradient norm, squared penalty) run over (N, 2) and
-(N+1, K) C-order copies, so they add in the same order. The objective
-also hands its penalty terms to the gradient at the same controls instead
-of letting the gradient recompute them. Every iterate must therefore
-keep its bits. The reference below keeps the (N, 2) kernels, the
-steering of the initial plan and the descent loop as they were.
+oracle._simulate, _penalty_terms and _gradient work on axis-major
+(2, N) rows, while the descent holds its controls and projected gradient
+as C-order (N, 2) arrays: every elementwise operation and every cumsum
+is the one the (N, 2) kernels made, the sum of the penalty forces over
+obstacles runs from +0.0 in obstacle order as np.sum over the obstacle
+axis did, and the full reductions (control cost, squared gradient norm,
+squared penalty) run over (N, 2) and (N+1, K) C-order arrays, so they
+add in the same order. The objective also hands its penalty terms to
+the gradient at the same controls instead of letting the gradient
+recompute them; the gradient's suffix sums run only over the span of
+states where some obstacle pushes; and a line-search trial whose
+control cost alone is above the Armijo bound is rejected without being
+simulated. Every iterate must therefore keep its bits. The reference
+below keeps the (N, 2) kernels, the steering of the initial plan and the
+descent loop as they were.
 """
 
 import math
@@ -257,6 +261,15 @@ def line_world(seed):
     return agent, scenario
 
 
+def aside():
+    """An obstacle beside the straight transfer: no iterate enters it, so
+    every gradient has an empty span."""
+    agent = agent_at(KinematicState.at_rest(-8, 0), KinematicState.at_rest(8, 0),
+                     radius=0.5)
+    obstacle = Obstacle(id=0, center=(0.0, 3.0), radius=1.0)
+    return agent, Scenario(agents=(agent,), obstacles=(obstacle,))
+
+
 CASES = {
     # reference world s has 1 + s % 6 obstacles: K = 1, 2, 3, 4, 5, 6
     **{f"world{s}": (lambda s=s: reference_world(s)) for s in (6, 12, 1, 2, 3, 4, 5)},
@@ -264,6 +277,7 @@ CASES = {
     "line3": lambda: line_world(3),
     "ring": enclosed_ring,
     "moving": moving_pair,
+    "aside": aside,
 }
 
 
@@ -318,6 +332,152 @@ def test_steering_keeps_its_bits(name, steps):
     got = oracle._steer_initial_plan(np.ascontiguousarray(controls.T), *rest)
     assert got.shape == (2, steps)
     assert np.ascontiguousarray(got.T).tobytes() == want.tobytes()
+
+
+def full_sum_gradient(controls, terms, dt, weight):
+    """oracle._gradient's formula with the suffix sums over every state,
+    from the same (g, g+, dx, dy) terms; returns (N, 2)."""
+    n = controls.shape[0]
+    fx = fy = 0.0
+    for _, gplus, dx, dy in terms:
+        fx = fx + gplus * dx
+        fy = fy + gplus * dy
+    forces = -4.0 * weight * np.stack((fx, fy))
+    k = np.arange(n + 1.0)
+    suffix_f = np.cumsum(forces[:, ::-1], axis=1)[:, ::-1]
+    suffix_kf = np.cumsum((k * forces)[:, ::-1], axis=1)[:, ::-1]
+    j = np.arange(n) + 0.5
+    grad = 2.0 * dt * controls.T + dt**2 * (suffix_kf[:, 1:] - j * suffix_f[:, 1:])
+    return np.ascontiguousarray(grad.T)
+
+
+def straight_states(n):
+    """n + 1 states evenly along y = 0 from x = -8 to x = 8."""
+    return np.column_stack((np.linspace(-8.0, 8.0, n + 1), np.zeros(n + 1)))
+
+
+def crafted_states(name, n=120):
+    """(positions, centers, radii) of one span-edge case."""
+    positions = straight_states(n)
+    one = np.array([1.0])
+    if name == "clear":
+        return positions, np.array([[0.0, 3.0]]), one
+    if name == "start_inside":
+        return positions, np.array([[-8.0, 0.2]]), one
+    if name == "end_inside":
+        return positions, np.array([[8.0, -0.2]]), one
+    if name == "all_inside":
+        return positions, np.array([[0.0, 0.5]]), np.array([20.0])
+    if name == "zero_at_end":
+        # states 0-39 inside a disc of radius 5, state 40 at offset (3, 4)
+        # on its circle, so g = +0.0 there, and the rest far outside
+        positions[:40] = (1.0, 2.0)
+        positions[40] = (3.0, 4.0)
+        positions[41:, 1] = 10.0
+        return positions, np.array([[0.0, 0.0]]), np.array([5.0])
+    if name == "nan":
+        positions[70, 1] = math.nan
+        return positions, np.array([[-3.0, 0.4]]), one
+    if name == "infinite_offset":
+        positions[90, 0] = math.inf
+        return positions, np.array([[-3.0, 0.4]]), one
+    if name == "two_windows":
+        return positions, np.array([[-4.0, 0.3], [5.0, -0.4]]), np.array([1.0, 1.5])
+    raise KeyError(name)
+
+
+SPAN_CASES = ["clear", "start_inside", "end_inside", "all_inside", "zero_at_end",
+              "nan", "infinite_offset", "two_windows"]
+
+
+def span_inputs(name, n=120, dt=0.08, weight=1e4):
+    positions, centers, radii = crafted_states(name, n)
+    controls = np.random.default_rng(11).standard_normal((n, 2))
+    terms = oracle._penalty_terms(np.ascontiguousarray(positions.T), centers, radii)
+    return controls, positions, centers, radii, terms, dt, weight
+
+
+@pytest.mark.parametrize("name", SPAN_CASES)
+def test_span_limited_gradient_keeps_its_bits(name):
+    with np.errstate(invalid="ignore"):
+        controls, positions, centers, radii, terms, dt, weight = span_inputs(name)
+        got = oracle._gradient(controls, terms, dt, weight)
+        want = reference_gradient(controls, positions, dt, centers, radii, weight)
+        full = full_sum_gradient(controls, terms, dt, weight)
+    assert got.shape == (2, controls.shape[0]) and got.flags.c_contiguous
+    got = np.ascontiguousarray(got.T)
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == full.tobytes()
+
+
+def test_span_edges_are_where_the_cases_put_them():
+    """Guards the crafted cases: each has the span it is named for."""
+    def span(name):
+        _, _, _, _, terms, _, _ = span_inputs(name)
+        inside = np.zeros(121, dtype=bool)
+        for g, _, _, _ in terms:
+            inside |= ~(g < 0)
+        live = np.flatnonzero(inside)
+        return (int(live[0]), int(live[-1])) if live.size else None
+
+    assert span("clear") is None
+    assert span("start_inside")[0] == 0
+    assert span("end_inside")[1] == 120
+    assert span("all_inside") == (0, 120)
+    _, _, _, _, terms, _, _ = span_inputs("zero_at_end")
+    assert repr(float(terms[0][0][40])) == "0.0" and span("zero_at_end") == (0, 40)
+    _, _, _, _, terms, _, _ = span_inputs("nan")
+    assert math.isnan(terms[0][0][70])
+    _, _, _, _, terms, _, _ = span_inputs("infinite_offset")
+    assert terms[0][0][90] == -math.inf and terms[0][1][90] == 0.0
+    _, _, _, _, terms, _, _ = span_inputs("two_windows")
+    windows = [np.flatnonzero(g > 0) for g, _, _, _ in terms]
+    assert all(w.size for w in windows) and windows[0][-1] + 1 < windows[1][0]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_span_ending_on_a_signed_zero_keeps_its_bits(sign):
+    """g = -0.0 cannot come out of r^2 - |p - c|^2, so the terms are
+    edited: the state on the circle gets g = sign * 0.0, and g+ is formed
+    from it as the objective forms it."""
+    controls, _, _, _, terms, dt, weight = span_inputs("zero_at_end")
+    g, _, dx, dy = terms[0]
+    g = g.copy()
+    g[40] = sign * 0.0
+    terms = [(g, np.maximum(g, 0.0), dx, dy)]
+    got = np.ascontiguousarray(oracle._gradient(controls, terms, dt, weight).T)
+    assert got.tobytes() == full_sum_gradient(controls, terms, dt, weight).tobytes()
+
+
+@pytest.mark.parametrize("name", ["end_inside", "two_windows"])
+@pytest.mark.parametrize("weight", [math.inf, math.nan])
+def test_gradient_keeps_its_bits_for_a_non_finite_weight(weight, name):
+    """The force outside the span is -4w * (+0.0): NaN, not -0.0, when w
+    is infinite or NaN."""
+    controls, _, _, _, terms, dt, _ = span_inputs(name)
+    with np.errstate(invalid="ignore"):
+        got = np.ascontiguousarray(oracle._gradient(controls, terms, dt, weight).T)
+        want = full_sum_gradient(controls, terms, dt, weight)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["line2", "aside"])
+def test_screen_rejects_only_what_the_objective_rejects(name):
+    """A trial is screened out only when its control cost alone is above
+    the ceiling; at a ceiling equal to that cost it is simulated, and
+    accepted when no state is inside a disc ("aside")."""
+    agent, scenario = CASES[name]()
+    controls, p0, v0, dt, centers, radii, _ = steering_inputs(agent, scenario, SMALL)
+    args = (controls, p0, v0, dt, centers, radii, 1e4)
+    value, _ = reference_objective(*args)
+    cost = reference_control_cost(controls, dt)
+    full, terms = oracle._objective(*args)
+    assert repr(full) == repr(value) and terms is not None
+    at_cost, terms = oracle._objective(*args, cost)
+    assert repr(at_cost) == repr(value) and terms is not None
+    assert (at_cost <= cost) is (name == "aside")
+    below, terms = oracle._objective(*args, np.nextafter(cost, -math.inf))
+    assert repr(below) == repr(cost) and terms is None
 
 
 @pytest.mark.parametrize("steps", [2, 7, 500])

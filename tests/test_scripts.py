@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,21 @@ def test_random_batch_survey_oracle_answers():
     cost, gap = (float(word) for word in tail.split())
     assert cost > 0 and abs(gap) <= 0.02
     assert lines[1] == plain[1] and plain[1].startswith("world 2: failed ")
+
+
+def test_random_batch_survey_times_the_oracle():
+    summary = run_script("random_batch_survey.py", "--seeds", "1", "2").splitlines()
+    timed = run_script(
+        "random_batch_survey.py", "--seeds", "1", "2", "--oracle"
+    ).splitlines()
+    # the same summary, whose plan times vary, and one more line
+    assert len(timed) == len(summary) + 1
+    same = [i for i, line in enumerate(summary) if "wall clock" not in line]
+    assert [timed[i] for i in same] == [summary[i] for i in same]
+    # world 1 converges, world 2 fails
+    assert timed[-1].startswith("  oracle wall clock (1 converged worlds): total ")
+    total, median, peak = re.findall(r"([0-9.]+) s", timed[-1])
+    assert total == median == peak
 
 
 def test_symmetric_obstacle_demo_runs():
