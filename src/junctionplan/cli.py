@@ -4,6 +4,11 @@ Subcommands: gen-world, plan, check, oracle, bench. Exit codes: 0 on
 success, 1 for a safety violation found by check, 2 for input or
 generation errors, 3 for planning or negotiation failures, 4 when the
 oracle finishes with a penetration warning.
+
+plan and bench run the same steps: _plan_agents solves each agent at
+its nominal horizon, and when every agent converged _nominal_conflicts
+checks those plans pairwise; negotiation follows only a conflict. bench
+times these calls, and plan also writes the artifacts.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .errors import (
 )
 from .game import (
     _conflicts_between,
-    detect_conflicts,
     encode_message,
     message_to_json,
     negotiate_arrival_times,
@@ -160,7 +164,7 @@ def _plan_entry(agent: AgentSpec, report, converged: bool,
         "iterations": report.iterations if report else None,
         "energy": report.energy if report else None,
         "junction_count": len(report.junction_sequence) if report else None,
-        "junctions": report.to_json()["junctions"] if report else [],
+        "junctions": [j.to_json() for j in report.junction_sequence] if report else [],
         "degenerate_junctions": list(report.degenerate_junctions) if report else [],
         "tf": agent.tf_nominal,
         "wall_clock_ms": elapsed_ms,
@@ -170,17 +174,16 @@ def _plan_entry(agent: AgentSpec, report, converged: bool,
     return entry
 
 
-def cmd_plan(args) -> int:
-    if args.samples < 2:
-        raise SchemaError("--samples must be at least 2")
-    scenario = load_scenario(args.scenario)
-    negotiation_config = _negotiation_config(args)
-    agents = sorted(scenario.agents, key=lambda a: a.id)
+def _plan_agents(agents: list[AgentSpec], scenario):
+    """Plan each agent at its nominal horizon, in the order given.
 
+    Returns each agent's report entry, every trajectory a solve left
+    (a failed agent's best infeasible iterate included) and the
+    converged plans, all keyed by agent id.
+    """
     results: dict[int, dict] = {}
     trajectories: dict[int, object] = {}
     nominal: dict[int, NegotiatedPlan] = {}
-    all_converged = True
     for agent in agents:
         started = time.perf_counter()
         try:
@@ -194,41 +197,58 @@ def cmd_plan(args) -> int:
             converged = report.converged
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         results[agent.id] = _plan_entry(agent, report, converged, elapsed_ms)
-        all_converged = all_converged and converged
         if traj is not None:
             trajectories[agent.id] = traj
         if converged:
             nominal[agent.id] = NegotiatedPlan(agent, traj, report, elapsed_ms)
+    return results, trajectories, nominal
 
+
+def _nominal_conflicts(agents: list[AgentSpec],
+                       nominal: dict[int, NegotiatedPlan]) -> list:
+    """Conflicts among the nominal plans. A failed agent leaves nothing
+    to negotiate, so unless every agent converged none are checked."""
+    if len(agents) < 2 or len(nominal) < len(agents):
+        return []
+    return _conflicts_between(
+        [(a.id, a.radius, nominal[a.id].trajectory) for a in agents]
+    )
+
+
+def cmd_plan(args) -> int:
+    if args.samples < 2:
+        raise SchemaError("--samples must be at least 2")
+    scenario = load_scenario(args.scenario)
+    negotiation_config = _negotiation_config(args)
+    agents = sorted(scenario.agents, key=lambda a: a.id)
+
+    results, trajectories, nominal = _plan_agents(agents, scenario)
+    all_converged = len(nominal) == len(agents)
     negotiation = None
-    conflicts = []
     negotiation_failed = False
-    if all_converged and len(agents) > 1:
-        conflicts = _conflicts_between(
-            [(a.id, a.radius, trajectories[a.id]) for a in agents]
-        )
-        if conflicts:
-            try:
-                negotiated = negotiate_arrival_times(
-                    scenario, negotiation_config, nominal
+    conflicts = _nominal_conflicts(agents, nominal)
+    if conflicts:
+        try:
+            negotiated = negotiate_arrival_times(
+                scenario, negotiation_config, nominal
+            )
+        except (NegotiationError, PlannerError) as exc:
+            print(f"negotiation failed: {exc}", file=sys.stderr)
+            negotiation_failed = True
+        else:
+            negotiation = negotiation_to_json(
+                negotiated.arrival_times,
+                {a.id: a.tf_nominal for a in agents},
+            )
+            for agent_id, plan in negotiated.plans.items():
+                results[agent_id] = _plan_entry(
+                    plan.spec, plan.report, plan.report.converged,
+                    plan.wall_clock_ms,
                 )
-            except (NegotiationError, PlannerError) as exc:
-                print(f"negotiation failed: {exc}", file=sys.stderr)
-                negotiation_failed = True
-            else:
-                negotiation = negotiation_to_json(
-                    negotiated.arrival_times,
-                    {a.id: a.tf_nominal for a in agents},
-                )
-                for agent_id, plan in negotiated.plans.items():
-                    results[agent_id] = _plan_entry(
-                        plan.spec, plan.report, plan.report.converged,
-                        plan.wall_clock_ms,
-                    )
-                    trajectories[agent_id] = plan.trajectory
-                # every pair the search accepted has the sampled verdict
-                # safe, so the negotiated plans have no conflict to report
-                conflicts = []
+                trajectories[agent_id] = plan.trajectory
+            # every pair the search accepted has the sampled verdict
+            # safe, so the negotiated plans have no conflict to report
+            conflicts = []
 
     args.out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -415,30 +435,15 @@ def cmd_bench(args) -> int:
         phases["unconstrained_ms"].append((time.perf_counter() - started) * 1e3)
 
         started = time.perf_counter()
-        plans = {}
-        # the planner is deterministic, so every repeat fails the same agents
-        failed = []
-        for agent in agents:
-            plan_started = time.perf_counter()
-            try:
-                traj, report = plan_agent(agent, scenario)
-            except PlanningFailure:
-                failed.append(agent.id)
-                continue
-            if not report.converged:
-                failed.append(agent.id)
-            plans[agent.id] = NegotiatedPlan(
-                agent, traj, report, (time.perf_counter() - plan_started) * 1e3
-            )
+        _, _, nominal = _plan_agents(agents, scenario)
         phases["junction_ms"].append((time.perf_counter() - started) * 1e3)
 
         started = time.perf_counter()
-        # as in plan, a failed agent leaves nothing to negotiate
-        if len(agents) > 1 and not failed:
-            msgs = [encode_message(a, plans[a.id].report) for a in agents]
-            if detect_conflicts(msgs, scenario):
-                negotiate_arrival_times(scenario, negotiation_config, plans)
+        if _nominal_conflicts(agents, nominal):
+            negotiate_arrival_times(scenario, negotiation_config, nominal)
         phases["negotiation_ms"].append((time.perf_counter() - started) * 1e3)
+    # the planner is deterministic, so every repeat fails the same agents
+    failed = [a.id for a in agents if a.id not in nominal]
     doc = {
         "repeat": args.repeat,
         "failures": len(failed),

@@ -168,8 +168,10 @@ class NegotiationConfig:
     max_deviation: float = 5.0
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("step must be positive")
+        if not (self.step > 0 and math.isfinite(self.step)):
+            raise ValueError("step must be positive and finite")
+        if not math.isfinite(self.max_deviation):
+            raise ValueError("max_deviation must be finite")
         ratio = self.max_deviation / self.step
         if self.max_deviation < 0 or abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("max_deviation must be a nonneg multiple of step")
@@ -545,10 +547,7 @@ def message_to_json(msg: Message) -> dict:
         "tf": msg.tf,
         "start": state_to_json(msg.start),
         "goal": state_to_json(msg.goal),
-        "junctions": [
-            {"obstacle": j.obstacle_id, "theta": j.theta, "time": j.time}
-            for j in msg.junctions
-        ],
+        "junctions": [j.to_json() for j in msg.junctions],
     }
 
 

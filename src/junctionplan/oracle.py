@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -58,29 +59,28 @@ from .world import AgentSpec, Scenario, inflated_radius
 # the constrained oracle flags itself as unreliable.
 PENETRATION_WARNING = 1e-4
 
-DEFAULT_PENALTY_WEIGHTS = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
-
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Discretization and penalty-descent settings."""
+    """Discretization and penalty-descent settings.
+
+    penalty_weights (positive, increasing) and gradient_tol are
+    constants of the descent, readable here but not settable.
+    """
+
+    penalty_weights: ClassVar[tuple[float, ...]] = (
+        1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8,
+    )
+    gradient_tol: ClassVar[float] = 1e-8
 
     steps: int = 2000
-    penalty_weights: tuple[float, ...] = DEFAULT_PENALTY_WEIGHTS
     descent_iterations: int = 500
-    gradient_tol: float = 1e-8
 
     def __post_init__(self):
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
-        weights = tuple(float(w) for w in self.penalty_weights)
-        if any(w <= 0 for w in weights) or any(
-            b <= a for a, b in zip(weights, weights[1:])
-        ):
-            raise ValueError("penalty weights must be positive and increasing")
-        object.__setattr__(self, "penalty_weights", weights)
-        if self.descent_iterations <= 0 or self.gradient_tol <= 0:
-            raise ValueError("descent budget and tolerance must be positive")
+        if self.descent_iterations <= 0:
+            raise ValueError("descent budget must be positive")
 
 
 @dataclass(frozen=True, eq=False)

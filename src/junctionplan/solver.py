@@ -123,6 +123,9 @@ class Junction:
             raise ValueError("junction parameters must be finite")
         object.__setattr__(self, "theta", _wrap_angle(float(self.theta)))
 
+    def to_json(self) -> dict:
+        return {"obstacle": self.obstacle_id, "theta": self.theta, "time": self.time}
+
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
@@ -147,10 +150,7 @@ class SolveReport:
             "iterations": self.iterations,
             "energy": self.energy,
             "degenerate_junctions": list(self.degenerate_junctions),
-            "junctions": [
-                {"obstacle": j.obstacle_id, "theta": j.theta, "time": j.time}
-                for j in self.junction_sequence
-            ],
+            "junctions": [j.to_json() for j in self.junction_sequence],
         }
 
 

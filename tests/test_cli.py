@@ -161,26 +161,37 @@ class TestPlan:
             assert entry["wall_clock_ms"] > 0
             assert {**entry, "wall_clock_ms": 0.0} == expected
 
-    def test_negotiation_reuses_the_nominal_plans(self, crossing_file,
-                                                  tmp_path, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("command", ["plan", "bench"])
+    def test_negotiation_reuses_the_nominal_plans(self, crossing_file, tmp_path,
+                                                  monkeypatch, command):
+        nominal, negotiated = [], []
 
-        def counting(*args, **kwargs):
-            calls.append((args[0].id, args[0].tf_nominal))
-            return plan_agent(*args, **kwargs)
+        def counting(calls):
+            def plan(*args, **kwargs):
+                calls.append((args[0].id, args[0].tf_nominal))
+                return plan_agent(*args, **kwargs)
+            return plan
 
-        monkeypatch.setattr(game, "plan_agent", counting)
+        monkeypatch.setattr(cli_mod, "plan_agent", counting(nominal))
+        monkeypatch.setattr(game, "plan_agent", counting(negotiated))
         out = tmp_path / "run"
-        assert run(["plan", crossing_file, "--out", out,
-                    "--step", 2.0, "--max-dev", 4.0]) == 0
-        # the nominal (1, 10.0) and (2, 10.0) come from plan's own solves
-        assert sorted(calls) == [(1, 8.0), (1, 12.0), (2, 8.0), (2, 12.0)]
-        report = json.loads((out / "report.json").read_text())
-        assert report["negotiation"]["arrival_times"] == {"1": 8.0, "2": 12.0}
+        extra = ["--out", out] if command == "plan" else ["--repeat", 1]
+        assert run([command, crossing_file, "--step", 2.0, "--max-dev", 4.0,
+                    *extra]) == 0
+        # the nominal (1, 10.0) and (2, 10.0) come from the shared
+        # planning step, and negotiation solves only the shifted horizons
+        assert nominal == [(1, 10.0), (2, 10.0)]
+        assert sorted(negotiated) == [(1, 8.0), (1, 12.0), (2, 8.0), (2, 12.0)]
+        if command == "plan":
+            report = json.loads((out / "report.json").read_text())
+            assert report["negotiation"]["arrival_times"] == {"1": 8.0,
+                                                              "2": 12.0}
 
     @pytest.mark.parametrize("command", ["plan", "bench"])
     @pytest.mark.parametrize("grid", [["--step", 0],
-                                      ["--step", 0.5, "--max-dev", 1.2]])
+                                      ["--step", 0.5, "--max-dev", 1.2],
+                                      ["--max-dev", "inf"],
+                                      ["--step", "inf"]])
     def test_invalid_grid_rejected_without_conflicts(self, tmp_path,
                                                      command, grid):
         # separated corridors never need negotiation; the grid is still checked
@@ -205,7 +216,8 @@ class TestPlan:
         report = json.loads((out / "report.json").read_text())
         assert report["negotiation"]["arrival_times"] == {"1": 8.0, "2": 12.0}
 
-    def test_swap_without_assignment_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["plan", "bench"])
+    def test_swap_without_assignment_exits_3(self, tmp_path, capsys, command):
         # head-on on one line: every shift collides, including tf = t0
         agents = (
             AgentSpec(id=0, radius=0.75, start=rest(-5, 0), goal=rest(5, 0),
@@ -214,8 +226,8 @@ class TestPlan:
                       t0=0.0, tf_nominal=10.0),
         )
         path = write_scenario(tmp_path, Scenario(agents=agents, obstacles=()))
-        assert run(["plan", path, "--out", tmp_path / "run",
-                    "--step", 2.0, "--max-dev", 10.0]) == 3
+        extra = ["--out", tmp_path / "run"] if command == "plan" else ["--repeat", 1]
+        assert run([command, path, "--step", 2.0, "--max-dev", 10.0, *extra]) == 3
         assert "no conflict-free assignment" in capsys.readouterr().err
 
     def test_horizon_shorter_than_a_segment(self, tmp_path):
@@ -505,20 +517,6 @@ class TestBench:
     def test_bad_repeat(self, symmetric_file):
         assert run(["bench", symmetric_file, "--repeat", 0]) == 2
 
-    def test_negotiation_reuses_the_nominal_plans(self, crossing_file,
-                                                  monkeypatch, capsys):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append((args[0].id, args[0].tf_nominal))
-            return plan_agent(*args, **kwargs)
-
-        monkeypatch.setattr(game, "plan_agent", counting)
-        assert run(["bench", crossing_file, "--repeat", 1,
-                    "--step", 2.0, "--max-dev", 4.0]) == 0
-        # the nominal (1, 10.0) and (2, 10.0) come from the junction phase
-        assert sorted(calls) == [(1, 8.0), (1, 12.0), (2, 8.0), (2, 12.0)]
-
     def test_failing_agent_is_timed_and_counted(self, tmp_path, monkeypatch, capsys):
         # reference world 2 has one agent, whose junction solve does not
         # converge; a second agent far away plans cleanly
@@ -526,7 +524,7 @@ class TestBench:
         other = AgentSpec(id=1, radius=0.5, start=rest(20.0, 20.0),
                           goal=rest(30.0, 20.0), t0=0.0, tf_nominal=10.0)
         screened = []
-        monkeypatch.setattr(cli_mod, "detect_conflicts",
+        monkeypatch.setattr(cli_mod, "_conflicts_between",
                             lambda *a: screened.append(a))
         for agents in ((agent,), (agent, other)):
             path = write_scenario(tmp_path, Scenario(agents, world.obstacles))

@@ -227,10 +227,6 @@ class TestCompare:
 
 
 class TestOracleConfig:
-    def test_weights_must_increase(self):
-        with pytest.raises(ValueError):
-            OracleConfig(penalty_weights=(1e4, 1e3))
-
     def test_steps_minimum(self):
         with pytest.raises(ValueError):
             OracleConfig(steps=1)
