@@ -428,6 +428,7 @@ def cmd_bench(args) -> int:
     negotiation_config = _negotiation_config(args)
     agents = sorted(scenario.agents, key=lambda a: a.id)
     phases = {"unconstrained_ms": [], "junction_ms": [], "negotiation_ms": []}
+    negotiation_error = None
     for _ in range(args.repeat):
         started = time.perf_counter()
         for agent in agents:
@@ -439,10 +440,13 @@ def cmd_bench(args) -> int:
         phases["junction_ms"].append((time.perf_counter() - started) * 1e3)
 
         started = time.perf_counter()
-        if _nominal_conflicts(agents, nominal):
-            negotiate_arrival_times(scenario, negotiation_config, nominal)
+        try:
+            if _nominal_conflicts(agents, nominal):
+                negotiate_arrival_times(scenario, negotiation_config, nominal)
+        except (NegotiationError, PlannerError) as exc:
+            negotiation_error = exc
         phases["negotiation_ms"].append((time.perf_counter() - started) * 1e3)
-    # the planner is deterministic, so every repeat fails the same agents
+    # planning and negotiation are deterministic: every repeat fails alike
     failed = [a.id for a in agents if a.id not in nominal]
     doc = {
         "repeat": args.repeat,
@@ -461,6 +465,9 @@ def cmd_bench(args) -> int:
     if failed:
         print(f"planning failed for agent(s) {', '.join(map(str, failed))}",
               file=sys.stderr)
+    if negotiation_error is not None:
+        print(f"negotiation failed: {negotiation_error}", file=sys.stderr)
+    if failed or negotiation_error is not None:
         return EXIT_PLANNING
     return EXIT_OK
 

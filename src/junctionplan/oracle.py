@@ -5,42 +5,47 @@ discretizes the control trajectory into N zero-order-hold steps (the
 hold dynamics of a double integrator are exact, so no integration error
 enters), solves the unconstrained minimum-energy problem through the
 normal equations of the control-to-terminal-state map, and handles
-obstacle constraints with an increasing quadratic penalty minimized by
-projected gradient descent. Nothing here shares code with the junction
-solver beyond the scenario types.
+obstacle constraints with an increasing quadratic penalty. Nothing here
+shares code with the junction solver beyond the scenario types.
 
-The descent holds the controls and the projected gradient as C-order
-(N, 2) arrays, so the full reductions (control cost, squared gradient
-norm) add in the order they always have, and the squared penalty runs
-over a C-order (N+1, K) stack. Simulation, penalty terms and gradient
-work on axis-major rows: positions and velocities are (2, N+1), one
-contiguous row per axis, and each obstacle's constraint is formed from
-its two offset rows as dx*dx + dy*dy. Every elementwise operation and
-every cumsum is the one the earlier state-major (N, 2) kernels made and
-the penalty forces add up over obstacles in obstacle order, so every
-iterate has the bits it had under those kernels. An objective
-evaluation hands each obstacle's positive part and offsets to the
-gradient at the same controls.
+State k of a plan is p_k = p_0 + k dt v_0 + sum_j r_k[j] u_j with the
+ramp r_k[j] = dt^2 max(k - j - 1/2, 0). At a stationary point of cost
+plus penalty, every axis of the controls is therefore a combination of
+the two rows of the terminal map (affine in the step j) and of the
+ramps of the states that an obstacle pushes on: like the planner's
+junctions, a finite set of touch states and one coefficient per touch
+state and axis fix the plan. A DiscretePlan holds exactly that: the
+touch states, their ramp coefficients and the terminal-map
+coefficients, which follow from the ramps because the plan ends on the
+goal. Its controls, positions and velocities are computed on access.
 
-One descent iteration is a gradient, a projection, a squared norm and,
-in the backtracking line search, about two Armijo trials. Two things
-keep a step cheap without moving a bit:
-- The gradient's suffix sums run only over the span of states where
-  some obstacle pushes, on average fewer than 2 of the 2001 states on
-  perfbench's oracle inputs. Elsewhere the force is exactly -0.0, which
-  leaves a running sum unchanged.
-- A trial is first screened on its control cost: the weighted penalty is
-  >= +0.0 and rounding is monotone, so a trial whose cost alone is above
-  the Armijo bound would be rejected anyway, and it is rejected without
-  being simulated. A trial that passes is simulated (two cumsums, then
-  seven elementwise passes over the states per obstacle) and decided on
-  its objective as before. The screen decides 0.3-52% of the rejected
-  trials on those inputs.
-At N = 2000 with one obstacle an iteration costs about 0.25 ms on a
-2-vCPU x86-64 host (0.3-0.35 ms without the span and the screen), and
-the descent seldom reaches gradient_tol, so an input runs about
-7 x 500 iterations. DiscretePlan holds C-contiguous, read-only (N, 2)
-and (N+1, 2) copies of the arrays it is given.
+The solve starts from the unconstrained plan, pre-shaped by pushing the
+deepest state of each violated obstacle out of it (a descent cannot
+break the symmetry of a path aimed through an obstacle's center). Each
+weight of the penalty schedule then runs Newton steps on the ramp
+coefficients. With a penetrating states, the Hessian of the objective
+is 2 dt I plus a rank-2 term per penetrating state, so by
+Sherman-Morrison-Woodbury the Newton point solves a 2a x 2a system
+whose entries are inner products of ramps projected off the terminal
+map, which have a closed form. Where the full Hessian is not positive
+definite on those ramps the step is Gauss-Newton, leaving out the
+curvature of the constraint itself. A monotone Armijo search halves the
+step from the full one. A trial costs O(N K) for K obstacles (controls
+from suffix sums over the touch states, two cumsums for the states, the
+penalty); a step adds O(a^3), and no N x N matrix is ever formed. On
+the benchmark's single-obstacle inputs at N = 2000 an input takes 19-43
+steps and 17-43 ms on a 2-vCPU x86-64 host. If the steered start ends
+with a penetration warning, the schedule runs again from the
+unconstrained plan itself.
+
+A weight ends when the gradient of the controls, projected off the
+terminal map, is at most gradient_tol, when an accepted step lowers the
+objective by at most 1e-14 of its value, when the search halves the
+step below 2^-20, or after descent_iterations steps. In float64, gradient_tol is reachable only at
+the low weights: a penetration g = r^2 - |p - c|^2 carries a rounding
+error of about eps |p|^2, which the force 4 w g+ (p - c) multiplies by
+w, so at w = 1e8 the projected gradient bottoms out at 1e-7 to 1e-4 on
+those inputs, and the relative-decrease test ends the weight.
 """
 
 from __future__ import annotations
@@ -59,71 +64,114 @@ from .world import AgentSpec, Scenario, inflated_radius
 # the constrained oracle flags itself as unreliable.
 PENETRATION_WARNING = 1e-4
 
+# Armijo sufficient-decrease fraction, smallest step fraction tried, and
+# the relative decrease below which a weight has converged.
+ARMIJO = 1e-4
+MIN_STEP = 2.0**-20
+STALL = 1e-14
+
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Discretization and penalty-descent settings.
+    """Discretization of the oracle: steps, its only setting.
 
-    penalty_weights (positive, increasing) and gradient_tol are
-    constants of the descent, readable here but not settable.
+    penalty_weights (positive, increasing), gradient_tol and
+    descent_iterations, the Newton step budget of each weight, are
+    constants of the solve, readable here but not settable.
     """
 
     penalty_weights: ClassVar[tuple[float, ...]] = (
         1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8,
     )
     gradient_tol: ClassVar[float] = 1e-8
+    descent_iterations: ClassVar[int] = 50
 
     steps: int = 2000
-    descent_iterations: int = 500
 
     def __post_init__(self):
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
-        if self.descent_iterations <= 0:
-            raise ValueError("descent budget must be positive")
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array = np.ascontiguousarray(array)
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True, eq=False)
 class DiscretePlan:
-    """A zero-order-hold control plan with its simulated states.
+    """A zero-order-hold control plan of `steps` steps, held as a few numbers.
 
-    positions and velocities have N+1 rows, controls N rows. cost is the
-    control energy sum(|u_k|^2)*dt, excluding any penalty terms.
+    On axis a, control j is affine[a] @ (dt^2 (N - j - 1/2), dt), the
+    terminal-map rows, plus ramps[i, a] * dt^2 * max(k_i - j - 1/2, 0)
+    for each touch state k_i in touches (increasing, within 1..N-1).
+    controls (N, 2), positions and velocities (N+1, 2) are computed from
+    these and the start state on every access, as read-only C-order
+    arrays with the same bits each time. cost is the control energy
+    sum(|u_k|^2)*dt of those controls, excluding any penalty terms.
     """
 
     t_start: float
     t_end: float
-    dt: float
-    controls: np.ndarray
-    positions: np.ndarray
-    velocities: np.ndarray
+    steps: int
+    start: KinematicState
+    affine: np.ndarray
+    touches: np.ndarray
+    ramps: np.ndarray
     cost: float
     max_penetration: float = 0.0
     penetration_warning: bool = False
 
     def __post_init__(self):
-        for name in ("controls", "positions", "velocities"):
-            arr = np.array(getattr(self, name), dtype=float, order="C")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        n = self.controls.shape[0]
-        if self.positions.shape != (n + 1, 2) or self.velocities.shape != (n + 1, 2):
-            raise ValueError("state arrays must have one more row than controls")
+        affine = np.array(self.affine, dtype=float).reshape(2, 2)
+        touches = np.array(self.touches, dtype=np.intp).reshape(-1)
+        ramps = np.array(self.ramps, dtype=float).reshape(touches.size, 2)
+        if touches.size and (
+            touches[0] < 1 or touches[-1] >= self.steps
+            or np.any(np.diff(touches) <= 0)
+        ):
+            raise ValueError("touch states must increase within 1..steps-1")
+        for name, value in (("affine", affine), ("touches", touches),
+                            ("ramps", ramps)):
+            object.__setattr__(self, name, _frozen(value))
+
+    @property
+    def dt(self) -> float:
+        return (self.t_end - self.t_start) / self.steps
+
+    def _rows(self) -> np.ndarray:
+        return _control_rows(self.steps, self.dt, self.affine, self.touches,
+                             self.ramps)
+
+    def _state_rows(self):
+        return _simulate(self.start.p, self.start.v, self._rows(), self.dt)
+
+    @property
+    def controls(self) -> np.ndarray:
+        return _frozen(self._rows().T)
+
+    @property
+    def positions(self) -> np.ndarray:
+        return _frozen(self._state_rows()[0].T)
+
+    @property
+    def velocities(self) -> np.ndarray:
+        return _frozen(self._state_rows()[1].T)
 
     @property
     def states(self) -> tuple[KinematicState, ...]:
+        positions, velocities = self._state_rows()
         return tuple(
-            KinematicState(p=self.positions[k], v=self.velocities[k])
-            for k in range(self.positions.shape[0])
+            KinematicState(p=p, v=v) for p, v in zip(positions.T, velocities.T)
         )
 
 
 def _simulate(p0, v0, controls: np.ndarray, dt: float):
     """Exact hold dynamics: p' = p + v dt + u dt^2/2, v' = v + u dt.
 
-    controls is a (2, N) pair of axis rows, or the transposed view of
-    C-order (N, 2) controls (a cumsum adds in sequence whatever the
-    strides); the positions and velocities returned are (2, N+1).
+    controls is a (2, N) pair of axis rows; the positions and velocities
+    returned are (2, N+1).
     """
     n = controls.shape[1]
     cum_u = np.cumsum(controls, axis=1)
@@ -141,11 +189,7 @@ def _simulate(p0, v0, controls: np.ndarray, dt: float):
 
 
 def _state_major(rows: np.ndarray) -> np.ndarray:
-    """The C-order (N, m) copy of m rows.
-
-    A full reduction over it adds in the same order as over the (N, 2)
-    and (N+1, K) arrays of the state-major layout, so sums keep their bits.
-    """
+    """The C-order (N, m) copy of m rows."""
     return np.ascontiguousarray(rows.T)
 
 
@@ -158,6 +202,87 @@ def _terminal_map(n: int, dt: float) -> np.ndarray:
 def _control_cost(controls: np.ndarray, dt: float) -> float:
     """sum(|u_k|^2)*dt over C-order (N, 2) controls."""
     return float((controls**2).sum() * dt)
+
+
+def _ramp_products(k, kp, dt: float):
+    """Inner products r_k . r_k' of the ramps of states k and k'
+    (broadcast): dt^4 sum_{j < m} (k - j - 1/2)(k' - j - 1/2) with
+    m = min(k, k'). Times 12 the sum is an integer polynomial, exact in
+    float64 while 12 k^3 stays below 2^53 (k up to about 85,000)."""
+    m = np.minimum(k, kp)
+    return dt**4 * ((12.0 * m * k * kp - 6.0 * (k + kp) * m * m
+                     + m * (4.0 * m * m - 1.0)) / 12.0)
+
+
+def _terminal_ramps(touches: np.ndarray, n: int, dt: float) -> np.ndarray:
+    """(m, 2): the terminal map applied to the ramp of each touch state,
+    r_N . r_k and dt * sum(r_k) = dt^3 k^2 / 2."""
+    k = touches.astype(float)
+    return np.column_stack((_ramp_products(float(n), k, dt), 0.5 * dt**3 * k * k))
+
+
+def _terminal_gap(x0: KinematicState, xf: KinematicState, horizon: float):
+    """(2, 2): per axis, the goal's (position, velocity) less where the
+    start state coasts to."""
+    gap = np.empty((2, 2))
+    for axis in range(2):
+        free_p = x0.p[axis] + x0.v[axis] * horizon
+        gap[axis] = (xf.p[axis] - free_p, xf.v[axis] - x0.v[axis])
+    return gap
+
+
+def _affine(gram, gap, touches, ramps, n: int, dt: float) -> np.ndarray:
+    """(2, 2): per axis, the terminal-map coefficients that end the plan
+    with the given ramps on the goal."""
+    if touches.size:
+        gap = gap - ramps.T @ _terminal_ramps(touches, n, dt)
+    affine = np.empty((2, 2))
+    for axis in range(2):
+        affine[axis] = np.linalg.solve(gram, gap[axis])
+    return affine
+
+
+def _control_rows(n: int, dt: float, affine, touches, ramps) -> np.ndarray:
+    """(2, N) controls of a plan held as coefficients.
+
+    Step j feels the ramp of every touch state k > j, so the ramps add
+    up as dt^2 (S_k[j] - (j + 1/2) S_1[j]) from the suffix sums S_1 of
+    the coefficients and S_k of k times them.
+    """
+    gmap = _terminal_map(n, dt)
+    rows = np.empty((2, n))
+    for axis in range(2):
+        rows[axis] = gmap.T @ affine[axis]
+    if touches.size:
+        sums = np.zeros((4, n))
+        sums[:2, touches - 1] = ramps.T
+        sums[2:, touches - 1] = touches * ramps.T
+        sums = np.cumsum(sums[:, ::-1], axis=1)[:, ::-1]
+        rows += dt**2 * (sums[2:] - np.arange(0.5, n) * sums[:2])
+    return rows
+
+
+def _plan(t0, tf, n, start, affine, touches, ramps, obstacles=None) -> DiscretePlan:
+    """The DiscretePlan of these coefficients, with its cost and, given
+    (centers, radii), its worst penetration, from the arrays its
+    properties compute."""
+    dt = (tf - t0) / n
+    rows = _control_rows(n, dt, affine, touches, ramps)
+    max_pen = 0.0
+    if obstacles is not None:
+        positions, _ = _simulate(start.p, start.v, rows, dt)
+        max_pen = float(max(
+            np.max(gplus) for _, gplus, _, _ in _penalty_terms(positions, *obstacles)
+        ))
+    return DiscretePlan(
+        t_start=t0, t_end=tf, steps=n, start=start, affine=affine,
+        touches=touches, ramps=ramps, cost=_control_cost(_state_major(rows), dt),
+        max_penetration=max_pen, penetration_warning=max_pen > PENETRATION_WARNING,
+    )
+
+
+_NO_TOUCHES = np.zeros(0, dtype=np.intp)
+_NO_RAMPS = np.zeros((0, 2))
 
 
 def discrete_min_energy(
@@ -177,22 +302,16 @@ def discrete_min_energy(
     gram = gmap @ gmap.T
     # Reachability cannot fail for this system with n >= 2.
     assert np.linalg.matrix_rank(gram) == 2, "terminal map lost rank"
-    horizon = tf - t0
-    controls = np.empty((2, n))
-    for axis in range(2):
-        free_p = x0.p[axis] + x0.v[axis] * horizon
-        rhs = np.array([xf.p[axis] - free_p, xf.v[axis] - x0.v[axis]])
-        controls[axis] = gmap.T @ np.linalg.solve(gram, rhs)
-    positions, velocities = _simulate(x0.p, x0.v, controls, dt)
+    affine = _affine(gram, _terminal_gap(x0, xf, tf - t0), _NO_TOUCHES, _NO_RAMPS,
+                     n, dt)
+    plan = _plan(t0, tf, n, x0, affine, _NO_TOUCHES, _NO_RAMPS)
+    positions, velocities = plan._state_rows()
     terminal_err = max(
         float(np.linalg.norm(positions[:, -1] - xf.p)),
         float(np.linalg.norm(velocities[:, -1] - xf.v)),
     )
     assert terminal_err <= 1e-9, f"terminal state error {terminal_err:.3e}"
-    return DiscretePlan(
-        t_start=t0, t_end=tf, dt=dt, controls=controls.T, positions=positions.T,
-        velocities=velocities.T, cost=_control_cost(_state_major(controls), dt),
-    )
+    return plan
 
 
 def _penalty_terms(positions: np.ndarray, centers: np.ndarray, radii: np.ndarray):
@@ -209,7 +328,7 @@ def _penalty_terms(positions: np.ndarray, centers: np.ndarray, radii: np.ndarray
 
 def _objective(controls, p0, v0, dt, centers, radii, weight, ceiling=math.inf):
     """Cost plus weighted penalty of C-order (N, 2) controls, with the
-    penalty terms that the gradient at the same controls reads.
+    penalty terms at those controls.
 
     The weighted penalty is >= +0.0 and rounding is monotone, so the
     objective is never below the control cost. When that cost alone
@@ -264,46 +383,139 @@ def _gradient(controls, terms, dt, weight):
     return 2.0 * dt * controls.T + dt**2 * (suffix[2:] - j * suffix[:2])
 
 
-def _project_out_terminal(grad: np.ndarray, gmap: np.ndarray,
-                          gram_inv: np.ndarray) -> np.ndarray:
-    """Remove the component that would change the terminal state.
+def _stationary(controls, terms, dt, weight, gmap, gram) -> bool:
+    """Whether the gradient of the objective at C-order (N, 2) controls,
+    projected off the rows of the terminal map, has norm at most
+    gradient_tol. The test reads the controls themselves, so it does not
+    rest on the closed-form ramp products that the Newton step is built
+    from."""
+    grad = _gradient(controls, terms, dt, weight)
+    grad -= np.linalg.solve(gram, gmap @ grad.T).T @ gmap
+    return math.sqrt(float((grad**2).sum())) <= OracleConfig.gradient_tol
 
-    grad is (2, N) rows; each projected row is written into a column of
-    the C-order (N, 2) result.
+
+def _projected_products(touches, n: int, dt: float, gram) -> np.ndarray:
+    """r_k . P r_k' for touch states k, k', P the projection off the
+    rows of the terminal map: the inner products of the control changes
+    that the ramps make once the terminal state is held fixed."""
+    k = touches.astype(float)
+    ends = _terminal_ramps(touches, n, dt)
+    return (_ramp_products(k[:, None], k[None, :], dt)
+            - ends @ np.linalg.solve(gram, ends.T))
+
+
+def _positive_definite(curvature, products, dt: float) -> bool:
+    """Whether 2 dt I + sum_k (r_k r_k^T) x curvature_k is positive
+    definite on the terminal-preserving controls, curvature_k being the
+    (2, 2) Hessian of the penalty in the position of touch state k."""
+    scale, basis = np.linalg.eigh(products)
+    root = basis * np.sqrt(np.clip(scale, 0.0, None))
+    a = root.shape[0]
+    inner = np.empty((a, 2, a, 2))
+    for x in range(2):
+        for y in range(2):
+            inner[:, x, :, y] = root.T @ (curvature[:, x, y, None] * root)
+    inner = inner.reshape(2 * a, 2 * a)
+    try:
+        np.linalg.cholesky(inner + 2.0 * dt * np.eye(2 * a))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _newton_step(terms, touches, ramps, weight, n: int, dt: float, gram):
+    """The Newton point from the plan (touches, ramps) whose penalty
+    terms are given, or None where it gives no descent.
+
+    Returns the union of the touch states and the states that penetrate
+    an obstacle (the ends excluded: no control moves them), the current
+    and the Newton ramp coefficients on it, and the slope of the
+    objective from one to the other. The gradient of the objective,
+    projected onto the terminal-preserving controls, is P R psi with
+    psi = 2 dt ramps + the penalty forces -4 w g+ (p - c) at the
+    penetrating states, so the slope is a quadratic form in the
+    projected ramp products.
     """
-    out = np.empty((grad.shape[1], 2))
-    for axis in range(2):
-        coeff = gram_inv @ (gmap @ grad[axis])
-        out[:, axis] = grad[axis] - gmap.T @ coeff
-    return out
+    inside = np.zeros(n + 1, dtype=bool)
+    for g, _, _, _ in terms:
+        inside |= g > 0.0
+    inside[0] = inside[n] = False
+    active = np.flatnonzero(inside)
+    union = np.union1d(touches, active)
+    if not union.size:
+        return None
+    current = np.zeros((union.size, 2))
+    current[np.searchsorted(union, touches)] = ramps
+    at = np.searchsorted(union, active)
+
+    force = np.zeros((active.size, 2))
+    normal = np.zeros((active.size, 2, 2))
+    bend = np.zeros(active.size)
+    for _, gplus, dx, dy in terms:
+        depth = gplus[active]
+        offset = np.column_stack((dx[active], dy[active]))
+        force -= 4.0 * weight * depth[:, None] * offset
+        normal += (8.0 * weight * (depth > 0.0))[:, None, None] * (
+            offset[:, :, None] * offset[:, None, :]
+        )
+        bend += 4.0 * weight * depth
+
+    products = _projected_products(union, n, dt, gram)
+    psi = 2.0 * dt * current
+    psi[at] += force
+
+    # Newton point: 2 dt c + H_k (p'_k - p_k) = -force_k at each
+    # penetrating state k, where p' - p = products (c' - current); the
+    # ramps of the other states drop to zero.
+    target = np.zeros_like(current)
+    a = active.size
+    if a:
+        block = products[np.ix_(at, at)]
+        curvature = normal - bend[:, None, None] * np.eye(2)
+        if not _positive_definite(curvature, block, dt):
+            curvature = normal
+        system = (curvature[:, :, None, :] * block[:, None, :, None]).reshape(2 * a, 2 * a)
+        system += 2.0 * dt * np.eye(2 * a)
+        rhs = np.einsum("kxy,ky->kx", curvature, products[at] @ current) - force
+        target[at] = np.linalg.solve(system, rhs.reshape(-1)).reshape(a, 2)
+    slope = float(np.sum(psi * (products @ (target - current))))
+    if not slope < 0.0:
+        return None
+    return union, current, target, slope
 
 
 def _min_norm_waypoint_bump(
     n: int, dt: float, k_star: int, delta_p: np.ndarray, gmap: np.ndarray
-) -> np.ndarray:
+):
     """Minimum-norm control change moving state k_star by delta_p while
-    leaving the terminal state untouched."""
+    leaving the terminal state untouched, as (2, N) rows, with its
+    coefficient of the ramp of k_star per axis."""
     j = np.arange(n)
     pos_row = np.where(j < k_star, dt**2 * (k_star - j - 0.5), 0.0)
     m = np.vstack([pos_row, gmap])
     gram = m @ m.T
     bump = np.empty((2, n))
+    ramp = np.empty(2)
     for axis in range(2):
         rhs = np.array([delta_p[axis], 0.0, 0.0])
-        bump[axis] = m.T @ np.linalg.solve(gram, rhs)
-    return bump
+        coeffs = np.linalg.solve(gram, rhs)
+        bump[axis] = m.T @ coeffs
+        ramp[axis] = coeffs[0]
+    return bump, ramp
 
 
-def _steer_initial_plan(controls, p0, v0, dt, centers, radii, chord):
+def _steer_initial_plan(controls, p0, v0, dt, centers, radii, chord, pushes=None):
     """Deterministically push the straight plan out of violated obstacles.
 
-    Plain gradient descent cannot break an exact symmetry (a path aimed
-    through an obstacle center has identically zero cross-track
-    gradient), so the start plan is pre-shaped: the deepest-violation
-    state of each offending obstacle is moved to just outside the
-    inflated circle, on the cross-track side of the path, with ties
-    broken to the left of travel. The move is the minimum-norm control
-    change that keeps the terminal state exact.
+    A descent cannot break an exact symmetry (a path aimed through an
+    obstacle center has identically zero cross-track gradient), so the
+    start plan is pre-shaped: the deepest-violation state of each
+    offending obstacle is moved to just outside the inflated circle, on
+    the cross-track side of the path, with ties broken to the left of
+    travel. The move is the minimum-norm control change that keeps the
+    terminal state exact: the ramp of the moved state plus terminal-map
+    rows. When pushes is a list, each move appends (state, its ramp
+    coefficient per axis) to it.
     """
     n = controls.shape[1]
     gmap = _terminal_map(n, dt)
@@ -327,10 +539,33 @@ def _steer_initial_plan(controls, p0, v0, dt, centers, radii, chord):
             push = cross / cross_norm
         target = centers[idx] + 1.05 * radii[idx] * push
         k_star = int(np.clip(k_star, 1, n - 1))
-        controls = controls + _min_norm_waypoint_bump(
+        bump, ramp = _min_norm_waypoint_bump(
             n, dt, k_star, target - positions[:, k_star], gmap
         )
+        controls = controls + bump
+        if pushes is not None:
+            pushes.append((k_star, ramp))
     return controls
+
+
+def _steered_start(controls, p0, v0, dt, centers, radii, chord):
+    """Touch states and ramps of the steered start from (2, N) controls.
+
+    A push can move the path into an obstacle that the pass has already
+    checked, so steering passes repeat while one moves a state, at most
+    once per obstacle.
+    """
+    ramps: dict = {}
+    for _ in range(centers.shape[0]):
+        pushes: list = []
+        controls = _steer_initial_plan(controls, p0, v0, dt, centers, radii, chord,
+                                       pushes)
+        if not pushes:
+            break
+        for k, ramp in pushes:
+            ramps[k] = ramps.get(k, 0.0) + ramp
+    touches = np.array(sorted(ramps), dtype=np.intp)
+    return touches, np.array([ramps[k] for k in touches]).reshape(-1, 2)
 
 
 def discrete_min_energy_constrained(
@@ -341,14 +576,20 @@ def discrete_min_energy_constrained(
 ) -> DiscretePlan:
     """Penalty-method solve of the obstacle-constrained discrete problem.
 
-    Starts from the unconstrained plan (pre-shaped around any violated
-    obstacle), then for each weight in the increasing penalty schedule
-    runs projected gradient descent with a backtracking line search.
-    Terminal equality is preserved exactly by projecting every step onto
-    the null space of the control-to-terminal-state map.
+    Starts from the unconstrained plan, pre-shaped around violated
+    obstacles, then for each weight in the increasing penalty schedule
+    runs Newton steps on the ramp coefficients with a monotone Armijo
+    backtracking search. Every plan the solve visits ends exactly on the
+    goal: the terminal-map coefficients are solved from the ramps. When
+    the plan from the steered start ends with a penetration warning, the
+    schedule runs again from the unconstrained plan itself, whose plan is
+    kept if it clears the warning: on crowded worlds the pushes can drive
+    the path into overlapping obstacles that it then cannot leave.
 
-    When objective_trace is a list, every accepted iterate appends a
-    (weight, objective) pair so descent monotonicity can be audited.
+    When objective_trace is a list, it gets the trace of the plan
+    returned: for each weight a (weight, objective) pair for the plan
+    the weight starts from, then one for every accepted step, so descent
+    monotonicity can be audited.
     """
     base = discrete_min_energy(
         agent.start, agent.goal, agent.t0, agent.tf_nominal, config.steps
@@ -363,53 +604,67 @@ def discrete_min_energy_constrained(
     chord = agent.goal.p - agent.start.p
     chord_norm = float(np.linalg.norm(chord))
     chord = chord / chord_norm if chord_norm > 0 else np.array([1.0, 0.0])
-
-    controls = _state_major(_steer_initial_plan(
-        np.ascontiguousarray(base.controls.T), p0, v0, dt, centers, radii, chord
-    ))
     gmap = _terminal_map(n, dt)
-    gram_inv = np.linalg.inv(gmap @ gmap.T)
-    alpha = 1.0
-    for weight in config.penalty_weights:
-        value, terms = _objective(controls, p0, v0, dt, centers, radii, weight)
-        if objective_trace is not None:
-            objective_trace.append((weight, value))
-        for _ in range(config.descent_iterations):
-            grad = _project_out_terminal(
-                _gradient(controls, terms, dt, weight), gmap, gram_inv
-            )
-            gnorm2 = float((grad**2).sum())
-            if np.sqrt(gnorm2) <= config.gradient_tol:
-                break
-            alpha = min(alpha * 2.0, 1e3)
-            while True:
-                trial = controls - alpha * grad
-                ceiling = value - 1e-4 * alpha * gnorm2
-                trial_value, trial_terms = _objective(
-                    trial, p0, v0, dt, centers, radii, weight, ceiling
-                )
-                if trial_value <= ceiling:
-                    break
-                alpha *= 0.5
-                if alpha < 1e-18:
-                    break
-            if alpha < 1e-18:
-                break
-            controls, value, terms = trial, trial_value, trial_terms
-            if objective_trace is not None:
-                objective_trace.append((weight, value))
+    gram = gmap @ gmap.T
+    gap = _terminal_gap(agent.start, agent.goal, agent.tf_nominal - agent.t0)
 
-    positions, velocities = _simulate(p0, v0, controls.T, dt)
-    max_pen = float(np.max(
-        [gplus for _, gplus, _, _ in _penalty_terms(positions, centers, radii)]
-    ))
-    return DiscretePlan(
-        t_start=agent.t0, t_end=agent.tf_nominal, dt=dt, controls=controls,
-        positions=positions.T, velocities=velocities.T,
-        cost=_control_cost(controls, dt),
-        max_penetration=max_pen,
-        penetration_warning=max_pen > PENETRATION_WARNING,
-    )
+    def objective(touches, ramps, weight, ceiling=math.inf):
+        affine = _affine(gram, gap, touches, ramps, n, dt)
+        controls = _state_major(_control_rows(n, dt, affine, touches, ramps))
+        value, terms = _objective(controls, p0, v0, dt, centers, radii, weight,
+                                  ceiling)
+        return value, terms, controls
+
+    def solve(touches, ramps):
+        trace = []
+        for weight in config.penalty_weights:
+            value, terms, controls = objective(touches, ramps, weight)
+            trace.append((weight, value))
+            for _ in range(config.descent_iterations):
+                if _stationary(controls, terms, dt, weight, gmap, gram):
+                    break
+                step = _newton_step(terms, touches, ramps, weight, n, dt, gram)
+                if step is None:
+                    break
+                union, current, target, slope = step
+                alpha = 1.0
+                while alpha >= MIN_STEP:
+                    trial = current + alpha * (target - current)
+                    ceiling = value + ARMIJO * alpha * slope
+                    trial_value, trial_terms, trial_controls = objective(
+                        union, trial, weight, ceiling)
+                    if trial_value <= ceiling:
+                        break
+                    alpha *= 0.5
+                else:
+                    break
+                kept = np.any(trial != 0.0, axis=1)
+                stalled = value - trial_value <= STALL * abs(value)
+                touches, ramps = union[kept], trial[kept]
+                value, terms, controls = trial_value, trial_terms, trial_controls
+                trace.append((weight, value))
+                if stalled:
+                    break
+        affine = _affine(gram, gap, touches, ramps, n, dt)
+        return _plan(agent.t0, agent.tf_nominal, n, agent.start, affine, touches,
+                     ramps, (centers, radii)), trace
+
+    if n == 2:
+        # the terminal state fixes both controls: no step can move them
+        trace = [(weight, objective(_NO_TOUCHES, _NO_RAMPS, weight)[0])
+                 for weight in config.penalty_weights]
+        plan = _plan(agent.t0, agent.tf_nominal, n, agent.start, base.affine,
+                     _NO_TOUCHES, _NO_RAMPS, (centers, radii))
+    else:
+        plan, trace = solve(*_steered_start(base._rows(), p0, v0, dt, centers,
+                                            radii, chord))
+        if plan.penetration_warning:
+            retry, retry_trace = solve(_NO_TOUCHES, _NO_RAMPS)
+            if not retry.penetration_warning:
+                plan, trace = retry, retry_trace
+    if objective_trace is not None:
+        objective_trace.extend(trace)
+    return plan
 
 
 def compare(traj: PiecewiseTrajectory, plan: DiscretePlan) -> float:

@@ -1,11 +1,41 @@
 import pytest
 
-from junctionplan import AgentSpec, KinematicState, Obstacle, Scenario
+from junctionplan import (
+    AgentSpec,
+    Bounds,
+    KinematicState,
+    Obstacle,
+    PlanningFailure,
+    Scenario,
+    gen_world,
+    plan_agent,
+)
 from junctionplan.world import reference_world  # noqa: F401 (shared by the tests)
 
 # Seeds of the 50 reference worlds; 46 plan and converge, worlds 2, 22,
 # 41 and 47 fail.
 REFERENCE_SEEDS = range(1, 51)
+
+
+def single_obstacle_instances(count=10):
+    """Deterministic feasible single-obstacle worlds near the path, as
+    (scenario, agent, trajectory, report) of each converged plan."""
+    agent = AgentSpec(id=0, radius=0.5, start=KinematicState.at_rest(-8, 0),
+                      goal=KinematicState.at_rest(8, 0), t0=0.0, tf_nominal=10.0)
+    collected = []
+    seed = 0
+    while len(collected) < count:
+        seed += 1
+        assert seed < 200, "could not assemble the single-obstacle sample"
+        scenario = gen_world(seed, 1, Bounds(-5, -2, 5, 2), (agent,),
+                             radius_range=(0.8, 1.6))
+        try:
+            traj, report = plan_agent(agent, scenario)
+        except PlanningFailure:
+            continue
+        if report.converged:
+            collected.append((scenario, agent, traj, report))
+    return collected
 
 
 @pytest.fixture

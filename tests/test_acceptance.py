@@ -17,7 +17,6 @@ import pytest
 
 from junctionplan import (
     AgentSpec,
-    Bounds,
     KinematicState,
     Message,
     NegotiationConfig,
@@ -33,7 +32,6 @@ from junctionplan import (
     encode_message,
     eval_segment,
     first_violation,
-    gen_world,
     inflated_radius,
     message_int_count,
     message_real_count,
@@ -51,7 +49,7 @@ from junctionplan import (
 from junctionplan.cli import main
 from junctionplan.game import _conflicts_between
 
-from conftest import REFERENCE_SEEDS, reference_world
+from conftest import REFERENCE_SEEDS, reference_world, single_obstacle_instances
 
 
 @pytest.fixture
@@ -199,26 +197,6 @@ def test_criterion_3_continuity_suite(batch, announce):
             assert record is None, f"seed {inst.seed} violates at {record}"
 
 
-def _single_obstacle_instances(count=10):
-    """Deterministic feasible single-obstacle worlds near the path."""
-    agent = AgentSpec(id=0, radius=0.5, start=rest(-8, 0), goal=rest(8, 0),
-                      t0=0.0, tf_nominal=10.0)
-    collected = []
-    seed = 0
-    while len(collected) < count:
-        seed += 1
-        assert seed < 200, "could not assemble the single-obstacle sample"
-        scenario = gen_world(seed, 1, Bounds(-5, -2, 5, 2), (agent,),
-                             radius_range=(0.8, 1.6))
-        try:
-            traj, report = plan_agent(agent, scenario)
-        except PlanningFailure:
-            continue
-        if report.converged:
-            collected.append((scenario, agent, traj, report))
-    return collected
-
-
 def test_criterion_4_oracle_gap(announce):
     with criterion("4 oracle gap", announce):
         # anchor: the symmetric scenario
@@ -228,7 +206,7 @@ def test_criterion_4_oracle_gap(announce):
         plan = discrete_min_energy_constrained(agent, scenario)
         assert compare(traj, plan) <= 0.02
         # ten randomized feasible single-obstacle worlds
-        for scen, agent_i, traj_i, _ in _single_obstacle_instances(10):
+        for scen, agent_i, traj_i, _ in single_obstacle_instances(10):
             plan_i = discrete_min_energy_constrained(agent_i, scen)
             gap = compare(traj_i, plan_i)
             assert gap <= 0.02, f"gap {gap:.4f}"

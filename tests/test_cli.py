@@ -226,9 +226,16 @@ class TestPlan:
                       t0=0.0, tf_nominal=10.0),
         )
         path = write_scenario(tmp_path, Scenario(agents=agents, obstacles=()))
-        extra = ["--out", tmp_path / "run"] if command == "plan" else ["--repeat", 1]
+        extra = ["--out", tmp_path / "run"] if command == "plan" else ["--repeat", 2]
         assert run([command, path, "--step", 2.0, "--max-dev", 10.0, *extra]) == 3
-        assert "no conflict-free assignment" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "negotiation failed: no conflict-free assignment" in err
+        if command == "bench":
+            # the failed search is timed like any other
+            doc = json.loads(out)
+            assert doc["failures"] == 0
+            for phase in doc["phases"].values():
+                assert len(phase["samples"]) == 2 and phase["min"] > 0.0
 
     def test_horizon_shorter_than_a_segment(self, tmp_path):
         agent = AgentSpec(id=0, radius=0.25, start=rest(0, 0), goal=rest(1e-4, 0),

@@ -50,14 +50,15 @@ def test_random_batch_survey_times_the_oracle():
     timed = run_script(
         "random_batch_survey.py", "--seeds", "1", "2", "--oracle"
     ).splitlines()
-    # the same summary, whose plan times vary, and one more line
-    assert len(timed) == len(summary) + 1
+    # the same summary, whose plan times vary, and two more lines
+    assert len(timed) == len(summary) + 2
     same = [i for i, line in enumerate(summary) if "wall clock" not in line]
     assert [timed[i] for i in same] == [summary[i] for i in same]
     # world 1 converges, world 2 fails
-    assert timed[-1].startswith("  oracle wall clock (1 converged worlds): total ")
-    total, median, peak = re.findall(r"([0-9.]+) s", timed[-1])
+    assert timed[-2].startswith("  oracle wall clock (1 converged worlds): total ")
+    total, median, peak = re.findall(r"([0-9.]+) s", timed[-2])
     assert total == median == peak
+    assert timed[-1] == "  planner energy above 1.02 x oracle cost: no world"
 
 
 def test_symmetric_obstacle_demo_runs():
