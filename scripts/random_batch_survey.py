@@ -94,21 +94,20 @@ def main(argv=None):
             else:
                 print(f"  seed {seed:2d}: FAILED ({exc})")
             report = None
-        else:
-            if args.answers:
-                line = answer_line(seed, report, None)
-                if args.oracle and report.converged:
-                    plan = discrete_min_energy_constrained(agent, scenario)
-                    line += f" oracle {plan.cost!r} {compare(traj, plan)!r}"
-                print(line)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         times_ms.append(elapsed_ms)
-        if args.oracle and not args.answers and report is not None and report.converged:
+        plan = None
+        if args.oracle and report is not None and report.converged:
             started = time.perf_counter()
             plan = discrete_min_energy_constrained(agent, scenario)
             oracle_s.append(time.perf_counter() - started)
             if report.energy > 1.02 * plan.cost:
                 oracle_cheaper.append(seed)
+        if args.answers and report is not None:
+            line = answer_line(seed, report, None)
+            if plan is not None:
+                line += f" oracle {plan.cost!r} {compare(traj, plan)!r}"
+            print(line)
         if report is None or not report.converged:
             failed += 1
             failed_ms += elapsed_ms

@@ -396,8 +396,8 @@ def cmd_oracle(args) -> int:
         agent = scenario.agents[0]
     else:
         agent = scenario.agent(args.agent)
-    traj, report = plan_agent(agent, scenario)
     oracle_cfg = OracleConfig(steps=args.oracle_steps)
+    traj, report = plan_agent(agent, scenario)
     plan = discrete_min_energy_constrained(agent, scenario, oracle_cfg)
     gap = compare(traj, plan)
     doc = {

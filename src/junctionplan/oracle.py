@@ -20,8 +20,11 @@ coefficients, which follow from the ramps because the plan ends on the
 goal. Its controls, positions and velocities are computed on access.
 
 The solve starts from the unconstrained plan, pre-shaped by pushing the
-deepest state of each violated obstacle out of it (a descent cannot
-break the symmetry of a path aimed through an obstacle's center). Each
+deepest state k of each violated obstacle out of it (a descent cannot
+break the symmetry of a path aimed through an obstacle's center). With
+the terminal state held, a push by delta adds delta / (r_k . P r_k) to
+k's ramp coefficient, P the projection off the terminal map, so the
+start is touch states and ramps like every later plan. Each
 weight of the penalty schedule then runs Newton steps on the ramp
 coefficients. With a penetrating states, the Hessian of the objective
 is 2 dt I plus a rank-2 term per penetrating state, so by
@@ -32,11 +35,9 @@ definite on those ramps the step is Gauss-Newton, leaving out the
 curvature of the constraint itself. A monotone Armijo search halves the
 step from the full one. A trial costs O(N K) for K obstacles (controls
 from suffix sums over the touch states, two cumsums for the states, the
-penalty); a step adds O(a^3), and no N x N matrix is ever formed. On
-the benchmark's single-obstacle inputs at N = 2000 an input takes 19-43
-steps and 17-43 ms on a 2-vCPU x86-64 host. If the steered start ends
-with a penetration warning, the schedule runs again from the
-unconstrained plan itself.
+penalty); a step adds O(a^3), and no N x N matrix is ever formed. If
+the steered start ends with a penetration warning, the schedule runs
+again from the unconstrained plan itself.
 
 A weight ends when the gradient of the controls, projected off the
 terminal map, is at most gradient_tol, when an accepted step lowers the
@@ -89,8 +90,15 @@ class OracleConfig:
     steps: int = 2000
 
     def __post_init__(self):
-        if self.steps < 2:
-            raise ValueError("steps must be at least 2")
+        _check_steps(self.steps)
+
+
+def _check_steps(n) -> None:
+    """A step count must be an int (not a bool) of at least 2."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"step count must be an int, not {type(n).__name__}")
+    if n < 2:
+        raise ValueError("need at least 2 steps")
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -295,8 +303,7 @@ def discrete_min_energy(
     """
     if tf <= t0:
         raise DegenerateHorizonError(f"horizon [{t0}, {tf}] is empty")
-    if n < 2:
-        raise ValueError("need at least 2 steps")
+    _check_steps(n)
     dt = (tf - t0) / n
     gmap = _terminal_map(n, dt)
     gram = gmap @ gmap.T
@@ -484,88 +491,60 @@ def _newton_step(terms, touches, ramps, weight, n: int, dt: float, gram):
     return union, current, target, slope
 
 
-def _min_norm_waypoint_bump(
-    n: int, dt: float, k_star: int, delta_p: np.ndarray, gmap: np.ndarray
-):
-    """Minimum-norm control change moving state k_star by delta_p while
-    leaving the terminal state untouched, as (2, N) rows, with its
-    coefficient of the ramp of k_star per axis."""
-    j = np.arange(n)
-    pos_row = np.where(j < k_star, dt**2 * (k_star - j - 0.5), 0.0)
-    m = np.vstack([pos_row, gmap])
-    gram = m @ m.T
-    bump = np.empty((2, n))
-    ramp = np.empty(2)
-    for axis in range(2):
-        rhs = np.array([delta_p[axis], 0.0, 0.0])
-        coeffs = np.linalg.solve(gram, rhs)
-        bump[axis] = m.T @ coeffs
-        ramp[axis] = coeffs[0]
-    return bump, ramp
-
-
-def _steer_initial_plan(controls, p0, v0, dt, centers, radii, chord, pushes=None):
-    """Deterministically push the straight plan out of violated obstacles.
+def _steered_start(p0, v0, n: int, dt: float, gram, gap, centers, radii, chord):
+    """Touch states and ramps of the unconstrained plan pushed out of the
+    obstacles it violates.
 
     A descent cannot break an exact symmetry (a path aimed through an
     obstacle center has identically zero cross-track gradient), so the
-    start plan is pre-shaped: the deepest-violation state of each
-    offending obstacle is moved to just outside the inflated circle, on
-    the cross-track side of the path, with ties broken to the left of
-    travel. The move is the minimum-norm control change that keeps the
-    terminal state exact: the ramp of the moved state plus terminal-map
-    rows. When pushes is a list, each move appends (state, its ramp
-    coefficient per axis) to it.
+    start plan is pre-shaped: the deepest-violation state k of each
+    offending obstacle is moved by delta to just outside the inflated
+    circle, on the cross-track side of the path, with ties broken to the
+    left of travel. The least control change that moves state k by delta
+    and holds the terminal state is P r_k delta / (r_k . P r_k), P the
+    projection off the terminal map, so a push adds delta / (r_k . P r_k)
+    to k's ramp coefficient and the terminal-map coefficients follow from
+    the ramps. A push can move the path into an obstacle that the pass has
+    already checked, so passes repeat while one moves a state, at most
+    once per obstacle. The states are rebuilt only after a push.
     """
-    n = controls.shape[1]
-    gmap = _terminal_map(n, dt)
-    for idx in range(centers.shape[0]):
-        positions, velocities = _simulate(p0, v0, controls, dt)
-        [(g, _, _, _)] = _penalty_terms(
-            positions, centers[idx : idx + 1], radii[idx : idx + 1]
-        )
-        k_star = int(np.argmax(g))
-        if g[k_star] <= 0:
-            continue
-        offset = positions[:, k_star] - centers[idx]
-        velocity = velocities[:, k_star]
-        speed = float(np.linalg.norm(velocity))
-        direction = velocity / speed if speed > 1e-9 else chord
-        cross = offset - (offset @ direction) * direction
-        cross_norm = float(np.linalg.norm(cross))
-        if cross_norm < 1e-9:
-            push = np.array([-direction[1], direction[0]])
-        else:
-            push = cross / cross_norm
-        target = centers[idx] + 1.05 * radii[idx] * push
-        k_star = int(np.clip(k_star, 1, n - 1))
-        bump, ramp = _min_norm_waypoint_bump(
-            n, dt, k_star, target - positions[:, k_star], gmap
-        )
-        controls = controls + bump
-        if pushes is not None:
-            pushes.append((k_star, ramp))
-    return controls
+    def states(touches, ramps):
+        affine = _affine(gram, gap, touches, ramps, n, dt)
+        return _simulate(p0, v0, _control_rows(n, dt, affine, touches, ramps), dt)
 
-
-def _steered_start(controls, p0, v0, dt, centers, radii, chord):
-    """Touch states and ramps of the steered start from (2, N) controls.
-
-    A push can move the path into an obstacle that the pass has already
-    checked, so steering passes repeat while one moves a state, at most
-    once per obstacle.
-    """
-    ramps: dict = {}
+    pushes: dict = {}
+    touches, ramps = _NO_TOUCHES, _NO_RAMPS
+    positions, velocities = states(touches, ramps)
     for _ in range(centers.shape[0]):
-        pushes: list = []
-        controls = _steer_initial_plan(controls, p0, v0, dt, centers, radii, chord,
-                                       pushes)
-        if not pushes:
+        moved = False
+        for idx in range(centers.shape[0]):
+            [(g, _, _, _)] = _penalty_terms(
+                positions, centers[idx : idx + 1], radii[idx : idx + 1]
+            )
+            k = int(np.argmax(g))
+            if g[k] <= 0:
+                continue
+            offset = positions[:, k] - centers[idx]
+            velocity = velocities[:, k]
+            speed = float(np.linalg.norm(velocity))
+            direction = velocity / speed if speed > 1e-9 else chord
+            cross = offset - (offset @ direction) * direction
+            cross_norm = float(np.linalg.norm(cross))
+            if cross_norm < 1e-9:
+                push = np.array([-direction[1], direction[0]])
+            else:
+                push = cross / cross_norm
+            target = centers[idx] + 1.05 * radii[idx] * push
+            k = int(np.clip(k, 1, n - 1))
+            product = _projected_products(np.array([k]), n, dt, gram)[0, 0]
+            pushes[k] = pushes.get(k, 0.0) + (target - positions[:, k]) / product
+            touches = np.array(sorted(pushes), dtype=np.intp)
+            ramps = np.array([pushes[state] for state in touches])
+            positions, velocities = states(touches, ramps)
+            moved = True
+        if not moved:
             break
-        for k, ramp in pushes:
-            ramps[k] = ramps.get(k, 0.0) + ramp
-    touches = np.array(sorted(ramps), dtype=np.intp)
-    return touches, np.array([ramps[k] for k in touches]).reshape(-1, 2)
+    return touches, ramps
 
 
 def discrete_min_energy_constrained(
@@ -656,7 +635,7 @@ def discrete_min_energy_constrained(
         plan = _plan(agent.t0, agent.tf_nominal, n, agent.start, base.affine,
                      _NO_TOUCHES, _NO_RAMPS, (centers, radii))
     else:
-        plan, trace = solve(*_steered_start(base._rows(), p0, v0, dt, centers,
+        plan, trace = solve(*_steered_start(p0, v0, n, dt, gram, gap, centers,
                                             radii, chord))
         if plan.penetration_warning:
             retry, retry_trace = solve(_NO_TOUCHES, _NO_RAMPS)

@@ -452,6 +452,15 @@ class TestOracleCommand:
     def test_unknown_agent_is_input_error(self, symmetric_file):
         assert run(["oracle", symmetric_file, "--agent", 99]) == EXIT_INPUT
 
+    def test_too_few_steps_is_input_error_before_planning(self, symmetric_file,
+                                                          monkeypatch, capsys):
+        def unplanned(agent, scenario):
+            raise AssertionError("planned before the step count was checked")
+
+        monkeypatch.setattr(cli_mod, "plan_agent", unplanned)
+        assert run(["oracle", symmetric_file, "--oracle-steps", 1]) == EXIT_INPUT
+        assert "need at least 2 steps" in capsys.readouterr().err
+
     def test_oracle_csv_export(self, symmetric_file, tmp_path, capsys):
         out = tmp_path / "oracle_out"
         assert run(["oracle", symmetric_file, "--oracle-steps", 400,

@@ -318,3 +318,10 @@ class TestOracleConfig:
     def test_steps_minimum(self):
         with pytest.raises(ValueError):
             OracleConfig(steps=1)
+
+    @pytest.mark.parametrize("steps", [300.0, True, "300", np.int64(300)])
+    def test_steps_must_be_an_int(self, steps):
+        with pytest.raises(TypeError, match="step count must be an int"):
+            OracleConfig(steps=steps)
+        with pytest.raises(TypeError, match="step count must be an int"):
+            discrete_min_energy(rest(0, 0), rest(1, 0), 0.0, 1.0, steps)
