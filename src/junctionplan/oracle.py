@@ -24,29 +24,33 @@ deepest state k of each violated obstacle out of it (a descent cannot
 break the symmetry of a path aimed through an obstacle's center). With
 the terminal state held, a push by delta adds delta / (r_k . P r_k) to
 k's ramp coefficient, P the projection off the terminal map, so the
-start is touch states and ramps like every later plan. Each
-weight of the penalty schedule then runs Newton steps on the ramp
-coefficients. With a penetrating states, the Hessian of the objective
-is 2 dt I plus a rank-2 term per penetrating state, so by
-Sherman-Morrison-Woodbury the Newton point solves a 2a x 2a system
-whose entries are inner products of ramps projected off the terminal
-map, which have a closed form. Where the full Hessian is not positive
-definite on those ramps the step is Gauss-Newton, leaving out the
-curvature of the constraint itself. A monotone Armijo search halves the
-step from the full one. A trial costs O(N K) for K obstacles (controls
-from suffix sums over the touch states, two cumsums for the states, the
-penalty); a step adds O(a^3), and no N x N matrix is ever formed. If
+start is touch states and ramps like every later plan. Each weight of
+the penalty schedule then runs Newton steps on the ramp coefficients.
+With a penetrating states, the Hessian of the objective is 2 dt I plus a
+rank-2 term per penetrating state, so by Sherman-Morrison-Woodbury the
+Newton point solves a 2a x 2a system whose entries are inner products of
+ramps projected off the terminal map, which have a closed form. Where
+the full Hessian is not positive definite on those ramps the step is
+Gauss-Newton, leaving out the curvature of the constraint itself. A
+monotone Armijo search halves the step from the full one. Controls and
+states are affine in the step fraction, so a step builds the Newton
+point's controls (suffix sums over the touch states) and states (two
+cumsums) once, and a trial is an axpy over the states, the penalty and a
+quadratic in the fraction for the control cost: O(N K) for K obstacles.
+A step adds O(a^3); no N x N matrix is ever formed. Each weight rebuilds
+its start from the ramps, which bounds rounding drift to one weight. If
 the steered start ends with a penetration warning, the schedule runs
 again from the unconstrained plan itself.
 
 A weight ends when the gradient of the controls, projected off the
 terminal map, is at most gradient_tol, when an accepted step lowers the
-objective by at most 1e-14 of its value, when the search halves the
-step below 2^-20, or after descent_iterations steps. In float64, gradient_tol is reachable only at
-the low weights: a penetration g = r^2 - |p - c|^2 carries a rounding
-error of about eps |p|^2, which the force 4 w g+ (p - c) multiplies by
-w, so at w = 1e8 the projected gradient bottoms out at 1e-7 to 1e-4 on
-those inputs, and the relative-decrease test ends the weight.
+objective by at most 1e-14 of its value, when the search halves the step
+below 2^-20, or after descent_iterations steps. In float64, gradient_tol
+is reachable only at the low weights: a penetration g = r^2 - |p - c|^2
+carries a rounding error of about eps |p|^2, which the force
+4 w g+ (p - c) multiplies by w, so at w = 1e8 the projected gradient
+bottoms out at 1e-7 to 1e-4 on those inputs, and the relative-decrease
+test ends the weight.
 """
 
 from __future__ import annotations
@@ -81,9 +85,7 @@ class OracleConfig:
     constants of the solve, readable here but not settable.
     """
 
-    penalty_weights: ClassVar[tuple[float, ...]] = (
-        1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8,
-    )
+    penalty_weights: ClassVar[tuple[float, ...]] = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
     gradient_tol: ClassVar[float] = 1e-8
     descent_iterations: ClassVar[int] = 50
 
@@ -196,20 +198,15 @@ def _simulate(p0, v0, controls: np.ndarray, dt: float):
     return positions, velocities
 
 
-def _state_major(rows: np.ndarray) -> np.ndarray:
-    """The C-order (N, m) copy of m rows."""
-    return np.ascontiguousarray(rows.T)
-
-
 def _terminal_map(n: int, dt: float) -> np.ndarray:
     """Rows map a control sequence to terminal (position, velocity) per axis."""
     j = np.arange(n)
     return np.vstack([dt**2 * (n - j - 0.5), np.full(n, dt)])
 
 
-def _control_cost(controls: np.ndarray, dt: float) -> float:
-    """sum(|u_k|^2)*dt over C-order (N, 2) controls."""
-    return float((controls**2).sum() * dt)
+def _control_cost(rows: np.ndarray, dt: float) -> float:
+    """sum(|u_k|^2)*dt over (2, N) control rows, summed state-major."""
+    return float((np.ascontiguousarray(rows.T)**2).sum() * dt)
 
 
 def _ramp_products(k, kp, dt: float):
@@ -232,11 +229,7 @@ def _terminal_ramps(touches: np.ndarray, n: int, dt: float) -> np.ndarray:
 def _terminal_gap(x0: KinematicState, xf: KinematicState, horizon: float):
     """(2, 2): per axis, the goal's (position, velocity) less where the
     start state coasts to."""
-    gap = np.empty((2, 2))
-    for axis in range(2):
-        free_p = x0.p[axis] + x0.v[axis] * horizon
-        gap[axis] = (xf.p[axis] - free_p, xf.v[axis] - x0.v[axis])
-    return gap
+    return np.column_stack((xf.p - (x0.p + x0.v * horizon), xf.v - x0.v))
 
 
 def _affine(gram, gap, touches, ramps, n: int, dt: float) -> np.ndarray:
@@ -284,7 +277,7 @@ def _plan(t0, tf, n, start, affine, touches, ramps, obstacles=None) -> DiscreteP
         ))
     return DiscretePlan(
         t_start=t0, t_end=tf, steps=n, start=start, affine=affine,
-        touches=touches, ramps=ramps, cost=_control_cost(_state_major(rows), dt),
+        touches=touches, ramps=ramps, cost=_control_cost(rows, dt),
         max_penetration=max_pen, penetration_warning=max_pen > PENETRATION_WARNING,
     )
 
@@ -313,10 +306,8 @@ def discrete_min_energy(
                      n, dt)
     plan = _plan(t0, tf, n, x0, affine, _NO_TOUCHES, _NO_RAMPS)
     positions, velocities = plan._state_rows()
-    terminal_err = max(
-        float(np.linalg.norm(positions[:, -1] - xf.p)),
-        float(np.linalg.norm(velocities[:, -1] - xf.v)),
-    )
+    terminal_err = max(float(np.linalg.norm(positions[:, -1] - xf.p)),
+                       float(np.linalg.norm(velocities[:, -1] - xf.v)))
     assert terminal_err <= 1e-9, f"terminal state error {terminal_err:.3e}"
     return plan
 
@@ -333,28 +324,44 @@ def _penalty_terms(positions: np.ndarray, centers: np.ndarray, radii: np.ndarray
     return terms
 
 
-def _objective(controls, p0, v0, dt, centers, radii, weight, ceiling=math.inf):
-    """Cost plus weighted penalty of C-order (N, 2) controls, with the
-    penalty terms at those controls.
-
-    The weighted penalty is >= +0.0 and rounding is monotone, so the
-    objective is never below the control cost. When that cost alone
-    exceeds ceiling, the controls are not simulated: the cost comes back
-    in place of the objective, above ceiling as the objective would be,
-    with no terms.
-    """
-    cost = _control_cost(controls, dt)
-    if cost > ceiling:
-        return cost, None
-    positions, _ = _simulate(p0, v0, np.ascontiguousarray(controls.T), dt)
+def _penalized(cost, positions, centers, radii, weight):
+    """Cost plus weighted penalty at (2, N+1) positions, and its terms."""
     terms = _penalty_terms(positions, centers, radii)
     gplus = np.stack([term[1] for term in terms], axis=1)
     return cost + weight * float((gplus**2).sum()), terms
 
 
+def _line_search(value, slope, controls, positions, newton_controls,
+                 newton_positions, centers, radii, weight, dt):
+    """Monotone Armijo backtracking from the plan of objective value at
+    (2, N) controls and (2, N+1) positions towards the Newton point's. A
+    trial at step fraction alpha costs c0 + alpha (c1 + alpha c2) and has
+    states positions + alpha dp; one whose cost alone exceeds the ceiling
+    value + ARMIJO alpha slope is rejected without forming its states, as
+    the weighted penalty is >= +0.0. Returns alpha and the accepted
+    (objective, controls, positions, terms), or None below MIN_STEP."""
+    du, dp = newton_controls - controls, newton_positions - positions
+    cost = _control_cost(controls, dt)
+    c1 = 2.0 * dt * float(np.vdot(controls, du))
+    c2 = dt * float(np.vdot(du, du))
+    alpha = 1.0
+    while alpha >= MIN_STEP:
+        ceiling = value + ARMIJO * alpha * slope
+        trial_cost = cost + alpha * (c1 + alpha * c2)
+        if trial_cost <= ceiling:
+            trial_positions = positions + alpha * dp
+            trial_value, terms = _penalized(trial_cost, trial_positions, centers,
+                                            radii, weight)
+            if trial_value <= ceiling:
+                return (alpha, trial_value, controls + alpha * du, trial_positions,
+                        terms)
+        alpha *= 0.5
+    return None
+
+
 def _gradient(controls, terms, dt, weight):
     """Gradient of cost plus penalty with respect to every control, as
-    (2, N) rows, for C-order (N, 2) controls.
+    (2, N) rows, for (N, 2) controls.
 
     d p_k / d u_j = dt^2 (k - j - 1/2) for j < k; the double sum
     collapses into two suffix sums over the penalty forces -4w f of
@@ -391,12 +398,12 @@ def _gradient(controls, terms, dt, weight):
 
 
 def _stationary(controls, terms, dt, weight, gmap, gram) -> bool:
-    """Whether the gradient of the objective at C-order (N, 2) controls,
+    """Whether the gradient of the objective at the (2, N) control rows,
     projected off the rows of the terminal map, has norm at most
     gradient_tol. The test reads the controls themselves, so it does not
     rest on the closed-form ramp products that the Newton step is built
     from."""
-    grad = _gradient(controls, terms, dt, weight)
+    grad = _gradient(controls.T, terms, dt, weight)
     grad -= np.linalg.solve(gram, gmap @ grad.T).T @ gmap
     return math.sqrt(float((grad**2).sum())) <= OracleConfig.gradient_tol
 
@@ -556,14 +563,12 @@ def discrete_min_energy_constrained(
     """Penalty-method solve of the obstacle-constrained discrete problem.
 
     Starts from the unconstrained plan, pre-shaped around violated
-    obstacles, then for each weight in the increasing penalty schedule
-    runs Newton steps on the ramp coefficients with a monotone Armijo
-    backtracking search. Every plan the solve visits ends exactly on the
-    goal: the terminal-map coefficients are solved from the ramps. When
-    the plan from the steered start ends with a penetration warning, the
-    schedule runs again from the unconstrained plan itself, whose plan is
-    kept if it clears the warning: on crowded worlds the pushes can drive
-    the path into overlapping obstacles that it then cannot leave.
+    obstacles, then runs Newton steps on the ramp coefficients at each
+    penalty weight, every plan ending exactly on the goal. When that ends
+    with a penetration warning, the schedule runs again from the
+    unconstrained plan itself, kept if it clears the warning: on crowded
+    worlds the pushes can drive the path into overlapping obstacles that
+    it then cannot leave.
 
     When objective_trace is a list, it gets the trace of the plan
     returned: for each weight a (weight, objective) pair for the plan
@@ -575,8 +580,7 @@ def discrete_min_energy_constrained(
     )
     if not scenario.obstacles:
         return base
-    n = config.steps
-    dt = base.dt
+    n, dt = config.steps, base.dt
     p0, v0 = agent.start.p, agent.start.v
     centers = np.array([o.center for o in scenario.obstacles])
     radii = np.array([inflated_radius(o, agent) for o in scenario.obstacles])
@@ -587,17 +591,17 @@ def discrete_min_energy_constrained(
     gram = gmap @ gmap.T
     gap = _terminal_gap(agent.start, agent.goal, agent.tf_nominal - agent.t0)
 
-    def objective(touches, ramps, weight, ceiling=math.inf):
+    def rebuild(touches, ramps):
         affine = _affine(gram, gap, touches, ramps, n, dt)
-        controls = _state_major(_control_rows(n, dt, affine, touches, ramps))
-        value, terms = _objective(controls, p0, v0, dt, centers, radii, weight,
-                                  ceiling)
-        return value, terms, controls
+        controls = _control_rows(n, dt, affine, touches, ramps)
+        return controls, _simulate(p0, v0, controls, dt)[0]
 
     def solve(touches, ramps):
         trace = []
         for weight in config.penalty_weights:
-            value, terms, controls = objective(touches, ramps, weight)
+            controls, positions = rebuild(touches, ramps)
+            value, terms = _penalized(_control_cost(controls, dt), positions,
+                                      centers, radii, weight)
             trace.append((weight, value))
             for _ in range(config.descent_iterations):
                 if _stationary(controls, terms, dt, weight, gmap, gram):
@@ -606,21 +610,16 @@ def discrete_min_energy_constrained(
                 if step is None:
                     break
                 union, current, target, slope = step
-                alpha = 1.0
-                while alpha >= MIN_STEP:
-                    trial = current + alpha * (target - current)
-                    ceiling = value + ARMIJO * alpha * slope
-                    trial_value, trial_terms, trial_controls = objective(
-                        union, trial, weight, ceiling)
-                    if trial_value <= ceiling:
-                        break
-                    alpha *= 0.5
-                else:
+                found = _line_search(value, slope, controls, positions,
+                                     *rebuild(union, target), centers, radii, weight, dt)
+                if found is None:
                     break
+                alpha, trial_value, controls, positions, terms = found
+                trial = current + alpha * (target - current)
                 kept = np.any(trial != 0.0, axis=1)
                 stalled = value - trial_value <= STALL * abs(value)
                 touches, ramps = union[kept], trial[kept]
-                value, terms, controls = trial_value, trial_terms, trial_controls
+                value = trial_value
                 trace.append((weight, value))
                 if stalled:
                     break
@@ -630,7 +629,8 @@ def discrete_min_energy_constrained(
 
     if n == 2:
         # the terminal state fixes both controls: no step can move them
-        trace = [(weight, objective(_NO_TOUCHES, _NO_RAMPS, weight)[0])
+        positions = base._state_rows()[0]
+        trace = [(weight, _penalized(base.cost, positions, centers, radii, weight)[0])
                  for weight in config.penalty_weights]
         plan = _plan(agent.t0, agent.tf_nominal, n, agent.start, base.affine,
                      _NO_TOUCHES, _NO_RAMPS, (centers, radii))

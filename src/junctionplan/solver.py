@@ -279,7 +279,9 @@ def _spline(params: list[float], fixed: _Fixed) -> _Spline:
         for (sx0, sy0), (sx1, sy1), w0, w1 in zip(slope, slope[1:], inv, inv[1:])
     ]).reshape(n, 2)
     rhs -= np.array(boundary).reshape(n, 2) @ fixed.ends
-    vel = [fixed.v_start, *np.linalg.solve(m, rhs).tolist(), fixed.v_goal]
+    # a junction-free system is empty: skip the solve's call overhead
+    inner = np.linalg.solve(m, rhs).tolist() if n else []
+    vel = [fixed.v_start, *inner, fixed.v_goal]
     a3 = []
     a2 = []
     for (v0x, v0y), (v1x, v1y), (sx, sy), w, w2 in zip(vel, vel[1:], slope, inv, inv2):

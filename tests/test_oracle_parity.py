@@ -7,7 +7,9 @@ made, so the unconstrained transfer, the objective and the states of a
 Newton plan keep their bits. The gradient that ends a weight sums the
 penalty forces only over the span of states inside an obstacle, with the
 bits of sums over every state. A line-search trial whose control cost
-alone is above the Armijo bound is rejected without being simulated. The
+alone is above the Armijo bound is rejected without forming its states,
+and the controls and states that the search carries from step to step
+agree with those rebuilt from the accepted ramps to rounding. The
 reference below keeps the (N, 2) kernels, and the steering as it was
 when it moved (N, 2) controls by minimum-norm waypoint bumps.
 Two checks tie the Newton oracle to that reference: its steered start,
@@ -442,22 +444,84 @@ def test_gradient_keeps_its_bits_for_a_non_finite_weight(weight, name):
 
 
 @pytest.mark.parametrize("name", ["line2", "aside"])
-def test_screen_rejects_only_what_the_objective_rejects(name):
-    """A trial is screened out only when its control cost alone is above
-    the ceiling; at a ceiling equal to that cost it is simulated, and
-    accepted when no state is inside a disc ("aside")."""
+def test_screen_rejects_only_what_the_objective_rejects(name, monkeypatch):
+    """A trial is skipped, its states never formed, only when its
+    quadratic control cost is above the Armijo ceiling; at a ceiling equal
+    to that cost it is evaluated, and accepted when no state is inside a
+    disc ("aside"). With no change to the plan and a zero slope, every
+    trial costs the plan's cost and the ceiling is the value given."""
     agent, scenario = CASES[name]()
     controls, p0, v0, dt, centers, radii, _ = steering_inputs(agent, scenario, SMALL)
-    args = (controls, p0, v0, dt, centers, radii, 1e4)
-    value, _ = reference_objective(*args)
+    weight = 1e4
+    value, positions = reference_objective(controls, p0, v0, dt, centers, radii,
+                                           weight)
     cost = reference_control_cost(controls, dt)
-    full, terms = oracle._objective(*args)
-    assert repr(full) == repr(value) and terms is not None
-    at_cost, terms = oracle._objective(*args, cost)
-    assert repr(at_cost) == repr(value) and terms is not None
-    assert (at_cost <= cost) is (name == "aside")
-    below, terms = oracle._objective(*args, np.nextafter(cost, -math.inf))
-    assert repr(below) == repr(cost) and terms is None
+    rows, positions = np.ascontiguousarray(controls.T), np.ascontiguousarray(positions.T)
+    evaluated = []
+    penalized = oracle._penalized
+
+    def record(*args):
+        result = penalized(*args)
+        evaluated.append(result[0])
+        return result
+
+    monkeypatch.setattr(oracle, "_penalized", record)
+
+    def search(ceiling):
+        evaluated.clear()
+        return oracle._line_search(ceiling, 0.0, rows, positions, rows, positions,
+                                   centers, radii, weight, dt)
+
+    found = search(cost)
+    assert evaluated and repr(evaluated[0]) == repr(value)
+    if name == "aside":
+        alpha, trial_value, trial_rows, trial_positions, terms = found
+        assert (alpha, trial_value) == (1.0, cost)
+        assert trial_rows.tobytes() == rows.tobytes()
+        assert trial_positions.tobytes() == positions.tobytes()
+        assert len(evaluated) == 1 and len(terms) == len(centers)
+    else:
+        assert value > cost and found is None
+        assert len(evaluated) == 21  # alpha = 1 .. MIN_STEP, each above the ceiling
+    assert search(np.nextafter(cost, -math.inf)) is None and not evaluated
+
+
+@pytest.mark.parametrize("steps", [300, 2000])
+@pytest.mark.parametrize("name", ["world3", "world5", "line2", "moving"])
+def test_carried_plan_matches_its_ramps(name, steps, monkeypatch):
+    """After every accepted step, the controls and states that the line
+    search carries from step to step agree, to 1e-12 relative, with those
+    rebuilt from the accepted ramps by _control_rows and _simulate."""
+    agent, scenario = CASES[name]()
+    dt = (agent.tf_nominal - agent.t0) / steps
+    gmap = _terminal_map(steps, dt)
+    gram = gmap @ gmap.T
+    gap = oracle._terminal_gap(agent.start, agent.goal, agent.tf_nominal - agent.t0)
+    newton_step, line_search = oracle._newton_step, oracle._line_search
+    taken, accepted = [], []
+
+    def record_step(*args):
+        taken.append(newton_step(*args))
+        return taken[-1]
+
+    def record_search(*args):
+        found = line_search(*args)
+        if found is not None:
+            accepted.append((taken[-1], found))
+        return found
+
+    monkeypatch.setattr(oracle, "_newton_step", record_step)
+    monkeypatch.setattr(oracle, "_line_search", record_search)
+    discrete_min_energy_constrained(agent, scenario, OracleConfig(steps=steps))
+    assert accepted
+    for (union, current, target, _), found in accepted:
+        alpha, _, controls, positions, _ = found
+        ramps = current + alpha * (target - current)
+        affine = oracle._affine(gram, gap, union, ramps, steps, dt)
+        rows = oracle._control_rows(steps, dt, affine, union, ramps)
+        states, _ = oracle._simulate(agent.start.p, agent.start.v, rows, dt)
+        assert np.abs(controls - rows).max() <= 1e-12 * np.abs(rows).max()
+        assert np.abs(positions - states).max() <= 1e-12 * np.abs(states).max()
 
 
 @pytest.mark.parametrize("steps", [2, 7, 500])
