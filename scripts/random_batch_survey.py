@@ -27,12 +27,21 @@ where the planner's energy is above 1.02 times the oracle's cost. That
 list is a report, not a check: the oracle's plan is discrete and can
 end in another local minimum, but a world on it has a cheaper way
 around its obstacles than the planner's.
+
+BLAS runs on one thread, as in perfbench, whatever the environment says:
+the oracle's solves give other bits on more threads, so two checkouts
+compared with --answers --oracle differ only where their code does.
 """
 
-import argparse
-import time
+import os
 
-from junctionplan import (
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import time  # noqa: E402
+
+from junctionplan import (  # noqa: E402
     GenerationError,
     PlanningFailure,
     compare,
@@ -41,7 +50,7 @@ from junctionplan import (
     segment_energy,
     solve_boundary,
 )
-from junctionplan.world import reference_world
+from junctionplan.world import reference_world  # noqa: E402
 
 
 def answer_line(seed, report, failure):

@@ -23,24 +23,28 @@ The solve starts from the unconstrained plan, pre-shaped by pushing the
 deepest state k of each violated obstacle out of it (a descent cannot
 break the symmetry of a path aimed through an obstacle's center). With
 the terminal state held, a push by delta adds delta / (r_k . P r_k) to
-k's ramp coefficient, P the projection off the terminal map, so the
-start is touch states and ramps like every later plan. Each weight of
-the penalty schedule then runs Newton steps on the ramp coefficients.
-With a penetrating states, the Hessian of the objective is 2 dt I plus a
-rank-2 term per penetrating state, so by Sherman-Morrison-Woodbury the
-Newton point solves a 2a x 2a system whose entries are inner products of
-ramps projected off the terminal map, which have a closed form. Where
-the full Hessian is not positive definite on those ramps the step is
-Gauss-Newton, leaving out the curvature of the constraint itself. A
-monotone Armijo search halves the step from the full one. Controls and
-states are affine in the step fraction, so a step builds the Newton
-point's controls (suffix sums over the touch states) and states (two
-cumsums) once, and a trial is an axpy over the states, the penalty and a
-quadratic in the fraction for the control cost: O(N K) for K obstacles.
-A step adds O(a^3); no N x N matrix is ever formed. Each weight rebuilds
-its start from the ramps, which bounds rounding drift to one weight. If
-the steered start ends with a penetration warning, the schedule runs
-again from the unconstrained plan itself.
+k's ramp coefficient, P the projection off the terminal map. Each weight
+of the penalty schedule then runs Newton steps on the ramp coefficients.
+With a penetrating states the Hessian is 2 dt I plus a rank-2 term per
+penetrating state, so by Sherman-Morrison-Woodbury the Newton point
+solves a 2a x 2a system of closed-form inner products of projected
+ramps; where the full Hessian is not positive definite on those ramps
+the step is Gauss-Newton. A monotone Armijo search halves the step from
+the full one. Each weight rebuilds its start from the ramps, which
+bounds rounding drift to one weight. If the steered start ends with a
+penetration warning, the schedule runs again from the unconstrained plan.
+
+What depends only on N, dt and the obstacles is built once per solve, a
+_Grid: the terminal-map rows, their Gram matrix and its closed-form
+inverse, j + 1/2 and the discs as floats. A step then pays a fixed part
+of small NumPy calls (about 180 builtin calls as sys.setprofile counts
+them), six of them LAPACK solves and factorizations (two for the Newton
+point's terminal-map coefficients), plus O(a^3), and an O(N K) part for
+K obstacles: the projected gradient, the Newton point's controls (a
+cumsum over the touch states, repeated over the steps) and states (two
+cumsums), and per trial an axpy over the states and the penalty, the
+control cost being a quadratic in the step fraction. No N x N matrix is
+ever formed.
 
 A weight ends when the gradient of the controls, projected off the
 terminal map, is at most gradient_tol, when an accepted step lowers the
@@ -151,7 +155,7 @@ class DiscretePlan:
         return (self.t_end - self.t_start) / self.steps
 
     def _rows(self) -> np.ndarray:
-        return _control_rows(self.steps, self.dt, self.affine, self.touches,
+        return _control_rows(_Grid(self.steps, self.dt), self.affine, self.touches,
                              self.ramps)
 
     def _state_rows(self):
@@ -204,26 +208,50 @@ def _terminal_map(n: int, dt: float) -> np.ndarray:
     return np.vstack([dt**2 * (n - j - 0.5), np.full(n, dt)])
 
 
+class _Grid:
+    """What a solve at n steps of dt among the given discs reads on every
+    step, built once: the terminal-map rows, their Gram matrix and its
+    inverse in closed form (det = dt^6 n^2 (n^2 - 1) / 12), j + 1/2 for
+    each step j, and the discs as arrays and as (cx, cy, r^2) floats."""
+
+    def __init__(self, n: int, dt: float, centers=np.zeros((0, 2)), radii=np.zeros(0)):
+        self.n, self.dt = n, dt
+        self.rows = _terminal_map(n, dt)
+        self.gram = self.rows @ self.rows.T
+        q = n * n - 1.0
+        off = -6.0 / (dt**3 * q)
+        self.gram_inv = np.array([[12.0 / (dt**4 * n * q), off],
+                                  [off, (4.0 * n * n - 1.0) / (dt**2 * n * q)]])
+        self.half = np.arange(0.5, n)
+        self.centers, self.radii = centers, radii
+        self.discs = tuple(zip(*centers.T.tolist(), (radii**2).tolist()))
+
+
 def _control_cost(rows: np.ndarray, dt: float) -> float:
     """sum(|u_k|^2)*dt over (2, N) control rows, summed state-major."""
-    return float((np.ascontiguousarray(rows.T)**2).sum() * dt)
+    state_major = np.empty((rows.shape[1], 2))
+    state_major[:, 0], state_major[:, 1] = rows
+    return float((state_major**2).sum() * dt)
 
 
 def _ramp_products(k, kp, dt: float):
     """Inner products r_k . r_k' of the ramps of states k and k'
     (broadcast): dt^4 sum_{j < m} (k - j - 1/2)(k' - j - 1/2) with
-    m = min(k, k'). Times 12 the sum is an integer polynomial, exact in
-    float64 while 12 k^3 stays below 2^53 (k up to about 85,000)."""
-    m = np.minimum(k, kp)
-    return dt**4 * ((12.0 * m * k * kp - 6.0 * (k + kp) * m * m
-                     + m * (4.0 * m * m - 1.0)) / 12.0)
+    m = min(k, k') and M = max(k, k'). Times 12 the sum is the integer
+    m (2 m (3 M - m)) - m, exact in float64 while 6 M^3 stays below 2^53
+    (M up to about 110,000)."""
+    m, big = np.minimum(k, kp), np.maximum(k, kp)
+    return dt**4 * ((m * (2.0 * m * (3.0 * big - m)) - m) / 12.0)
 
 
 def _terminal_ramps(touches: np.ndarray, n: int, dt: float) -> np.ndarray:
     """(m, 2): the terminal map applied to the ramp of each touch state,
     r_N . r_k and dt * sum(r_k) = dt^3 k^2 / 2."""
     k = touches.astype(float)
-    return np.column_stack((_ramp_products(float(n), k, dt), 0.5 * dt**3 * k * k))
+    ends = np.empty((k.size, 2))
+    ends[:, 0] = _ramp_products(float(n), k, dt)
+    ends[:, 1] = 0.5 * dt**3 * k * k
+    return ends
 
 
 def _terminal_gap(x0: KinematicState, xf: KinematicState, horizon: float):
@@ -232,58 +260,64 @@ def _terminal_gap(x0: KinematicState, xf: KinematicState, horizon: float):
     return np.column_stack((xf.p - (x0.p + x0.v * horizon), xf.v - x0.v))
 
 
-def _affine(gram, gap, touches, ramps, n: int, dt: float) -> np.ndarray:
+def _affine(grid: _Grid, gap, touches, ramps) -> np.ndarray:
     """(2, 2): per axis, the terminal-map coefficients that end the plan
     with the given ramps on the goal."""
     if touches.size:
-        gap = gap - ramps.T @ _terminal_ramps(touches, n, dt)
+        gap = gap - ramps.T @ _terminal_ramps(touches, grid.n, grid.dt)
     affine = np.empty((2, 2))
     for axis in range(2):
-        affine[axis] = np.linalg.solve(gram, gap[axis])
+        affine[axis] = np.linalg.solve(grid.gram, gap[axis])
     return affine
 
 
-def _control_rows(n: int, dt: float, affine, touches, ramps) -> np.ndarray:
+def _control_rows(grid: _Grid, affine, touches, ramps) -> np.ndarray:
     """(2, N) controls of a plan held as coefficients.
 
     Step j feels the ramp of every touch state k > j, so the ramps add
     up as dt^2 (S_k[j] - (j + 1/2) S_1[j]) from the suffix sums S_1 of
-    the coefficients and S_k of k times them.
-    """
-    gmap = _terminal_map(n, dt)
-    rows = np.empty((2, n))
+    the coefficients and S_k of k times them. Both are constant between
+    touch states: a reversed cumsum over the m touch states, each sum
+    repeated over its steps, and zero after the last."""
+    rows = np.empty((2, grid.n))
     for axis in range(2):
-        rows[axis] = gmap.T @ affine[axis]
+        rows[axis] = grid.rows.T @ affine[axis]
     if touches.size:
-        sums = np.zeros((4, n))
-        sums[:2, touches - 1] = ramps.T
-        sums[2:, touches - 1] = touches * ramps.T
-        sums = np.cumsum(sums[:, ::-1], axis=1)[:, ::-1]
-        rows += dt**2 * (sums[2:] - np.arange(0.5, n) * sums[:2])
+        sums = np.zeros((4, touches.size + 1))
+        coefficients = np.concatenate((ramps.T, touches * ramps.T))
+        sums[:, :-1] = np.cumsum(coefficients[:, ::-1], axis=1)[:, ::-1]
+        edges = np.concatenate(((0,), touches, (grid.n,)))
+        sums = np.repeat(sums, edges[1:] - edges[:-1], axis=1)
+        rows += grid.dt**2 * (sums[2:] - grid.half * sums[:2])
     return rows
 
 
-def _plan(t0, tf, n, start, affine, touches, ramps, obstacles=None) -> DiscretePlan:
-    """The DiscretePlan of these coefficients, with its cost and, given
-    (centers, radii), its worst penetration, from the arrays its
-    properties compute."""
-    dt = (tf - t0) / n
-    rows = _control_rows(n, dt, affine, touches, ramps)
+def _rebuild(grid: _Grid, start, gap, touches, ramps):
+    """(2, N) controls and (2, N+1) positions and velocities of the plan
+    with these ramps that ends on the goal."""
+    controls = _control_rows(grid, _affine(grid, gap, touches, ramps), touches, ramps)
+    return (controls, *_simulate(start.p, start.v, controls, grid.dt))
+
+
+def _plan(grid: _Grid, t0, tf, start, gap, touches, ramps) -> DiscretePlan:
+    """The DiscretePlan of these ramps that ends on the goal, with its cost
+    and worst penetration of the grid's discs from the arrays it computes."""
+    affine = _affine(grid, gap, touches, ramps)
+    rows = _control_rows(grid, affine, touches, ramps)
     max_pen = 0.0
-    if obstacles is not None:
-        positions, _ = _simulate(start.p, start.v, rows, dt)
-        max_pen = float(max(
-            np.max(gplus) for _, gplus, _, _ in _penalty_terms(positions, *obstacles)
-        ))
+    if grid.discs:
+        positions, _ = _simulate(start.p, start.v, rows, grid.dt)
+        max_pen = float(np.max(_penalty_terms(positions, grid.discs)[1]))
     return DiscretePlan(
-        t_start=t0, t_end=tf, steps=n, start=start, affine=affine,
-        touches=touches, ramps=ramps, cost=_control_cost(rows, dt),
+        t_start=t0, t_end=tf, steps=grid.n, start=start, affine=affine,
+        touches=touches, ramps=ramps, cost=_control_cost(rows, grid.dt),
         max_penetration=max_pen, penetration_warning=max_pen > PENETRATION_WARNING,
     )
 
 
 _NO_TOUCHES = np.zeros(0, dtype=np.intp)
 _NO_RAMPS = np.zeros((0, 2))
+_EYE2 = np.eye(2)
 
 
 def discrete_min_energy(
@@ -297,14 +331,11 @@ def discrete_min_energy(
     if tf <= t0:
         raise DegenerateHorizonError(f"horizon [{t0}, {tf}] is empty")
     _check_steps(n)
-    dt = (tf - t0) / n
-    gmap = _terminal_map(n, dt)
-    gram = gmap @ gmap.T
+    grid = _Grid(n, (tf - t0) / n)
     # Reachability cannot fail for this system with n >= 2.
-    assert np.linalg.matrix_rank(gram) == 2, "terminal map lost rank"
-    affine = _affine(gram, _terminal_gap(x0, xf, tf - t0), _NO_TOUCHES, _NO_RAMPS,
-                     n, dt)
-    plan = _plan(t0, tf, n, x0, affine, _NO_TOUCHES, _NO_RAMPS)
+    assert np.linalg.matrix_rank(grid.gram) == 2, "terminal map lost rank"
+    plan = _plan(grid, t0, tf, x0, _terminal_gap(x0, xf, tf - t0), _NO_TOUCHES,
+                 _NO_RAMPS)
     positions, velocities = plan._state_rows()
     terminal_err = max(float(np.linalg.norm(positions[:, -1] - xf.p)),
                        float(np.linalg.norm(velocities[:, -1] - xf.v)))
@@ -312,46 +343,47 @@ def discrete_min_energy(
     return plan
 
 
-def _penalty_terms(positions: np.ndarray, centers: np.ndarray, radii: np.ndarray):
-    """Per obstacle, in obstacle order: the constraint g = r^2 - |p - c|^2
-    at every state, its positive part, and the offsets p - c per axis."""
+def _penalty_terms(positions: np.ndarray, discs):
+    """Per (cx, cy, r^2) disc, in order: the constraint g = r^2 - |p - c|^2
+    at every state, its positive part, and the offsets p - c per axis;
+    and the positive parts as the columns of one (N+1, K) array."""
     terms = []
-    for (cx, cy), r2 in zip(centers.tolist(), (radii**2).tolist()):
+    gplus = np.empty((positions.shape[1], len(discs)))
+    for column, (cx, cy, r2) in enumerate(discs):
         dx = positions[0] - cx
         dy = positions[1] - cy
         g = r2 - (dx * dx + dy * dy)
-        terms.append((g, np.maximum(g, 0.0), dx, dy))
-    return terms
+        terms.append((g, np.maximum(g, 0.0, out=gplus[:, column]), dx, dy))
+    return terms, gplus
 
 
-def _penalized(cost, positions, centers, radii, weight):
+def _penalized(cost, positions, discs, weight):
     """Cost plus weighted penalty at (2, N+1) positions, and its terms."""
-    terms = _penalty_terms(positions, centers, radii)
-    gplus = np.stack([term[1] for term in terms], axis=1)
+    terms, gplus = _penalty_terms(positions, discs)
     return cost + weight * float((gplus**2).sum()), terms
 
 
-def _line_search(value, slope, controls, positions, newton_controls,
-                 newton_positions, centers, radii, weight, dt):
+def _line_search(grid: _Grid, weight, value, slope, controls, positions,
+                 newton_controls, newton_positions):
     """Monotone Armijo backtracking from the plan of objective value at
     (2, N) controls and (2, N+1) positions towards the Newton point's. A
-    trial at step fraction alpha costs c0 + alpha (c1 + alpha c2) and has
-    states positions + alpha dp; one whose cost alone exceeds the ceiling
-    value + ARMIJO alpha slope is rejected without forming its states, as
-    the weighted penalty is >= +0.0. Returns alpha and the accepted
-    (objective, controls, positions, terms), or None below MIN_STEP."""
+    trial at fraction alpha costs c0 + alpha (c1 + alpha c2), has states
+    positions + alpha dp, and is rejected unformed when its cost alone is
+    above the ceiling value + ARMIJO alpha slope (the penalty is >= +0.0).
+    Returns alpha and the accepted (objective, controls, positions,
+    terms), or None below MIN_STEP."""
     du, dp = newton_controls - controls, newton_positions - positions
-    cost = _control_cost(controls, dt)
-    c1 = 2.0 * dt * float(np.vdot(controls, du))
-    c2 = dt * float(np.vdot(du, du))
+    cost = _control_cost(controls, grid.dt)
+    c1 = 2.0 * grid.dt * float(np.vdot(controls, du))
+    c2 = grid.dt * float(np.vdot(du, du))
     alpha = 1.0
     while alpha >= MIN_STEP:
         ceiling = value + ARMIJO * alpha * slope
         trial_cost = cost + alpha * (c1 + alpha * c2)
         if trial_cost <= ceiling:
             trial_positions = positions + alpha * dp
-            trial_value, terms = _penalized(trial_cost, trial_positions, centers,
-                                            radii, weight)
+            trial_value, terms = _penalized(trial_cost, trial_positions, grid.discs,
+                                            weight)
             if trial_value <= ceiling:
                 return (alpha, trial_value, controls + alpha * du, trial_positions,
                         terms)
@@ -359,7 +391,7 @@ def _line_search(value, slope, controls, positions, newton_controls,
     return None
 
 
-def _gradient(controls, terms, dt, weight):
+def _gradient(grid: _Grid, controls, terms, weight):
     """Gradient of cost plus penalty with respect to every control, as
     (2, N) rows, for (N, 2) controls.
 
@@ -376,7 +408,6 @@ def _gradient(controls, terms, dt, weight):
     their value at the span's first state plus rest: the bits that sums
     over all states give.
     """
-    n = controls.shape[0]
     fx = fy = 0.0
     for _, gplus, dx, dy in terms:
         fx = fx + gplus[1:] * dx[1:]
@@ -384,7 +415,7 @@ def _gradient(controls, terms, dt, weight):
     # column i is state k = i + 1; rows are the suffix sums of f_x, f_y,
     # k f_x and k f_y; states k = j+1 .. n feel control j
     rest = -4.0 * weight * 0.0
-    suffix = np.full((4, n), rest)
+    suffix = np.full((4, grid.n), rest)
     live = np.flatnonzero((fx != 0.0) | (fy != 0.0))
     if live.size:
         first, stop = int(live[0]), int(live[-1]) + 1
@@ -392,105 +423,100 @@ def _gradient(controls, terms, dt, weight):
         k = np.arange(first + 1.0, stop + 1.0)
         span = np.concatenate((forces, k * forces))
         suffix[:, first:stop] = np.cumsum(span[:, ::-1], axis=1)[:, ::-1]
-        suffix[:, :first] = suffix[:, first, None] + rest
-    j = np.arange(0.5, n)
-    return 2.0 * dt * controls.T + dt**2 * (suffix[2:] - j * suffix[:2])
+        suffix[:, :first] = (suffix[:, first] + rest)[:, None]
+    return (2.0 * grid.dt * controls.T
+            + grid.dt**2 * (suffix[2:] - grid.half * suffix[:2]))
 
 
-def _stationary(controls, terms, dt, weight, gmap, gram) -> bool:
+def _stationary(grid: _Grid, controls, terms, weight) -> bool:
     """Whether the gradient of the objective at the (2, N) control rows,
     projected off the rows of the terminal map, has norm at most
-    gradient_tol. The test reads the controls themselves, so it does not
-    rest on the closed-form ramp products that the Newton step is built
-    from."""
-    grad = _gradient(controls.T, terms, dt, weight)
-    grad -= np.linalg.solve(gram, gmap @ grad.T).T @ gmap
-    return math.sqrt(float((grad**2).sum())) <= OracleConfig.gradient_tol
+    gradient_tol. It reads the controls themselves, not the closed-form
+    ramp products that the Newton step is built from."""
+    grad = _gradient(grid, controls.T, terms, weight)
+    grad -= (grid.gram_inv @ (grid.rows @ grad.T)).T @ grid.rows
+    return math.sqrt(np.vdot(grad, grad)) <= OracleConfig.gradient_tol
 
 
-def _projected_products(touches, n: int, dt: float, gram) -> np.ndarray:
-    """r_k . P r_k' for touch states k, k', P the projection off the
-    rows of the terminal map: the inner products of the control changes
-    that the ramps make once the terminal state is held fixed."""
-    k = touches.astype(float)
-    ends = _terminal_ramps(touches, n, dt)
-    return (_ramp_products(k[:, None], k[None, :], dt)
-            - ends @ np.linalg.solve(gram, ends.T))
+def _projected_products(grid: _Grid, states) -> np.ndarray:
+    """r_k . P r_k' for states k, k', P the projection off the rows of the
+    terminal map: the inner products of the control changes that the
+    ramps make once the terminal state is held fixed."""
+    k = np.asarray(states, dtype=float)
+    ends = _terminal_ramps(k, grid.n, grid.dt)
+    correction = ends @ np.linalg.solve(grid.gram, ends.T)
+    return _ramp_products(k[:, None], k, grid.dt) - correction
 
 
-def _positive_definite(curvature, products, dt: float) -> bool:
+def _positive_definite(curvature, block, shift) -> bool:
     """Whether 2 dt I + sum_k (r_k r_k^T) x curvature_k is positive
     definite on the terminal-preserving controls, curvature_k being the
-    (2, 2) Hessian of the penalty in the position of touch state k."""
-    scale, basis = np.linalg.eigh(products)
-    root = basis * np.sqrt(np.clip(scale, 0.0, None))
+    (2, 2) penalty Hessian in the position of state k, block the projected
+    ramp products and shift 2 dt I: with block = root root^T, whether
+    shift + root^T curvature root is, formed by a broadcast and a product."""
+    scale, basis = np.linalg.eigh(block)
+    root = basis * np.sqrt(np.maximum(scale, 0.0))
     a = root.shape[0]
-    inner = np.empty((a, 2, a, 2))
-    for x in range(2):
-        for y in range(2):
-            inner[:, x, :, y] = root.T @ (curvature[:, x, y, None] * root)
-    inner = inner.reshape(2 * a, 2 * a)
+    lifted = (curvature[:, :, None, :] * root[:, None, :, None]).reshape(a, 4 * a)
     try:
-        np.linalg.cholesky(inner + 2.0 * dt * np.eye(2 * a))
+        np.linalg.cholesky((root.T @ lifted).reshape(2 * a, 2 * a) + shift)
     except np.linalg.LinAlgError:
         return False
     return True
 
 
-def _newton_step(terms, touches, ramps, weight, n: int, dt: float, gram):
+def _newton_step(grid: _Grid, terms, touches, ramps, weight):
     """The Newton point from the plan (touches, ramps) whose penalty
-    terms are given, or None where it gives no descent.
-
-    Returns the union of the touch states and the states that penetrate
-    an obstacle (the ends excluded: no control moves them), the current
-    and the Newton ramp coefficients on it, and the slope of the
-    objective from one to the other. The gradient of the objective,
-    projected onto the terminal-preserving controls, is P R psi with
-    psi = 2 dt ramps + the penalty forces -4 w g+ (p - c) at the
-    penetrating states, so the slope is a quadratic form in the
-    projected ramp products.
+    terms are given, or None where it gives no descent: the union of the
+    touch states and the penetrating states (not the ends, which no
+    control moves), the current and Newton ramp coefficients on it, and
+    the slope between them. The projected gradient is P R psi with
+    psi = 2 dt ramps + the forces -4 w g+ (p - c) at the penetrating
+    states, so the slope is a quadratic form in the projected products.
     """
-    inside = np.zeros(n + 1, dtype=bool)
-    for g, _, _, _ in terms:
-        inside |= g > 0.0
-    inside[0] = inside[n] = False
-    active = np.flatnonzero(inside)
-    union = np.union1d(touches, active)
+    inside = terms[0][0][1:grid.n] > 0.0
+    for g, _, _, _ in terms[1:]:
+        inside |= g[1:grid.n] > 0.0
+    active = inside.nonzero()[0] + 1
+    inside[touches - 1] = True
+    union = inside.nonzero()[0] + 1
     if not union.size:
         return None
     current = np.zeros((union.size, 2))
     current[np.searchsorted(union, touches)] = ramps
     at = np.searchsorted(union, active)
 
-    force = np.zeros((active.size, 2))
-    normal = np.zeros((active.size, 2, 2))
-    bend = np.zeros(active.size)
+    a = active.size
+    force = np.zeros((a, 2))
+    normal = np.zeros((a, 2, 2))
+    bend = np.zeros(a)
     for _, gplus, dx, dy in terms:
         depth = gplus[active]
-        offset = np.column_stack((dx[active], dy[active]))
+        offset = np.empty((a, 2))
+        offset[:, 0], offset[:, 1] = dx[active], dy[active]
         force -= 4.0 * weight * depth[:, None] * offset
-        normal += (8.0 * weight * (depth > 0.0))[:, None, None] * (
-            offset[:, :, None] * offset[:, None, :]
-        )
+        outer = offset[:, :, None] * offset[:, None, :]
+        normal += (8.0 * weight * (depth > 0.0))[:, None, None] * outer
         bend += 4.0 * weight * depth
 
-    products = _projected_products(union, n, dt, gram)
-    psi = 2.0 * dt * current
+    products = _projected_products(grid, union)
+    psi = 2.0 * grid.dt * current
     psi[at] += force
 
     # Newton point: 2 dt c + H_k (p'_k - p_k) = -force_k at each
     # penetrating state k, where p' - p = products (c' - current); the
     # ramps of the other states drop to zero.
     target = np.zeros_like(current)
-    a = active.size
     if a:
-        block = products[np.ix_(at, at)]
-        curvature = normal - bend[:, None, None] * np.eye(2)
-        if not _positive_definite(curvature, block, dt):
+        reach = products[at]
+        block = reach[:, at]
+        curvature = normal - bend[:, None, None] * _EYE2
+        shift = 2.0 * grid.dt * np.eye(2 * a)
+        if not _positive_definite(curvature, block, shift):
             curvature = normal
-        system = (curvature[:, :, None, :] * block[:, None, :, None]).reshape(2 * a, 2 * a)
-        system += 2.0 * dt * np.eye(2 * a)
-        rhs = np.einsum("kxy,ky->kx", curvature, products[at] @ current) - force
+        system = curvature[:, :, None, :] * block[:, None, :, None]
+        rhs = np.einsum("kxy,ky->kx", curvature, reach @ current) - force
+        system = system.reshape(2 * a, 2 * a) + shift
         target[at] = np.linalg.solve(system, rhs.reshape(-1)).reshape(a, 2)
     slope = float(np.sum(psi * (products @ (target - current))))
     if not slope < 0.0:
@@ -498,56 +524,40 @@ def _newton_step(terms, touches, ramps, weight, n: int, dt: float, gram):
     return union, current, target, slope
 
 
-def _steered_start(p0, v0, n: int, dt: float, gram, gap, centers, radii, chord):
+def _steered_start(grid: _Grid, start, gap, chord):
     """Touch states and ramps of the unconstrained plan pushed out of the
-    obstacles it violates.
-
-    A descent cannot break an exact symmetry (a path aimed through an
-    obstacle center has identically zero cross-track gradient), so the
-    start plan is pre-shaped: the deepest-violation state k of each
-    offending obstacle is moved by delta to just outside the inflated
-    circle, on the cross-track side of the path, with ties broken to the
-    left of travel. The least control change that moves state k by delta
-    and holds the terminal state is P r_k delta / (r_k . P r_k), P the
-    projection off the terminal map, so a push adds delta / (r_k . P r_k)
-    to k's ramp coefficient and the terminal-map coefficients follow from
-    the ramps. A push can move the path into an obstacle that the pass has
-    already checked, so passes repeat while one moves a state, at most
-    once per obstacle. The states are rebuilt only after a push.
-    """
-    def states(touches, ramps):
-        affine = _affine(gram, gap, touches, ramps, n, dt)
-        return _simulate(p0, v0, _control_rows(n, dt, affine, touches, ramps), dt)
-
+    discs it violates: the deepest state k of each offending disc moves by
+    delta to just outside it, on the cross-track side of the path (ties to
+    the left of travel). The least control change that does so and holds
+    the terminal state adds delta / (r_k . P r_k) to k's ramp coefficient,
+    P the projection off the terminal map. A push can move the path into a
+    disc already checked, so passes repeat while one moves a state, at
+    most once per disc; the states are rebuilt only after a push."""
     pushes: dict = {}
     touches, ramps = _NO_TOUCHES, _NO_RAMPS
-    positions, velocities = states(touches, ramps)
-    for _ in range(centers.shape[0]):
+    _, positions, velocities = _rebuild(grid, start, gap, touches, ramps)
+    for _ in grid.discs:
         moved = False
-        for idx in range(centers.shape[0]):
-            [(g, _, _, _)] = _penalty_terms(
-                positions, centers[idx : idx + 1], radii[idx : idx + 1]
-            )
+        for disc, center, radius in zip(grid.discs, grid.centers, grid.radii):
+            [(g, _, _, _)], _ = _penalty_terms(positions, (disc,))
             k = int(np.argmax(g))
             if g[k] <= 0:
                 continue
-            offset = positions[:, k] - centers[idx]
+            offset = positions[:, k] - center
             velocity = velocities[:, k]
             speed = float(np.linalg.norm(velocity))
             direction = velocity / speed if speed > 1e-9 else chord
             cross = offset - (offset @ direction) * direction
             cross_norm = float(np.linalg.norm(cross))
-            if cross_norm < 1e-9:
-                push = np.array([-direction[1], direction[0]])
-            else:
-                push = cross / cross_norm
-            target = centers[idx] + 1.05 * radii[idx] * push
-            k = int(np.clip(k, 1, n - 1))
-            product = _projected_products(np.array([k]), n, dt, gram)[0, 0]
+            push = (cross / cross_norm if cross_norm >= 1e-9
+                    else np.array([-direction[1], direction[0]]))
+            target = center + 1.05 * radius * push
+            k = min(max(k, 1), grid.n - 1)
+            product = _projected_products(grid, [k])[0, 0]
             pushes[k] = pushes.get(k, 0.0) + (target - positions[:, k]) / product
             touches = np.array(sorted(pushes), dtype=np.intp)
             ramps = np.array([pushes[state] for state in touches])
-            positions, velocities = states(touches, ramps)
+            _, positions, velocities = _rebuild(grid, start, gap, touches, ramps)
             moved = True
         if not moved:
             break
@@ -567,13 +577,11 @@ def discrete_min_energy_constrained(
     penalty weight, every plan ending exactly on the goal. When that ends
     with a penetration warning, the schedule runs again from the
     unconstrained plan itself, kept if it clears the warning: on crowded
-    worlds the pushes can drive the path into overlapping obstacles that
-    it then cannot leave.
+    worlds the pushes can drive the path into overlapping obstacles.
 
     When objective_trace is a list, it gets the trace of the plan
-    returned: for each weight a (weight, objective) pair for the plan
-    the weight starts from, then one for every accepted step, so descent
-    monotonicity can be audited.
+    returned: per weight a (weight, objective) pair for the plan the
+    weight starts from, then one per accepted step, to audit descent.
     """
     base = discrete_min_energy(
         agent.start, agent.goal, agent.t0, agent.tf_nominal, config.steps
@@ -581,37 +589,30 @@ def discrete_min_energy_constrained(
     if not scenario.obstacles:
         return base
     n, dt = config.steps, base.dt
-    p0, v0 = agent.start.p, agent.start.v
-    centers = np.array([o.center for o in scenario.obstacles])
-    radii = np.array([inflated_radius(o, agent) for o in scenario.obstacles])
+    grid = _Grid(n, dt, np.array([o.center for o in scenario.obstacles]),
+                 np.array([inflated_radius(o, agent) for o in scenario.obstacles]))
     chord = agent.goal.p - agent.start.p
     chord_norm = float(np.linalg.norm(chord))
     chord = chord / chord_norm if chord_norm > 0 else np.array([1.0, 0.0])
-    gmap = _terminal_map(n, dt)
-    gram = gmap @ gmap.T
     gap = _terminal_gap(agent.start, agent.goal, agent.tf_nominal - agent.t0)
-
-    def rebuild(touches, ramps):
-        affine = _affine(gram, gap, touches, ramps, n, dt)
-        controls = _control_rows(n, dt, affine, touches, ramps)
-        return controls, _simulate(p0, v0, controls, dt)[0]
 
     def solve(touches, ramps):
         trace = []
         for weight in config.penalty_weights:
-            controls, positions = rebuild(touches, ramps)
+            controls, positions, _ = _rebuild(grid, agent.start, gap, touches, ramps)
             value, terms = _penalized(_control_cost(controls, dt), positions,
-                                      centers, radii, weight)
+                                      grid.discs, weight)
             trace.append((weight, value))
             for _ in range(config.descent_iterations):
-                if _stationary(controls, terms, dt, weight, gmap, gram):
+                if _stationary(grid, controls, terms, weight):
                     break
-                step = _newton_step(terms, touches, ramps, weight, n, dt, gram)
+                step = _newton_step(grid, terms, touches, ramps, weight)
                 if step is None:
                     break
                 union, current, target, slope = step
-                found = _line_search(value, slope, controls, positions,
-                                     *rebuild(union, target), centers, radii, weight, dt)
+                newton = _rebuild(grid, agent.start, gap, union, target)[:2]
+                found = _line_search(grid, weight, value, slope, controls, positions,
+                                     *newton)
                 if found is None:
                     break
                 alpha, trial_value, controls, positions, terms = found
@@ -623,20 +624,18 @@ def discrete_min_energy_constrained(
                 trace.append((weight, value))
                 if stalled:
                     break
-        affine = _affine(gram, gap, touches, ramps, n, dt)
-        return _plan(agent.t0, agent.tf_nominal, n, agent.start, affine, touches,
-                     ramps, (centers, radii)), trace
+        return _plan(grid, agent.t0, agent.tf_nominal, agent.start, gap, touches,
+                     ramps), trace
 
     if n == 2:
         # the terminal state fixes both controls: no step can move them
         positions = base._state_rows()[0]
-        trace = [(weight, _penalized(base.cost, positions, centers, radii, weight)[0])
+        trace = [(weight, _penalized(base.cost, positions, grid.discs, weight)[0])
                  for weight in config.penalty_weights]
-        plan = _plan(agent.t0, agent.tf_nominal, n, agent.start, base.affine,
-                     _NO_TOUCHES, _NO_RAMPS, (centers, radii))
+        plan = _plan(grid, agent.t0, agent.tf_nominal, agent.start, gap, _NO_TOUCHES,
+                     _NO_RAMPS)
     else:
-        plan, trace = solve(*_steered_start(p0, v0, n, dt, gram, gap, centers,
-                                            radii, chord))
+        plan, trace = solve(*_steered_start(grid, agent.start, gap, chord))
         if plan.penetration_warning:
             retry, retry_trace = solve(_NO_TOUCHES, _NO_RAMPS)
             if not retry.penetration_warning:

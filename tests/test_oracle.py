@@ -22,6 +22,7 @@ from junctionplan import (
     trajectory_energy,
 )
 from junctionplan import oracle
+from junctionplan.world import Bounds, gen_world
 
 from conftest import reference_world, single_obstacle_instances
 
@@ -265,6 +266,23 @@ class TestDiscreteMinEnergyConstrained:
             plan = discrete_min_energy_constrained(agent_i, scenario)
             assert abs(compare(traj_i, plan)) <= 1e-5
             assert not plan.penetration_warning
+
+    @pytest.mark.parametrize("world", ["symmetric", 2, 3, 4])
+    def test_gap_is_small_in_both_directions(self, world, symmetric_scenario):
+        """On the symmetric scenario and on the benchmark's seed-0
+        single-obstacle worlds 2, 3 and 4, the planner's energy is within
+        1e-5 of the oracle's cost, above or below it: an oracle that ends
+        above the planner fails here, not only one that ends far below."""
+        if world == "symmetric":
+            agent, scenario = symmetric_scenario.agents[0], symmetric_scenario
+        else:
+            agent = AgentSpec(id=0, radius=0.5, start=rest(-8, 0), goal=rest(8, 0),
+                              t0=0.0, tf_nominal=10.0)
+            scenario = gen_world(world, 1, Bounds(-5, -2, 5, 2), (agent,),
+                                 radius_range=(0.8, 1.6))
+        traj, _ = plan_agent(agent, scenario)
+        plan = discrete_min_energy_constrained(agent, scenario, OracleConfig(steps=2000))
+        assert abs(compare(traj, plan)) <= 1e-5
 
     @pytest.mark.parametrize("seed", [11, 17, 23])
     def test_crowded_reference_worlds_within_two_percent(self, seed):

@@ -16,6 +16,14 @@ Two checks tie the Newton oracle to that reference: its steered start,
 pushed on ramp coefficients, gives the reference steering's controls to
 rounding, and at two steps, where the goal fixes both controls, it
 returns the unconstrained transfer's bits.
+
+The reference also keeps the Newton step's helpers as they were before
+the per-solve algebra moved into oracle._Grid: control rows whose suffix
+sums are a reversed cumsum over every step, the earlier ramp-product
+polynomial, the projected products, the definiteness test that fills
+its matrix axis pair by axis pair, and the Newton step built on them.
+Along solves, the oracle's control rows and Newton steps have their
+bits and the same Newton or Gauss-Newton choice on every step.
 """
 
 import math
@@ -141,6 +149,101 @@ def reference_steer(controls, p0, v0, dt, centers, radii, chord):
             n, dt, k_star, target - positions[k_star], gmap
         )
     return controls
+
+
+def reference_ramp_products(k, kp, dt):
+    m = np.minimum(k, kp)
+    return dt**4 * ((12.0 * m * k * kp - 6.0 * (k + kp) * m * m
+                     + m * (4.0 * m * m - 1.0)) / 12.0)
+
+
+def reference_terminal_ramps(touches, n, dt):
+    k = touches.astype(float)
+    return np.column_stack((reference_ramp_products(float(n), k, dt),
+                            0.5 * dt**3 * k * k))
+
+
+def reference_control_rows(n, dt, affine, touches, ramps):
+    gmap = _terminal_map(n, dt)
+    rows = np.empty((2, n))
+    for axis in range(2):
+        rows[axis] = gmap.T @ affine[axis]
+    if touches.size:
+        sums = np.zeros((4, n))
+        sums[:2, touches - 1] = ramps.T
+        sums[2:, touches - 1] = touches * ramps.T
+        sums = np.cumsum(sums[:, ::-1], axis=1)[:, ::-1]
+        rows += dt**2 * (sums[2:] - np.arange(0.5, n) * sums[:2])
+    return rows
+
+
+def reference_projected_products(touches, n, dt, gram):
+    k = touches.astype(float)
+    ends = reference_terminal_ramps(touches, n, dt)
+    return (reference_ramp_products(k[:, None], k[None, :], dt)
+            - ends @ np.linalg.solve(gram, ends.T))
+
+
+def reference_positive_definite(curvature, products, dt):
+    scale, basis = np.linalg.eigh(products)
+    root = basis * np.sqrt(np.clip(scale, 0.0, None))
+    a = root.shape[0]
+    inner = np.empty((a, 2, a, 2))
+    for x in range(2):
+        for y in range(2):
+            inner[:, x, :, y] = root.T @ (curvature[:, x, y, None] * root)
+    inner = inner.reshape(2 * a, 2 * a)
+    try:
+        np.linalg.cholesky(inner + 2.0 * dt * np.eye(2 * a))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def reference_newton_step(terms, touches, ramps, weight, n, dt, gram):
+    inside = np.zeros(n + 1, dtype=bool)
+    for g, _, _, _ in terms:
+        inside |= g > 0.0
+    inside[0] = inside[n] = False
+    active = np.flatnonzero(inside)
+    union = np.union1d(touches, active)
+    if not union.size:
+        return None
+    current = np.zeros((union.size, 2))
+    current[np.searchsorted(union, touches)] = ramps
+    at = np.searchsorted(union, active)
+
+    force = np.zeros((active.size, 2))
+    normal = np.zeros((active.size, 2, 2))
+    bend = np.zeros(active.size)
+    for _, gplus, dx, dy in terms:
+        depth = gplus[active]
+        offset = np.column_stack((dx[active], dy[active]))
+        force -= 4.0 * weight * depth[:, None] * offset
+        normal += (8.0 * weight * (depth > 0.0))[:, None, None] * (
+            offset[:, :, None] * offset[:, None, :]
+        )
+        bend += 4.0 * weight * depth
+
+    products = reference_projected_products(union, n, dt, gram)
+    psi = 2.0 * dt * current
+    psi[at] += force
+
+    target = np.zeros_like(current)
+    a = active.size
+    if a:
+        block = products[np.ix_(at, at)]
+        curvature = normal - bend[:, None, None] * np.eye(2)
+        if not reference_positive_definite(curvature, block, dt):
+            curvature = normal
+        system = (curvature[:, :, None, :] * block[:, None, :, None]).reshape(2 * a, 2 * a)
+        system += 2.0 * dt * np.eye(2 * a)
+        rhs = np.einsum("kxy,ky->kx", curvature, products[at] @ current) - force
+        target[at] = np.linalg.solve(system, rhs.reshape(-1)).reshape(a, 2)
+    slope = float(np.sum(psi * (products @ (target - current))))
+    if not slope < 0.0:
+        return None
+    return union, current, target, slope
 
 
 def steering_inputs(agent, scenario, config):
@@ -274,20 +377,17 @@ def test_steered_start_holds_the_steered_plan_as_ramps(name):
     clear of every obstacle ("aside") is not pushed."""
     agent, scenario = CASES[name]()
     controls, p0, v0, dt, centers, radii, chord = steering_inputs(agent, scenario, SMALL)
-    n = SMALL.steps
-    gmap = _terminal_map(n, dt)
-    gram = gmap @ gmap.T
+    grid = oracle._Grid(SMALL.steps, dt, centers, radii)
     gap = oracle._terminal_gap(agent.start, agent.goal, agent.tf_nominal - agent.t0)
-    touches, ramps = oracle._steered_start(p0, v0, n, dt, gram, gap, centers, radii,
-                                           chord)
+    touches, ramps = oracle._steered_start(grid, agent.start, gap, chord)
     if name == "aside":
         assert touches.size == 0 and ramps.shape == (0, 2)
         return
     steered = controls
     for _ in range(len(centers)):
         steered = reference_steer(steered, p0, v0, dt, centers, radii, chord)
-    affine = oracle._affine(gram, gap, touches, ramps, n, dt)
-    rebuilt = oracle._control_rows(n, dt, affine, touches, ramps).T
+    affine = oracle._affine(grid, gap, touches, ramps)
+    rebuilt = oracle._control_rows(grid, affine, touches, ramps).T
     assert touches.size and not np.array_equal(steered, controls)
     assert np.abs(rebuilt - steered).max() <= 1e-9 * np.abs(steered).max()
 
@@ -375,7 +475,8 @@ SPAN_CASES = ["clear", "start_inside", "end_inside", "all_inside", "zero_at_end"
 def span_inputs(name, n=120, dt=0.08, weight=1e4):
     positions, centers, radii = crafted_states(name, n)
     controls = np.random.default_rng(11).standard_normal((n, 2))
-    terms = oracle._penalty_terms(np.ascontiguousarray(positions.T), centers, radii)
+    discs = oracle._Grid(n, dt, centers, radii).discs
+    terms, _ = oracle._penalty_terms(np.ascontiguousarray(positions.T), discs)
     return controls, positions, centers, radii, terms, dt, weight
 
 
@@ -383,7 +484,8 @@ def span_inputs(name, n=120, dt=0.08, weight=1e4):
 def test_span_limited_gradient_keeps_its_bits(name):
     with np.errstate(invalid="ignore"):
         controls, positions, centers, radii, terms, dt, weight = span_inputs(name)
-        got = oracle._gradient(controls, terms, dt, weight)
+        got = oracle._gradient(oracle._Grid(controls.shape[0], dt), controls, terms,
+                               weight)
         want = reference_gradient(controls, positions, dt, centers, radii, weight)
         full = full_sum_gradient(controls, terms, dt, weight)
     assert got.shape == (2, controls.shape[0]) and got.flags.c_contiguous
@@ -427,7 +529,8 @@ def test_span_ending_on_a_signed_zero_keeps_its_bits(sign):
     g = g.copy()
     g[40] = sign * 0.0
     terms = [(g, np.maximum(g, 0.0), dx, dy)]
-    got = np.ascontiguousarray(oracle._gradient(controls, terms, dt, weight).T)
+    grid = oracle._Grid(controls.shape[0], dt)
+    got = np.ascontiguousarray(oracle._gradient(grid, controls, terms, weight).T)
     assert got.tobytes() == full_sum_gradient(controls, terms, dt, weight).tobytes()
 
 
@@ -438,7 +541,8 @@ def test_gradient_keeps_its_bits_for_a_non_finite_weight(weight, name):
     is infinite or NaN."""
     controls, _, _, _, terms, dt, _ = span_inputs(name)
     with np.errstate(invalid="ignore"):
-        got = np.ascontiguousarray(oracle._gradient(controls, terms, dt, weight).T)
+        grid = oracle._Grid(controls.shape[0], dt)
+        got = np.ascontiguousarray(oracle._gradient(grid, controls, terms, weight).T)
         want = full_sum_gradient(controls, terms, dt, weight)
     assert got.tobytes() == want.tobytes()
 
@@ -467,10 +571,12 @@ def test_screen_rejects_only_what_the_objective_rejects(name, monkeypatch):
 
     monkeypatch.setattr(oracle, "_penalized", record)
 
+    grid = oracle._Grid(SMALL.steps, dt, centers, radii)
+
     def search(ceiling):
         evaluated.clear()
-        return oracle._line_search(ceiling, 0.0, rows, positions, rows, positions,
-                                   centers, radii, weight, dt)
+        return oracle._line_search(grid, weight, ceiling, 0.0, rows, positions, rows,
+                                   positions)
 
     found = search(cost)
     assert evaluated and repr(evaluated[0]) == repr(value)
@@ -493,9 +599,7 @@ def test_carried_plan_matches_its_ramps(name, steps, monkeypatch):
     search carries from step to step agree, to 1e-12 relative, with those
     rebuilt from the accepted ramps by _control_rows and _simulate."""
     agent, scenario = CASES[name]()
-    dt = (agent.tf_nominal - agent.t0) / steps
-    gmap = _terminal_map(steps, dt)
-    gram = gmap @ gmap.T
+    grid = oracle._Grid(steps, (agent.tf_nominal - agent.t0) / steps)
     gap = oracle._terminal_gap(agent.start, agent.goal, agent.tf_nominal - agent.t0)
     newton_step, line_search = oracle._newton_step, oracle._line_search
     taken, accepted = [], []
@@ -517,11 +621,100 @@ def test_carried_plan_matches_its_ramps(name, steps, monkeypatch):
     for (union, current, target, _), found in accepted:
         alpha, _, controls, positions, _ = found
         ramps = current + alpha * (target - current)
-        affine = oracle._affine(gram, gap, union, ramps, steps, dt)
-        rows = oracle._control_rows(steps, dt, affine, union, ramps)
-        states, _ = oracle._simulate(agent.start.p, agent.start.v, rows, dt)
+        affine = oracle._affine(grid, gap, union, ramps)
+        rows = oracle._control_rows(grid, affine, union, ramps)
+        states, _ = oracle._simulate(agent.start.p, agent.start.v, rows, grid.dt)
         assert np.abs(controls - rows).max() <= 1e-12 * np.abs(rows).max()
         assert np.abs(positions - states).max() <= 1e-12 * np.abs(states).max()
+
+
+def random_plan_coefficients(rng):
+    """A step count, dt and plan coefficients: touch states anywhere in
+    1..n-1, ramps that may be exactly +0.0 or -0.0."""
+    n = int(rng.integers(2, 400))
+    m = int(rng.integers(0, min(8, n - 1) + 1))
+    touches = np.sort(rng.choice(np.arange(1, n), size=m, replace=False)).astype(np.intp)
+    ramps = rng.standard_normal((m, 2)) * 10.0 ** rng.integers(-3, 4, (m, 2))
+    ramps[rng.random((m, 2)) < 0.1] = 0.0
+    ramps[rng.random((m, 2)) < 0.1] = -0.0
+    return n, float(rng.uniform(1e-3, 0.2)), rng.standard_normal((2, 2)), touches, ramps
+
+
+def test_control_rows_and_ramp_products_keep_their_bits():
+    """The suffix sums from a cumsum over the touch states, repeated over
+    the steps, and the ramp products from m (2 m (3 M - m)) - m give the
+    bits of the reversed cumsum over every step and of the earlier
+    polynomial."""
+    rng = np.random.default_rng(23)
+    for _ in range(2000):
+        n, dt, affine, touches, ramps = random_plan_coefficients(rng)
+        got = oracle._control_rows(oracle._Grid(n, dt), affine, touches, ramps)
+        want = reference_control_rows(n, dt, affine, touches, ramps)
+        assert got.tobytes() == want.tobytes()
+        k = rng.integers(0, 85_000, 50).astype(float)
+        assert (oracle._ramp_products(k[:, None], k, dt).tobytes()
+                == reference_ramp_products(k[:, None], k[None, :], dt).tobytes())
+
+
+def test_closed_form_gram_inverse():
+    for n in (2, 3, 300, 2000, 20000):
+        grid = oracle._Grid(n, 10.0 / n)
+        assert np.abs(grid.gram_inv @ grid.gram - np.eye(2)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("steps", [300, 2000])
+@pytest.mark.parametrize("name", ["world3", "world5", "line2", "moving", "aside"])
+def test_step_helpers_match_their_references(name, steps, monkeypatch):
+    """Along a solve, every control row the oracle builds has the bits of
+    the reference's, and every Newton step, given the same inputs, has
+    the reference's bits: union, current and Newton ramps, slope and
+    projected products. The definiteness test forms its matrix in
+    another order, so it is held to the reference's choice, Newton or
+    Gauss-Newton, on every step."""
+    agent, scenario = CASES[name]()
+    rows_calls, steps_taken, choices, reference_choices = [], [], [], []
+    control_rows, newton_step = oracle._control_rows, oracle._newton_step
+    positive_definite = oracle._positive_definite
+    reference_definite = reference_positive_definite
+
+    def record_rows(*args):
+        rows_calls.append((args, control_rows(*args)))
+        return rows_calls[-1][1]
+
+    def record_step(*args):
+        steps_taken.append((args, newton_step(*args)))
+        return steps_taken[-1][1]
+
+    def record_choice(*args):
+        choices.append(positive_definite(*args))
+        return choices[-1]
+
+    def record_reference_choice(*args):
+        reference_choices.append(reference_definite(*args))
+        return reference_choices[-1]
+
+    monkeypatch.setattr(oracle, "_control_rows", record_rows)
+    monkeypatch.setattr(oracle, "_newton_step", record_step)
+    monkeypatch.setattr(oracle, "_positive_definite", record_choice)
+    monkeypatch.setitem(globals(), "reference_positive_definite", record_reference_choice)
+    discrete_min_energy_constrained(agent, scenario, OracleConfig(steps=steps))
+    assert rows_calls and (steps_taken or name == "aside")
+    for (grid, affine, touches, ramps), rows in rows_calls:
+        want = reference_control_rows(grid.n, grid.dt, affine, touches, ramps)
+        assert rows.tobytes() == want.tobytes()
+    for (grid, terms, touches, ramps, weight), step in steps_taken:
+        want = reference_newton_step(terms, touches, ramps, weight, grid.n, grid.dt,
+                                     grid.gram)
+        assert (step is None) == (want is None)
+        if step is None:
+            continue
+        union, current, target, slope = step
+        assert np.array_equal(union, want[0]) and repr(slope) == repr(want[3])
+        assert current.tobytes() == want[1].tobytes()
+        assert target.tobytes() == want[2].tobytes()
+        products = reference_projected_products(union, grid.n, grid.dt, grid.gram)
+        assert oracle._projected_products(grid, union).tobytes() == products.tobytes()
+    assert choices == reference_choices
 
 
 @pytest.mark.parametrize("steps", [2, 7, 500])
