@@ -116,6 +116,11 @@ class Message:
 
     def __post_init__(self):
         object.__setattr__(self, "junctions", tuple(self.junctions))
+        if not (math.isfinite(self.t0) and math.isfinite(self.tf)
+                and self.t0 < self.tf):
+            raise ValidationError(
+                f"horizon [{self.t0}, {self.tf}] is not a finite, non-empty interval"
+            )
         times = [j.time for j in self.junctions]
         if any(not self.t0 < t < self.tf for t in times):
             raise ValidationError(

@@ -35,21 +35,24 @@ bounds rounding drift to one weight. If the steered start ends with a
 penetration warning, the schedule runs again from the unconstrained plan.
 
 What depends only on N, dt and the obstacles is built once per solve, a
-_Grid: the terminal-map rows, their Gram matrix and its closed-form
-inverse, j + 1/2 and the discs as floats. A step then pays a fixed part
-of small NumPy calls (about 180 builtin calls as sys.setprofile counts
-them), six of them LAPACK solves and factorizations (two for the Newton
-point's terminal-map coefficients), plus O(a^3), and an O(N K) part for
-K obstacles: the projected gradient, the Newton point's controls (a
-cumsum over the touch states, repeated over the steps) and states (two
-cumsums), and per trial an axpy over the states and the penalty, the
-control cost being a quadratic in the step fraction. No N x N matrix is
-ever formed.
+_Grid: the terminal-map rows, their Gram matrix, j + 1/2 and the discs
+as floats. A step then pays a fixed part of small NumPy calls (about 150
+builtin calls as sys.setprofile counts them), six of them LAPACK solves
+and factorizations (two for the Newton point's terminal-map
+coefficients), plus O(a^3), and an O(N K) part for K obstacles: the
+Newton point's controls (a cumsum over the touch states, repeated over
+the steps) and states (two cumsums), and per trial an axpy over the
+states and the penalty, the control cost being a quadratic in the step
+fraction. No N x N matrix is ever formed.
 
-A weight ends when the gradient of the controls, projected off the
-terminal map, is at most gradient_tol, when an accepted step lowers the
-objective by at most 1e-14 of its value, when the search halves the step
-below 2^-20, or after descent_iterations steps. In float64, gradient_tol
+A weight ends when the gradient of the objective, projected off the
+terminal map, has norm at most gradient_tol. That gradient is P R psi,
+R the ramps of the touch and penetrating states and psi their ramp
+coefficients times 2 dt plus the penalty forces, so its squared norm is
+psi^T K psi, K the projected ramp products the Newton step is built
+from. A weight also ends when an accepted step lowers the objective by
+at most 1e-14 of its value, when the search halves the step below
+2^-20, or after descent_iterations steps. In float64, gradient_tol
 is reachable only at the low weights: a penetration g = r^2 - |p - c|^2
 carries a rounding error of about eps |p|^2, which the force
 4 w g+ (p - c) multiplies by w, so at w = 1e8 the projected gradient
@@ -59,7 +62,6 @@ test ends the weight.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -210,18 +212,13 @@ def _terminal_map(n: int, dt: float) -> np.ndarray:
 
 class _Grid:
     """What a solve at n steps of dt among the given discs reads on every
-    step, built once: the terminal-map rows, their Gram matrix and its
-    inverse in closed form (det = dt^6 n^2 (n^2 - 1) / 12), j + 1/2 for
-    each step j, and the discs as arrays and as (cx, cy, r^2) floats."""
+    step, built once: the terminal-map rows, their Gram matrix, j + 1/2
+    for each step j, and the discs as arrays and as (cx, cy, r^2) floats."""
 
     def __init__(self, n: int, dt: float, centers=np.zeros((0, 2)), radii=np.zeros(0)):
         self.n, self.dt = n, dt
         self.rows = _terminal_map(n, dt)
         self.gram = self.rows @ self.rows.T
-        q = n * n - 1.0
-        off = -6.0 / (dt**3 * q)
-        self.gram_inv = np.array([[12.0 / (dt**4 * n * q), off],
-                                  [off, (4.0 * n * n - 1.0) / (dt**2 * n * q)]])
         self.half = np.arange(0.5, n)
         self.centers, self.radii = centers, radii
         self.discs = tuple(zip(*centers.T.tolist(), (radii**2).tolist()))
@@ -391,53 +388,6 @@ def _line_search(grid: _Grid, weight, value, slope, controls, positions,
     return None
 
 
-def _gradient(grid: _Grid, controls, terms, weight):
-    """Gradient of cost plus penalty with respect to every control, as
-    (2, N) rows, for (N, 2) controls.
-
-    d p_k / d u_j = dt^2 (k - j - 1/2) for j < k; the double sum
-    collapses into two suffix sums over the penalty forces -4w f of
-    states 1 .. N. f adds up g+ (dx, dy) over obstacles from +0.0 in
-    obstacle order, as np.sum over the obstacle axis does, so where it is
-    zero it is +0.0, never -0.0, and the force there is rest = -4w * 0.0
-    (-0.0 for a finite w), which leaves a running sum as it is. So the
-    sums run only over the span from the first to the last state where f
-    is not zero on some axis. NaN counts as not zero, and so does an
-    infinite offset, whose g is -inf but whose g+ dx is NaN; testing
-    g < 0 would miss it. After the span the sums are rest, before it
-    their value at the span's first state plus rest: the bits that sums
-    over all states give.
-    """
-    fx = fy = 0.0
-    for _, gplus, dx, dy in terms:
-        fx = fx + gplus[1:] * dx[1:]
-        fy = fy + gplus[1:] * dy[1:]
-    # column i is state k = i + 1; rows are the suffix sums of f_x, f_y,
-    # k f_x and k f_y; states k = j+1 .. n feel control j
-    rest = -4.0 * weight * 0.0
-    suffix = np.full((4, grid.n), rest)
-    live = np.flatnonzero((fx != 0.0) | (fy != 0.0))
-    if live.size:
-        first, stop = int(live[0]), int(live[-1]) + 1
-        forces = -4.0 * weight * np.array((fx[first:stop], fy[first:stop]))
-        k = np.arange(first + 1.0, stop + 1.0)
-        span = np.concatenate((forces, k * forces))
-        suffix[:, first:stop] = np.cumsum(span[:, ::-1], axis=1)[:, ::-1]
-        suffix[:, :first] = (suffix[:, first] + rest)[:, None]
-    return (2.0 * grid.dt * controls.T
-            + grid.dt**2 * (suffix[2:] - grid.half * suffix[:2]))
-
-
-def _stationary(grid: _Grid, controls, terms, weight) -> bool:
-    """Whether the gradient of the objective at the (2, N) control rows,
-    projected off the rows of the terminal map, has norm at most
-    gradient_tol. It reads the controls themselves, not the closed-form
-    ramp products that the Newton step is built from."""
-    grad = _gradient(grid, controls.T, terms, weight)
-    grad -= (grid.gram_inv @ (grid.rows @ grad.T)).T @ grid.rows
-    return math.sqrt(np.vdot(grad, grad)) <= OracleConfig.gradient_tol
-
-
 def _projected_products(grid: _Grid, states) -> np.ndarray:
     """r_k . P r_k' for states k, k', P the projection off the rows of the
     terminal map: the inner products of the control changes that the
@@ -467,12 +417,13 @@ def _positive_definite(curvature, block, shift) -> bool:
 
 def _newton_step(grid: _Grid, terms, touches, ramps, weight):
     """The Newton point from the plan (touches, ramps) whose penalty
-    terms are given, or None where it gives no descent: the union of the
-    touch states and the penetrating states (not the ends, which no
-    control moves), the current and Newton ramp coefficients on it, and
-    the slope between them. The projected gradient is P R psi with
-    psi = 2 dt ramps + the forces -4 w g+ (p - c) at the penetrating
-    states, so the slope is a quadratic form in the projected products.
+    terms are given, or None where the plan is stationary or the point
+    gives no descent: the union of the touch states and the penetrating
+    states (not the ends, which no control moves), the current and Newton
+    ramp coefficients on it, and the slope between them. The projected
+    gradient is P R psi with psi = 2 dt ramps + the forces -4 w g+ (p - c)
+    at the penetrating states, so its squared norm, which the stop test
+    reads, and the slope are quadratic forms in the projected products.
     """
     inside = terms[0][0][1:grid.n] > 0.0
     for g, _, _, _ in terms[1:]:
@@ -502,6 +453,8 @@ def _newton_step(grid: _Grid, terms, touches, ramps, weight):
     products = _projected_products(grid, union)
     psi = 2.0 * grid.dt * current
     psi[at] += force
+    if np.sum(psi * (products @ psi)) <= OracleConfig.gradient_tol**2:
+        return None
 
     # Newton point: 2 dt c + H_k (p'_k - p_k) = -force_k at each
     # penetrating state k, where p' - p = products (c' - current); the
@@ -604,8 +557,6 @@ def discrete_min_energy_constrained(
                                       grid.discs, weight)
             trace.append((weight, value))
             for _ in range(config.descent_iterations):
-                if _stationary(grid, controls, terms, weight):
-                    break
                 step = _newton_step(grid, terms, touches, ramps, weight)
                 if step is None:
                     break

@@ -155,6 +155,15 @@ class TestDecode:
                     goal=rest(1, 0),
                     junctions=(Junction(0, 0.0, 11.0),))
 
+    @pytest.mark.parametrize("t0, tf", [(5.0, 1.0), (5.0, 5.0), (0.0, math.nan),
+                                        (0.0, math.inf)])
+    def test_empty_reversed_or_non_finite_horizon_rejected(self, t0, tf):
+        doc = message_to_json(Message(agent_id=0, t0=0.0, tf=10.0, start=rest(0, 0),
+                                      goal=rest(1, 0), junctions=()))
+        doc.update(t0=t0, tf=tf)
+        with pytest.raises(ValidationError):
+            message_from_json(doc)
+
     def test_unordered_junctions_rejected(self):
         with pytest.raises(ValidationError):
             Message(agent_id=0, t0=0.0, tf=10.0, start=rest(0, 0),

@@ -1,12 +1,11 @@
 """Bit parity of the oracle's unconstrained transfer, objective screen
-and stationarity gradient with their earlier, state-major form.
+and Newton steps with their earlier, state-major form, and its stop test
+against the gradient over every control.
 
 oracle._simulate and _penalty_terms work on axis-major (2, N) rows; every
 elementwise operation and every cumsum is the one the (N, 2) kernels
 made, so the unconstrained transfer, the objective and the states of a
-Newton plan keep their bits. The gradient that ends a weight sums the
-penalty forces only over the span of states inside an obstacle, with the
-bits of sums over every state. A line-search trial whose control cost
+Newton plan keep their bits. A line-search trial whose control cost
 alone is above the Armijo bound is rejected without forming its states,
 and the controls and states that the search carries from step to step
 agree with those rebuilt from the accepted ramps to rounding. The
@@ -24,6 +23,13 @@ polynomial, the projected products, the definiteness test that fills
 its matrix axis pair by axis pair, and the Newton step built on them.
 Along solves, the oracle's control rows and Newton steps have their
 bits and the same Newton or Gauss-Newton choice on every step.
+
+A weight ends where psi^T K psi, the squared projected gradient in the
+Newton model's terms, is at most gradient_tol^2. The reference gradient
+sums the penalty forces of every state into every control, and a solve
+with the Gram matrix projects it off the terminal map; along solves the
+two norms agree and the oracle stops exactly where the reference's is
+at most gradient_tol.
 """
 
 import math
@@ -200,7 +206,10 @@ def reference_positive_definite(curvature, products, dt):
     return True
 
 
-def reference_newton_step(terms, touches, ramps, weight, n, dt, gram):
+def reference_newton_model(terms, touches, ramps, weight, n, dt, gram):
+    """The Newton model of a step, or None when it has no states: the union,
+    current ramps and penetrating states' places in it, the forces, the
+    penalty Hessian's parts, the projected products and psi."""
     inside = np.zeros(n + 1, dtype=bool)
     for g, _, _, _ in terms:
         inside |= g > 0.0
@@ -228,9 +237,16 @@ def reference_newton_step(terms, touches, ramps, weight, n, dt, gram):
     products = reference_projected_products(union, n, dt, gram)
     psi = 2.0 * dt * current
     psi[at] += force
+    return union, current, at, force, normal, bend, products, psi
 
+
+def reference_newton_step(terms, touches, ramps, weight, n, dt, gram):
+    model = reference_newton_model(terms, touches, ramps, weight, n, dt, gram)
+    if model is None:
+        return None
+    union, current, at, force, normal, bend, products, psi = model
     target = np.zeros_like(current)
-    a = active.size
+    a = at.size
     if a:
         block = products[np.ix_(at, at)]
         curvature = normal - bend[:, None, None] * np.eye(2)
@@ -244,6 +260,51 @@ def reference_newton_step(terms, touches, ramps, weight, n, dt, gram):
     if not slope < 0.0:
         return None
     return union, current, target, slope
+
+
+def reference_projected_gradient_sq(agent, scenario, n, touches, ramps, positions,
+                                    weight):
+    """|P grad|^2 at the plan with these ramps: the gradient over every
+    control by the (N, 2) kernels, at the controls rebuilt from the ramps
+    and at the (2, N+1) states that a step's penalty terms come from, P
+    the projection off the terminal map by an explicit solve with its
+    Gram matrix."""
+    dt = (agent.tf_nominal - agent.t0) / n
+    rows = _terminal_map(n, dt)
+    gram = rows @ rows.T
+    gap = oracle._terminal_gap(agent.start, agent.goal, agent.tf_nominal - agent.t0)
+    if touches.size:
+        gap = gap - ramps.T @ reference_terminal_ramps(touches, n, dt)
+    affine = np.linalg.solve(gram, gap.T).T
+    controls = reference_control_rows(n, dt, affine, touches, ramps).T
+    centers = np.array([o.center for o in scenario.obstacles])
+    radii = np.array([inflated_radius(o, agent) for o in scenario.obstacles])
+    grad = reference_gradient(controls, positions.T, dt, centers, radii, weight)
+    grad -= rows.T @ np.linalg.solve(gram, rows @ grad)
+    return float(np.sum(grad * grad))
+
+
+def record_newton_steps(monkeypatch):
+    """Records each Newton step of the solves that follow as (arguments,
+    states, result), the states being those whose penalty terms the step
+    is given: the last ones the objective was evaluated at."""
+    steps, evaluated = [], []
+    penalized, newton_step = oracle._penalized, oracle._newton_step
+
+    def record_objective(cost, positions, discs, weight):
+        result = penalized(cost, positions, discs, weight)
+        evaluated[:] = positions, result[1]
+        return result
+
+    def record_step(*args):
+        positions, terms = evaluated
+        assert args[1] is terms
+        steps.append((args, positions, newton_step(*args)))
+        return steps[-1][2]
+
+    monkeypatch.setattr(oracle, "_penalized", record_objective)
+    monkeypatch.setattr(oracle, "_newton_step", record_step)
+    return steps
 
 
 def steering_inputs(agent, scenario, config):
@@ -416,137 +477,6 @@ def test_two_steps(name):
     assert [weight for weight, _ in trace] == list(config.penalty_weights)
 
 
-def full_sum_gradient(controls, terms, dt, weight):
-    """oracle._gradient's formula with the suffix sums over every state,
-    from the same (g, g+, dx, dy) terms; returns (N, 2)."""
-    n = controls.shape[0]
-    fx = fy = 0.0
-    for _, gplus, dx, dy in terms:
-        fx = fx + gplus * dx
-        fy = fy + gplus * dy
-    forces = -4.0 * weight * np.stack((fx, fy))
-    k = np.arange(n + 1.0)
-    suffix_f = np.cumsum(forces[:, ::-1], axis=1)[:, ::-1]
-    suffix_kf = np.cumsum((k * forces)[:, ::-1], axis=1)[:, ::-1]
-    j = np.arange(n) + 0.5
-    grad = 2.0 * dt * controls.T + dt**2 * (suffix_kf[:, 1:] - j * suffix_f[:, 1:])
-    return np.ascontiguousarray(grad.T)
-
-
-def straight_states(n):
-    """n + 1 states evenly along y = 0 from x = -8 to x = 8."""
-    return np.column_stack((np.linspace(-8.0, 8.0, n + 1), np.zeros(n + 1)))
-
-
-def crafted_states(name, n=120):
-    """(positions, centers, radii) of one span-edge case."""
-    positions = straight_states(n)
-    one = np.array([1.0])
-    if name == "clear":
-        return positions, np.array([[0.0, 3.0]]), one
-    if name == "start_inside":
-        return positions, np.array([[-8.0, 0.2]]), one
-    if name == "end_inside":
-        return positions, np.array([[8.0, -0.2]]), one
-    if name == "all_inside":
-        return positions, np.array([[0.0, 0.5]]), np.array([20.0])
-    if name == "zero_at_end":
-        # states 0-39 inside a disc of radius 5, state 40 at offset (3, 4)
-        # on its circle, so g = +0.0 there, and the rest far outside
-        positions[:40] = (1.0, 2.0)
-        positions[40] = (3.0, 4.0)
-        positions[41:, 1] = 10.0
-        return positions, np.array([[0.0, 0.0]]), np.array([5.0])
-    if name == "nan":
-        positions[70, 1] = math.nan
-        return positions, np.array([[-3.0, 0.4]]), one
-    if name == "infinite_offset":
-        positions[90, 0] = math.inf
-        return positions, np.array([[-3.0, 0.4]]), one
-    if name == "two_windows":
-        return positions, np.array([[-4.0, 0.3], [5.0, -0.4]]), np.array([1.0, 1.5])
-    raise KeyError(name)
-
-
-SPAN_CASES = ["clear", "start_inside", "end_inside", "all_inside", "zero_at_end",
-              "nan", "infinite_offset", "two_windows"]
-
-
-def span_inputs(name, n=120, dt=0.08, weight=1e4):
-    positions, centers, radii = crafted_states(name, n)
-    controls = np.random.default_rng(11).standard_normal((n, 2))
-    discs = oracle._Grid(n, dt, centers, radii).discs
-    terms, _ = oracle._penalty_terms(np.ascontiguousarray(positions.T), discs)
-    return controls, positions, centers, radii, terms, dt, weight
-
-
-@pytest.mark.parametrize("name", SPAN_CASES)
-def test_span_limited_gradient_keeps_its_bits(name):
-    with np.errstate(invalid="ignore"):
-        controls, positions, centers, radii, terms, dt, weight = span_inputs(name)
-        got = oracle._gradient(oracle._Grid(controls.shape[0], dt), controls, terms,
-                               weight)
-        want = reference_gradient(controls, positions, dt, centers, radii, weight)
-        full = full_sum_gradient(controls, terms, dt, weight)
-    assert got.shape == (2, controls.shape[0]) and got.flags.c_contiguous
-    got = np.ascontiguousarray(got.T)
-    assert got.tobytes() == want.tobytes()
-    assert got.tobytes() == full.tobytes()
-
-
-def test_span_edges_are_where_the_cases_put_them():
-    """Guards the crafted cases: each has the span it is named for."""
-    def span(name):
-        _, _, _, _, terms, _, _ = span_inputs(name)
-        inside = np.zeros(121, dtype=bool)
-        for g, _, _, _ in terms:
-            inside |= ~(g < 0)
-        live = np.flatnonzero(inside)
-        return (int(live[0]), int(live[-1])) if live.size else None
-
-    assert span("clear") is None
-    assert span("start_inside")[0] == 0
-    assert span("end_inside")[1] == 120
-    assert span("all_inside") == (0, 120)
-    _, _, _, _, terms, _, _ = span_inputs("zero_at_end")
-    assert repr(float(terms[0][0][40])) == "0.0" and span("zero_at_end") == (0, 40)
-    _, _, _, _, terms, _, _ = span_inputs("nan")
-    assert math.isnan(terms[0][0][70])
-    _, _, _, _, terms, _, _ = span_inputs("infinite_offset")
-    assert terms[0][0][90] == -math.inf and terms[0][1][90] == 0.0
-    _, _, _, _, terms, _, _ = span_inputs("two_windows")
-    windows = [np.flatnonzero(g > 0) for g, _, _, _ in terms]
-    assert all(w.size for w in windows) and windows[0][-1] + 1 < windows[1][0]
-
-
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_span_ending_on_a_signed_zero_keeps_its_bits(sign):
-    """g = -0.0 cannot come out of r^2 - |p - c|^2, so the terms are
-    edited: the state on the circle gets g = sign * 0.0, and g+ is formed
-    from it as the objective forms it."""
-    controls, _, _, _, terms, dt, weight = span_inputs("zero_at_end")
-    g, _, dx, dy = terms[0]
-    g = g.copy()
-    g[40] = sign * 0.0
-    terms = [(g, np.maximum(g, 0.0), dx, dy)]
-    grid = oracle._Grid(controls.shape[0], dt)
-    got = np.ascontiguousarray(oracle._gradient(grid, controls, terms, weight).T)
-    assert got.tobytes() == full_sum_gradient(controls, terms, dt, weight).tobytes()
-
-
-@pytest.mark.parametrize("name", ["end_inside", "two_windows"])
-@pytest.mark.parametrize("weight", [math.inf, math.nan])
-def test_gradient_keeps_its_bits_for_a_non_finite_weight(weight, name):
-    """The force outside the span is -4w * (+0.0): NaN, not -0.0, when w
-    is infinite or NaN."""
-    controls, _, _, _, terms, dt, _ = span_inputs(name)
-    with np.errstate(invalid="ignore"):
-        grid = oracle._Grid(controls.shape[0], dt)
-        got = np.ascontiguousarray(oracle._gradient(grid, controls, terms, weight).T)
-        want = full_sum_gradient(controls, terms, dt, weight)
-    assert got.tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("name", ["line2", "aside"])
 def test_screen_rejects_only_what_the_objective_rejects(name, monkeypatch):
     """A trial is skipped, its states never formed, only when its
@@ -656,34 +586,26 @@ def test_control_rows_and_ramp_products_keep_their_bits():
                 == reference_ramp_products(k[:, None], k[None, :], dt).tobytes())
 
 
-def test_closed_form_gram_inverse():
-    for n in (2, 3, 300, 2000, 20000):
-        grid = oracle._Grid(n, 10.0 / n)
-        assert np.abs(grid.gram_inv @ grid.gram - np.eye(2)).max() <= 1e-13
-
-
 @pytest.mark.parametrize("steps", [300, 2000])
 @pytest.mark.parametrize("name", ["world3", "world5", "line2", "moving", "aside"])
 def test_step_helpers_match_their_references(name, steps, monkeypatch):
     """Along a solve, every control row the oracle builds has the bits of
     the reference's, and every Newton step, given the same inputs, has
     the reference's bits: union, current and Newton ramps, slope and
-    projected products. The definiteness test forms its matrix in
-    another order, so it is held to the reference's choice, Newton or
-    Gauss-Newton, on every step."""
+    projected products. The reference takes no stop for stationarity, so
+    where the oracle's step alone is None, the projected gradient over
+    every control is at most gradient_tol. The definiteness test forms
+    its matrix in another order, so it is held to the reference's
+    choice, Newton or Gauss-Newton, on every step."""
     agent, scenario = CASES[name]()
-    rows_calls, steps_taken, choices, reference_choices = [], [], [], []
-    control_rows, newton_step = oracle._control_rows, oracle._newton_step
+    rows_calls, choices, reference_choices = [], [], []
+    control_rows = oracle._control_rows
     positive_definite = oracle._positive_definite
     reference_definite = reference_positive_definite
 
     def record_rows(*args):
         rows_calls.append((args, control_rows(*args)))
         return rows_calls[-1][1]
-
-    def record_step(*args):
-        steps_taken.append((args, newton_step(*args)))
-        return steps_taken[-1][1]
 
     def record_choice(*args):
         choices.append(positive_definite(*args))
@@ -694,7 +616,7 @@ def test_step_helpers_match_their_references(name, steps, monkeypatch):
         return reference_choices[-1]
 
     monkeypatch.setattr(oracle, "_control_rows", record_rows)
-    monkeypatch.setattr(oracle, "_newton_step", record_step)
+    steps_taken = record_newton_steps(monkeypatch)
     monkeypatch.setattr(oracle, "_positive_definite", record_choice)
     monkeypatch.setitem(globals(), "reference_positive_definite", record_reference_choice)
     discrete_min_energy_constrained(agent, scenario, OracleConfig(steps=steps))
@@ -702,12 +624,19 @@ def test_step_helpers_match_their_references(name, steps, monkeypatch):
     for (grid, affine, touches, ramps), rows in rows_calls:
         want = reference_control_rows(grid.n, grid.dt, affine, touches, ramps)
         assert rows.tobytes() == want.tobytes()
-    for (grid, terms, touches, ramps, weight), step in steps_taken:
+    for (grid, terms, touches, ramps, weight), positions, step in steps_taken:
+        made = len(reference_choices)
         want = reference_newton_step(terms, touches, ramps, weight, grid.n, grid.dt,
                                      grid.gram)
-        assert (step is None) == (want is None)
         if step is None:
+            norm_sq = reference_projected_gradient_sq(agent, scenario, grid.n, touches,
+                                                      ramps, positions, weight)
+            if math.sqrt(norm_sq) <= OracleConfig.gradient_tol:
+                del reference_choices[made:]  # the oracle stopped before choosing
+            else:
+                assert want is None
             continue
+        assert want is not None
         union, current, target, slope = step
         assert np.array_equal(union, want[0]) and repr(slope) == repr(want[3])
         assert current.tobytes() == want[1].tobytes()
@@ -715,6 +644,39 @@ def test_step_helpers_match_their_references(name, steps, monkeypatch):
         products = reference_projected_products(union, grid.n, grid.dt, grid.gram)
         assert oracle._projected_products(grid, union).tobytes() == products.tobytes()
     assert choices == reference_choices
+
+
+@pytest.mark.parametrize("steps", [300, 2000])
+@pytest.mark.parametrize("name", ["world3", "world5", "line2", "moving", "aside"])
+def test_stop_test_matches_the_control_gradient(name, steps, monkeypatch):
+    """The Newton step stops a weight on psi^T K psi, K the projected ramp
+    products: the squared gradient projected off the terminal map, taken
+    on the touch states. At every step along a solve it agrees with
+    |P grad|^2, grad over every control, to 1e-8 relative where the
+    latter is above gradient_tol^2 (at most 6e-9 on these inputs; below,
+    the two cancel to rounding), and the step stops for stationarity
+    exactly where |P grad| is at most gradient_tol."""
+    agent, scenario = CASES[name]()
+    steps_taken = record_newton_steps(monkeypatch)
+    discrete_min_energy_constrained(agent, scenario, OracleConfig(steps=steps))
+    assert steps_taken
+    tol = OracleConfig.gradient_tol
+    for (grid, terms, touches, ramps, weight), positions, step in steps_taken:
+        norm_sq = reference_projected_gradient_sq(agent, scenario, grid.n, touches,
+                                                  ramps, positions, weight)
+        stationary = math.sqrt(norm_sq) <= tol
+        model = reference_newton_model(terms, touches, ramps, weight, grid.n, grid.dt,
+                                       grid.gram)
+        if model is not None:
+            products, psi = model[-2:]
+            model_sq = float(np.sum(psi * (products @ psi)))
+            if stationary:
+                assert model_sq <= tol**2
+            else:
+                assert abs(model_sq - norm_sq) <= 1e-8 * norm_sq
+        want = reference_newton_step(terms, touches, ramps, weight, grid.n, grid.dt,
+                                     grid.gram)
+        assert (step is None) == (stationary or want is None)
 
 
 @pytest.mark.parametrize("steps", [2, 7, 500])

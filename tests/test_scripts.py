@@ -64,3 +64,4 @@ def test_random_batch_survey_times_the_oracle():
 def test_symmetric_obstacle_demo_runs():
     out = run_script("symmetric_obstacle_demo.py")
     assert "junction time          5.000000 s" in out
+    assert re.search(r"oracle wall clock\s+[0-9.]+ ms", out)
