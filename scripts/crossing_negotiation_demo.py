@@ -3,8 +3,8 @@
 
 Both agents nominally arrive at t = 10 and would collide at the origin
 at t = 5. The demo shows the pre-negotiation overlap, runs the grid
-search over arrival-time deviations, and verifies the post-negotiation
-separation.
+search over arrival-time deviations, and checks the negotiated plans
+exactly for conflicts.
 """
 
 import time
@@ -17,7 +17,6 @@ from junctionplan import (
     Scenario,
     detect_conflicts,
     encode_message,
-    min_separation,
     negotiate_arrival_times,
     payoff,
     plan_agent,
@@ -61,9 +60,8 @@ def main():
     plans = negotiated.plans
     final_messages = [encode_message(plan.spec, plan.report)
                       for plan in plans.values()]
-    t_min, dist = min_separation(plans[1].trajectory, plans[2].trajectory)
-    print(f"  post-negotiation minimum  {dist:.3f} m at t={t_min:.2f} "
-          f"(margin {dist - required:+.3f} m)")
+    remaining = detect_conflicts(final_messages, scenario)
+    print(f"  final conflicts           {len(remaining)}")
     for msg in final_messages:
         print(f"  final payoff agent {msg.agent_id}      "
               f"{payoff(msg, final_messages, scenario).to_json():.4f}")

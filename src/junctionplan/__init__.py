@@ -72,7 +72,6 @@ from .game import (
     message_int_count,
     message_real_count,
     message_to_json,
-    min_separation,
     negotiate_arrival_times,
     payoff,
 )

@@ -65,9 +65,10 @@ EXIT_ORACLE_WARNING = 4
 
 def _add_negotiation_flags(parser: argparse.ArgumentParser) -> None:
     """The flags _negotiation_config reads."""
-    parser.add_argument("--step", type=float, default=0.5,
+    parser.add_argument("--step", type=float, default=NegotiationConfig.step,
                         help="negotiation grid step in seconds")
-    parser.add_argument("--max-dev", type=float, default=5.0,
+    parser.add_argument("--max-dev", type=float,
+                        default=NegotiationConfig.max_deviation,
                         help="negotiation deviation budget in seconds")
 
 
@@ -86,6 +87,8 @@ def _parse_agent_arg(text: str, index: int) -> AgentSpec:
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise SchemaError(f"--agent #{index}: {exc}") from exc
+    if not values[0].is_integer():
+        raise SchemaError(f"--agent #{index}: id {parts[0]!r} is not an integer")
     return AgentSpec(
         id=int(values[0]), radius=values[1],
         start=KinematicState(p=values[2:4], v=values[4:6]),

@@ -12,32 +12,26 @@ acceptance order, pruning a partial assignment as soon as one of its
 pairs is unsafe. It hands back the plans it chose along with the
 arrival times, so callers need not plan the shifted agents again.
 
-This module owns the sampled inter-agent separation (`min_separation`,
-always PAIR_SAMPLES points over the pair's joint horizon) and the one
-penetration test built on it, shared by conflict detection, payoffs and
-negotiation. That sampled check is the definition of a pair verdict.
-Each check samples both plans' positions on one uniform grid through
-`sample_positions_held`, which evaluates each cubic segment on its own
-run of grid times in axis-major layout and holds an agent's endpoint
-outside its horizon, and takes the distance per axis.
+A pair verdict is decided exactly, by the obstacle check applied to the
+difference of the two plans (`_penetration`): both hold an endpoint
+outside their own horizon, so a - b is a cubic on each piece between
+the merged knots, and `violated_windows` finds where it comes within
+the combined radius of the origin. Conflict detection, payoffs and
+negotiation share that one check.
 
-The negotiation decides most verdicts without that check, by a
-Lipschitz certificate: every plan it makes is sampled once on a coarse
-grid shared by the whole search, and bounded in speed by its velocity's
-Bernstein control points. A pair whose coarse distances are far enough
-below or above the combined radius, given the two speed bounds, has
-the verdict the sampled check would give; any other pair falls back to
-the sampled check. The screen keeps no range per pair: the grid spans
-every horizon the search can plan, and outside a pair's joint horizon
-both agents hold an endpoint, so a coarse point there sees a distance
-the sampled check also samples. Every pair of the accepted plans thus
-has the sampled check's verdict, safe, and sampling them again finds
-no conflict; the CLI's plan command reports none after a negotiation
-and checks nothing itself. A caller that has already planned the
-agents at their nominal horizons hands those plans to the search,
-which then plans only shifted horizons. A deviation that would end an
-agent's horizon at or before its start is a grid point with no plan,
-like one whose solve fails.
+The negotiation decides most verdicts without it, by a Lipschitz
+certificate on one coarse grid over every horizon the search can plan:
+each plan it makes is sampled there once (`sample_positions_held`) and
+bounded in speed by its velocity's Bernstein control points. A coarse
+point closer than the limit is itself an instant of conflict, and
+coarse distances far enough above it, given the two speed bounds, clear
+every instant; any other pair falls back to the exact check. The
+accepted plans are thus safe at every instant, and the CLI's plan
+command reports no conflict after a negotiation and checks nothing
+itself. A caller that has already planned the agents at their nominal
+horizons hands those plans to the search, which then plans only shifted
+horizons. A deviation that would end an agent's horizon at or before
+its start is a grid point with no plan, like one whose solve fails.
 """
 
 from __future__ import annotations
@@ -66,8 +60,11 @@ from .solver import (
     solve_coefficients,
 )
 from .trajectory import (
+    CubicSegment,
     KinematicState,
     PiecewiseTrajectory,
+    _segment_index,
+    eval_trajectory,
     sample_positions_held,
     trajectory_energy,
 )
@@ -76,6 +73,7 @@ from .world import (
     Scenario,
     first_violation,
     state_to_json,
+    violated_windows,
     _state_from_json,
     _require_keys,
     _as_float,
@@ -86,12 +84,9 @@ from .world import (
 # conflict; consistent with the world-model safety tolerance.
 SEPARATION_TOL = 1e-9
 
-# Uniform samples per pair separation check.
-PAIR_SAMPLES = 2001
-
 # Points of the coarse grid on which negotiation screens pair verdicts
-# before it samples them, and the slack in meters that covers rounding
-# in positions and distances when the screen bounds a sampled distance.
+# before it checks them exactly, and the slack in meters that covers
+# rounding in positions and distances when the screen compares them.
 SCREEN_SAMPLES = 401
 SCREEN_EPS = 1e-9
 
@@ -184,7 +179,8 @@ class NegotiationConfig:
 
 @dataclass(frozen=True, eq=False)
 class ConflictRecord:
-    """Deepest sampled separation violation for one agent pair."""
+    """First separation violation of one agent pair: the midpoint of
+    its first violated window, and the penetration there."""
 
     pair: tuple[int, int]
     time: float
@@ -226,29 +222,41 @@ def decode_message(msg: Message, scenario: Scenario) -> PiecewiseTrajectory:
     return solve_coefficients(sender, msg.junctions, scenario)
 
 
-def min_separation(
-    traj_a: PiecewiseTrajectory, traj_b: PiecewiseTrajectory
-) -> tuple[float, float]:
-    """Sampled time and value of the minimum inter-agent distance.
-
-    PAIR_SAMPLES uniform samples cover the union of both horizons; an
-    agent outside its own horizon holds its endpoint state.
-    """
-    t_lo = min(traj_a.t_start, traj_b.t_start)
-    t_hi = max(traj_a.t_end, traj_b.t_end)
-    times = np.linspace(t_lo, t_hi, PAIR_SAMPLES)
-    d = sample_positions_held(traj_a, times) - sample_positions_held(traj_b, times)
-    # per axis, the same bits as np.linalg.norm(d, axis=1)
-    dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-    k = int(np.argmin(dist))
-    return float(times[k]), float(dist[k])
+def _local_motion(traj: PiecewiseTrajectory, t: float):
+    """(p, v, a2, a3) of traj's cubic at time t re-based to start at t;
+    outside its horizon, the endpoint held at rest."""
+    p, v, u = eval_trajectory(traj, min(max(t, traj.t_start), traj.t_end))
+    if not traj.t_start <= t < traj.t_end:
+        return p, np.zeros(2), np.zeros(2), np.zeros(2)
+    return p, v, 0.5 * u, traj.segments[_segment_index(traj, t)].a3
 
 
 def _penetration(traj_a, r_a: float, traj_b, r_b: float):
-    """(time, depth) of the pair's sampled conflict, or None when safe."""
-    t_min, d_min = min_separation(traj_a, traj_b)
-    depth = (r_a + r_b) - d_min
-    return (t_min, depth) if depth > SEPARATION_TOL else None
+    """(time, depth) of the pair's first conflict, or None when safe.
+
+    Decided exactly, as first_violation decides an obstacle: on the
+    merged knots of both plans the difference a - b is one cubic per
+    piece, each agent holding its endpoint outside its own horizon, and
+    violated_windows finds where it comes within R - SEPARATION_TOL of
+    the origin, R = r_a + r_b, as the level R**2 - (R - tol)**2 on g.
+    The conflict is reported at the midpoint of the first window, with
+    the penetration there.
+    """
+    knots = sorted({t for traj in (traj_a, traj_b) for seg in traj.segments
+                    for t in (seg.t_start, seg.t_end)})
+    diff = PiecewiseTrajectory(tuple(
+        CubicSegment(*(x - y for x, y in zip(_local_motion(traj_a, t),
+                                             _local_motion(traj_b, t))),
+                     t, t_next)
+        for t, t_next in zip(knots, knots[1:])
+    ))
+    r = r_a + r_b
+    windows = violated_windows(diff, (0.0, 0.0), r,
+                               r * r - (r - SEPARATION_TOL) ** 2)
+    if not windows:
+        return None
+    time = 0.5 * (windows[0][0] + windows[0][1])
+    return time, r - float(np.linalg.norm(eval_trajectory(diff, time)[0]))
 
 
 class _Profile(NamedTuple):
@@ -281,28 +289,23 @@ def _profile(traj: PiecewiseTrajectory, grid: np.ndarray) -> _Profile:
 
 def _certified_verdict(grid: np.ndarray, a: _Profile, r_a: float,
                        b: _Profile, r_b: float) -> bool | None:
-    """The sampled pair verdict (True when safe) if the coarse grid
-    proves it, else None.
+    """The exact pair verdict (True when safe) if the coarse grid proves
+    it, else None.
 
     Held positions move no faster than the speed bound, so the distance
-    between the agents changes at most at rate L = a.speed + b.speed.
-    The screen needs no range for the pair: the grid spans every
-    horizon, and a coarse point outside the pair's joint horizon sees
-    both agents held, at the distance of that end of the horizon, which
-    is itself one of the PAIR_SAMPLES samples. So a coarse distance
-    below the limit R - SEPARATION_TOL by more than L times half the
-    widest sample step any pair on the grid can have puts the nearest
-    sample in conflict, and the smallest coarse distance above the limit
-    by more than L times half the coarse step clears every instant, and
-    so every sample. SCREEN_EPS twice covers rounding in the two
-    distances compared.
+    between the agents changes at most at rate L = a.speed + b.speed. A
+    coarse distance below the limit R - SEPARATION_TOL is an instant of
+    conflict, also outside the pair's joint horizon, where both agents
+    hold the distance at its end; the smallest coarse distance above the
+    limit by more than L times half the coarse step clears every
+    instant. SCREEN_EPS twice covers rounding in the distances compared.
     """
     nearest = float(np.abs(a.positions - b.positions).min())
     rate = a.speed + b.speed
     limit = r_a + r_b - SEPARATION_TOL
-    span = grid[-1] - grid[0]
-    if nearest + rate * span / (PAIR_SAMPLES - 1) / 2.0 + 2.0 * SCREEN_EPS < limit:
+    if nearest + 2.0 * SCREEN_EPS < limit:
         return False
+    span = grid[-1] - grid[0]
     if nearest - rate * span / (len(grid) - 1) / 2.0 - 2.0 * SCREEN_EPS > limit:
         return True
     return None
@@ -322,11 +325,9 @@ def _conflicts_between(
 
 
 def detect_conflicts(msgs: list[Message], scenario: Scenario) -> list[ConflictRecord]:
-    """Deepest pairwise separation violations among decoded messages.
-
-    Each pair is sampled over the union of its two horizons; agents hold
-    their endpoint state outside their own horizon.
-    """
+    """Pairwise separation violations among decoded messages, each
+    decided exactly over the union of the pair's two horizons; agents
+    hold their endpoint state outside their own horizon."""
     entries = [
         (msg.agent_id, scenario.agent(msg.agent_id).radius,
          decode_message(msg, scenario))
@@ -338,9 +339,9 @@ def detect_conflicts(msgs: list[Message], scenario: Scenario) -> list[ConflictRe
 def payoff(msg: Message, all_msgs: list[Message], scenario: Scenario) -> Payoff:
     """Energy of the agent's decoded trajectory, infeasible if unsafe.
 
-    Unsafe means an obstacle violation, found exactly, or a sampled
-    approach within the combined radius of any other agent's decoded
-    trajectory.
+    Unsafe means an obstacle violation or an approach within the
+    combined radius of any other agent's decoded trajectory, both found
+    exactly.
     """
     traj = decode_message(msg, scenario)
     if first_violation(traj, scenario, msg.agent_id) is not None:
@@ -438,16 +439,13 @@ def negotiate_arrival_times(
     or conflicts with an earlier one. Memory grows with the agent count
     and the verdict cache, not with the number of joint assignments.
 
-    A verdict is what the PAIR_SAMPLES-point check `_penetration` says.
-    The search first tries a certificate that proves that answer from
-    SCREEN_SAMPLES coarse points per plan on one grid over every horizon
-    the search can plan, and a bound on each plan's speed; only a pair
-    the certificate cannot decide is sampled. A plan is profiled for the
-    certificate once, when it enters the plan cache, and the certificate
-    compares the whole grid, with no range per pair. No horizon is
-    planned for the certificate alone. Since every accepted pair's
-    verdict is the sampled one, the returned plans have no sampled
-    conflict, and a caller need not check them again.
+    A verdict is what the exact check `_penetration` says. The search
+    first tries a certificate that proves it from SCREEN_SAMPLES coarse
+    points per plan on one grid over every horizon the search can plan,
+    and a bound on each plan's speed; only a pair the certificate cannot
+    decide is checked exactly. A plan is profiled once, when it enters
+    the plan cache. The returned plans are safe at every instant, and a
+    caller need not check them again.
 
     nominal optionally holds plans the caller already made at the
     nominal horizons, keyed by agent id; the search takes them as its

@@ -247,6 +247,6 @@ def sample_trajectory(traj: PiecewiseTrajectory, times: np.ndarray):
 def sample_positions_held(traj: PiecewiseTrajectory, times: np.ndarray) -> np.ndarray:
     """Positions at arbitrary times, shape (len(times), 2) as in
     sample_trajectory, holding the endpoint states outside the horizon.
-    Used for separation checks between agents whose horizons differ."""
+    Used for the negotiation screen's profiles."""
     clamped = np.clip(np.asarray(times, dtype=float), traj.t_start, traj.t_end)
     return _sample(traj, clamped, derivatives=False)[0].T

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from junctionplan import (
@@ -10,11 +11,25 @@ from junctionplan import (
     gen_world,
     plan_agent,
 )
+from junctionplan.trajectory import sample_positions_held
 from junctionplan.world import reference_world  # noqa: F401 (shared by the tests)
 
 # Seeds of the 50 reference worlds; 46 plan and converge, worlds 2, 22,
 # 41 and 47 fail.
 REFERENCE_SEEDS = range(1, 51)
+
+
+def min_separation(traj_a, traj_b):
+    """Sampled reference for the exact pair check: time and value of the
+    smallest distance among 2001 uniform samples over the union of both
+    horizons, each agent holding its endpoint outside its own."""
+    times = np.linspace(min(traj_a.t_start, traj_b.t_start),
+                        max(traj_a.t_end, traj_b.t_end), 2001)
+    d = sample_positions_held(traj_a, times) - sample_positions_held(traj_b, times)
+    # per axis, the same bits as np.linalg.norm(d, axis=1)
+    dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    k = int(np.argmin(dist))
+    return float(times[k]), float(dist[k])
 
 
 def single_obstacle_instances(count=10):

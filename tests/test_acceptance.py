@@ -36,7 +36,6 @@ from junctionplan import (
     message_int_count,
     message_real_count,
     message_to_json,
-    min_separation,
     negotiate_arrival_times,
     payoff,
     plan_agent,
@@ -47,7 +46,7 @@ from junctionplan import (
     trajectory_energy,
 )
 from junctionplan.cli import main
-from junctionplan.game import _conflicts_between
+from junctionplan.game import _conflicts_between, _penetration
 
 from conftest import REFERENCE_SEEDS, reference_world, single_obstacle_instances
 
@@ -312,10 +311,9 @@ def test_criterion_7_negotiation(announce):
         assert arrival[1] < arrival[2]
         assert arrival == {1: 8.0, 2: 12.0}
 
-        # post-negotiation sampled separation
-        required = agents[0].radius + agents[1].radius
-        _, dist = min_separation(plans[(1, returned[0])], plans[(2, returned[1])])
-        assert dist >= required - 1e-6
+        # post-negotiation separation, decided exactly
+        assert _penetration(plans[(1, returned[0])], agents[0].radius,
+                            plans[(2, returned[1])], agents[1].radius) is None
 
 
 def test_criterion_8_payoff_consistency(batch, announce):

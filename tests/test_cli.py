@@ -86,6 +86,15 @@ class TestGenWorld:
         assert doc["agents"][0]["id"] == 5
         assert doc["agents"][0]["tf"] == 12
 
+    @pytest.mark.parametrize("agent_id", ["inf", "nan", "1.7"])
+    def test_non_integer_agent_id_is_input_error(self, tmp_path, capsys,
+                                                 agent_id):
+        code = run(["gen-world", "--seed", 2, "--obstacles", 2, "--out", tmp_path,
+                    "--agent", f"{agent_id},0.5,-9,-9,0,0,9,9,0,0,0,10"])
+        assert code == 2
+        assert "not an integer" in capsys.readouterr().err
+        assert not (tmp_path / "scenario.json").exists()
+
     def test_generation_failure_exit_code(self, tmp_path):
         code = run(["gen-world", "--seed", 0, "--obstacles", 1,
                     "--bounds", -1, -1, 1, 1,

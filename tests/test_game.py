@@ -48,6 +48,8 @@ from junctionplan.game import (
     _profile,
 )
 
+from conftest import min_separation
+
 
 def rest(x, y):
     return KinematicState.at_rest(x, y)
@@ -406,7 +408,7 @@ class TestNegotiation:
         )
         scen = Scenario(agents=agents, obstacles=())
         config = NegotiationConfig(step=2.0, max_deviation=4.0)
-        # the oracle samples pairs too, so it runs before the counter is in
+        # the oracle checks pairs too, so it runs before the counter is in
         expected, _ = brute_force_negotiation(scen, config)
 
         # an agent is known by its goal, a tick by the arrival time
@@ -415,13 +417,13 @@ class TestNegotiation:
             return tuple(np.round(goal, 6)), traj.t_end
 
         checked = []
-        original = game.min_separation
+        original = game._penetration
 
-        def counting(traj_a, traj_b):
+        def counting(traj_a, r_a, traj_b, r_b):
             checked.append((identify(traj_a), identify(traj_b)))
-            return original(traj_a, traj_b)
+            return original(traj_a, r_a, traj_b, r_b)
 
-        monkeypatch.setattr(game, "min_separation", counting)
+        monkeypatch.setattr(game, "_penetration", counting)
         arrival = negotiate_arrival_times(scen, config).arrival_times
         assert arrival == expected
         assert len(checked) == len(set(checked))
@@ -489,8 +491,6 @@ class TestNegotiation:
             negotiate_arrival_times(scen)
 
     def test_post_negotiation_separation(self, crossing_scenario):
-        from junctionplan import min_separation
-
         config = NegotiationConfig(step=2.0, max_deviation=4.0)
         arrival = negotiate_arrival_times(crossing_scenario, config).arrival_times
         trajs = []
@@ -500,18 +500,15 @@ class TestNegotiation:
                                 t0=agent.t0, tf_nominal=arrival[agent.id])
             traj, _ = plan_agent(shifted, crossing_scenario)
             trajs.append((agent.radius, traj))
-        _, dist = min_separation(trajs[0][1], trajs[1][1])
-        assert dist >= trajs[0][0] + trajs[1][0] - 1e-6
+        assert _penetration(trajs[0][1], trajs[0][0],
+                            trajs[1][1], trajs[1][0]) is None
 
 
-def screened_pairs(scenario, config):
-    """(certificate verdict, sampled verdict, segment counts) for every
-    pair of two agents' converged plans on the negotiation grid."""
+def tick_pair_plans(scenario, config):
+    """(agent_a, plan_a, agent_b, plan_b) for every pair of two agents'
+    converged plans on the negotiation grid."""
     agents = sorted(scenario.agents, key=lambda a: a.id)
     m = int(round(config.max_deviation / config.step))
-    grid = np.linspace(min(a.t0 for a in agents),
-                       max(a.tf_nominal + m * config.step for a in agents),
-                       game.SCREEN_SAMPLES)
     plans = {}
     for agent in agents:
         for tick in range(-m, m + 1):
@@ -523,17 +520,29 @@ def screened_pairs(scenario, config):
             except PlannerError:
                 continue
             if report.converged:
-                plans.setdefault(agent.id, []).append(
-                    (traj, _profile(traj, grid)))
+                plans.setdefault(agent.id, []).append(traj)
     for i, a in enumerate(agents):
         for b in agents[i + 1:]:
-            for (traj_a, prof_a), (traj_b, prof_b) in product(
-                    plans.get(a.id, []), plans.get(b.id, [])):
-                yield (
-                    _certified_verdict(grid, prof_a, a.radius, prof_b, b.radius),
-                    _penetration(traj_a, a.radius, traj_b, b.radius) is None,
-                    (len(traj_a.segments), len(traj_b.segments)),
-                )
+            for traj_a, traj_b in product(plans.get(a.id, []),
+                                          plans.get(b.id, [])):
+                yield a, traj_a, b, traj_b
+
+
+def screened_pairs(scenario, config):
+    """(certificate verdict, exact verdict, segment counts) for every
+    pair of two agents' converged plans on the negotiation grid."""
+    agents = sorted(scenario.agents, key=lambda a: a.id)
+    m = int(round(config.max_deviation / config.step))
+    grid = np.linspace(min(a.t0 for a in agents),
+                       max(a.tf_nominal + m * config.step for a in agents),
+                       game.SCREEN_SAMPLES)
+    for a, traj_a, b, traj_b in tick_pair_plans(scenario, config):
+        yield (
+            _certified_verdict(grid, _profile(traj_a, grid), a.radius,
+                               _profile(traj_b, grid), b.radius),
+            _penetration(traj_a, a.radius, traj_b, b.radius) is None,
+            (len(traj_a.segments), len(traj_b.segments)),
+        )
 
 
 def random_obstacle_world(seed):
@@ -579,23 +588,42 @@ class TestPairScreen:
         assert sum(max(segments) > 1 for _, _, segments in decided) >= 50
         assert {got for got, _, _ in decided} == {True, False}
 
+    @pytest.mark.parametrize("name", ["ring", "crossing", "swap"])
+    def test_exact_verdicts_match_the_sampled_reference(self, crossing_scenario,
+                                                        name):
+        # every tick pair on the CLI's default grid; the 2001-sample
+        # reference is what decided pair verdicts before the exact check
+        scenario = {"ring": ring_scenario(), "crossing": crossing_scenario,
+                    "swap": swap_scenario()}[name]
+        pairs = 0
+        for a, traj_a, b, traj_b in tick_pair_plans(scenario,
+                                                    NegotiationConfig()):
+            _, dist = min_separation(traj_a, traj_b)
+            sampled_safe = a.radius + b.radius - dist <= game.SEPARATION_TOL
+            exact = _penetration(traj_a, a.radius, traj_b, b.radius)
+            assert (exact is None) == sampled_safe
+            pairs += 1
+        assert pairs == 441 * (3 if name == "ring" else 1)
+
     @pytest.fixture
-    def sampled_checks(self, monkeypatch):
-        """The horizon ends of each pair that game.min_separation samples."""
-        sampled = []
-        original = game.min_separation
+    def exact_checks(self, monkeypatch):
+        """The horizon ends of each pair that game._penetration checks."""
+        checked = []
+        original = game._penetration
 
-        def counting(traj_a, traj_b):
-            sampled.append((traj_a.t_end, traj_b.t_end))
-            return original(traj_a, traj_b)
+        def counting(traj_a, r_a, traj_b, r_b):
+            checked.append((traj_a.t_end, traj_b.t_end))
+            return original(traj_a, r_a, traj_b, r_b)
 
-        monkeypatch.setattr(game, "min_separation", counting)
-        return sampled
+        monkeypatch.setattr(game, "_penetration", counting)
+        return checked
 
     @pytest.mark.parametrize("offset", [5e-4, -5e-4], ids=["clear", "touch"])
-    def test_graze_falls_back_to_sampling(self, offset, sampled_checks):
+    def test_graze_gets_the_exact_verdict(self, offset, exact_checks):
         # agent 1 passes agent 0, at rest at the origin, at distance
-        # R + offset; within 1 mm of R the screen cannot decide
+        # R + offset; 0.5 mm clear the screen cannot decide and the search
+        # falls back to the exact check, while 0.5 mm inside a coarse point
+        # lies within the limit and is itself an instant of conflict
         scenario = Scenario(agents=(
             AgentSpec(id=0, radius=0.5, start=rest(0, 0), goal=rest(0, 0),
                       t0=0.0, tf_nominal=10.0),
@@ -604,38 +632,47 @@ class TestPairScreen:
         ), obstacles=())
         config = NegotiationConfig(step=1.0, max_deviation=1.0)
         pairs = list(screened_pairs(scenario, config))
-        certified, sampled_safe, _ = pairs[len(pairs) // 2]  # both nominal
-        assert certified is None
-        assert sampled_safe is (offset > 0)
+        certified, exact_safe, _ = pairs[len(pairs) // 2]  # both nominal
+        assert exact_safe is (offset > 0)
+        assert certified is (None if offset > 0 else False)
         if offset > 0:
-            sampled_checks.clear()
+            exact_checks.clear()
             arrival = negotiate_arrival_times(scenario, config).arrival_times
             assert arrival == {0: 10.0, 1: 10.0}
-            assert sampled_checks == [(10.0, 10.0)]
+            assert exact_checks == [(10.0, 10.0)]
 
-    def test_distance_within_rounding_of_the_limit_is_sampled(self,
-                                                             sampled_checks):
-        # two agents at rest whose sampled distance lies SEPARATION_TOL
-        # short of the combined radius, a conflict; the screen's complex
-        # modulus rounds 4.4e-16 m longer, so without SCREEN_EPS it would
-        # clear the pair
+    @pytest.mark.parametrize("excess", [2.0, 0.5], ids=["conflict", "clear"])
+    def test_distance_within_rounding_of_the_limit_is_checked_exactly(
+            self, excess, exact_checks):
+        # two agents at rest whose combined radius exceeds their distance
+        # by excess * SEPARATION_TOL: within SCREEN_EPS of the limit the
+        # screen defers, and the search takes the exact check's verdict
         far = math.sqrt(0.2 * 0.2 + 3.0 * 3.0)
         scenario = Scenario(agents=(
             AgentSpec(id=0, radius=0.5, start=rest(0, 0), goal=rest(0, 0),
                       t0=0.0, tf_nominal=10.0),
-            AgentSpec(id=1, radius=far + game.SEPARATION_TOL - 0.5,
+            AgentSpec(id=1, radius=far + excess * game.SEPARATION_TOL - 0.5,
                       start=rest(0.2, 3.0), goal=rest(0.2, 3.0),
                       t0=0.0, tf_nominal=10.0),
         ), obstacles=())
-        with pytest.raises(NegotiationError):
-            negotiate_arrival_times(scenario, NegotiationConfig(step=1.0,
-                                                                max_deviation=0.0))
-        assert sampled_checks == [(10.0, 10.0)]
+        config = NegotiationConfig(step=1.0, max_deviation=0.0)
+        [(certified, exact_safe, _)] = screened_pairs(scenario, config)
+        assert certified is None
+        assert exact_safe is (excess < 1.0)
+        exact_checks.clear()
+        try:
+            negotiate_arrival_times(scenario, config)
+        except NegotiationError:
+            searched_safe = False
+        else:
+            searched_safe = True
+        assert searched_safe is exact_safe
+        assert exact_checks == [(10.0, 10.0)]
 
-    def test_swap_fails_without_sampling(self, sampled_checks):
+    def test_swap_fails_without_sampling(self, exact_checks):
         with pytest.raises(NegotiationError):
             negotiate_arrival_times(swap_scenario(), NegotiationConfig())
-        assert sampled_checks == []
+        assert exact_checks == []
 
 
 class TestNegotiationConfig:

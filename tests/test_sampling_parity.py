@@ -4,8 +4,8 @@ The reference below gathers each sample's segment coefficients into
 (n, 2) arrays and evaluates the local Horner form
 ((a3*s + a2)*s + v)*s + p there, with s the time since the segment
 starts. The axis-major kernels must give the same bits on every sample,
-and the CSV row writer the same bytes as csv.writer with one repr per
-cell.
+and so must the tests' sampled pair reference built on them, and the
+CSV row writer the same bytes as csv.writer with one repr per cell.
 """
 
 import csv
@@ -16,12 +16,12 @@ import pytest
 from junctionplan import (
     CubicSegment,
     PiecewiseTrajectory,
-    min_separation,
     sample_trajectory,
 )
 from junctionplan.cli import CSV_HEADER, _csv_rows, _write_trajectory_csv
-from junctionplan.game import PAIR_SAMPLES
 from junctionplan.trajectory import sample_positions_held
+
+from conftest import min_separation
 
 
 def gathered_sample(traj, times):
@@ -48,7 +48,7 @@ def gathered_positions_held(traj, times):
 def gathered_min_separation(traj_a, traj_b):
     t_lo = min(traj_a.t_start, traj_b.t_start)
     t_hi = max(traj_a.t_end, traj_b.t_end)
-    times = np.linspace(t_lo, t_hi, PAIR_SAMPLES)
+    times = np.linspace(t_lo, t_hi, 2001)
     pa = gathered_positions_held(traj_a, times)
     pb = gathered_positions_held(traj_b, times)
     dist = np.linalg.norm(pa - pb, axis=1)

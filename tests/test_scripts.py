@@ -23,6 +23,8 @@ def run_script(name, *args):
 def test_crossing_negotiation_demo_runs():
     out = run_script("crossing_negotiation_demo.py")
     assert "negotiated arrivals       {1: 8.0, 2: 12.0}" in out
+    # the negotiated plans are checked exactly, through detect_conflicts
+    assert "final conflicts           0" in out
 
 
 def test_random_batch_survey_runs():

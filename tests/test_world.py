@@ -23,13 +23,15 @@ from junctionplan import (
     gen_world,
     inflated_radius,
     load_scenario,
-    min_separation,
     save_scenario,
     scenario_from_json,
     scenario_to_json,
     solve_boundary,
 )
+from junctionplan.game import SEPARATION_TOL, _penetration
 from junctionplan.world import ViolationRecord
+
+from conftest import min_separation
 
 
 def rest(x, y):
@@ -181,39 +183,57 @@ class TestViolationRecord:
 
 
 class TestMinSeparation:
+    """The separation of two agents, decided exactly by game._penetration
+    from the violated windows of their difference: (time, depth) at the
+    midpoint of the first window, or None when safe."""
+
     def test_identical_trajectories(self):
         traj = straight_path((0, 0), (1, 0))
-        _, dist = min_separation(traj, traj)
-        assert dist == 0.0
+        assert _penetration(traj, 0.5, traj, 0.25) == (0.5, 0.75)
 
     def test_parallel_offset(self):
         a = straight_path((0, 0), (1, 0))
         b = straight_path((0, 5), (1, 5))
-        _, dist = min_separation(a, b)
-        assert dist == pytest.approx(5.0, abs=1e-12)
+        t, depth = _penetration(a, 2.5, b, 2.5 + 1e-3)
+        assert t == 0.5
+        assert depth == pytest.approx(1e-3, abs=1e-12)
+        assert _penetration(a, 2.5, b, 2.5 - 1e-3) is None
 
     def test_crossing_paths_meet_at_midpoint(self):
         a = straight_path((0, 0), (10, 0), tf=10.0)
         b = straight_path((5, -5), (5, 5), tf=10.0)
-        t, dist = min_separation(a, b)
-        assert dist == pytest.approx(0.0, abs=1e-9)
-        assert t == pytest.approx(5.0, abs=0.01)
+        t, depth = _penetration(a, 0.5, b, 0.5)
+        assert t == pytest.approx(5.0, abs=1e-9)
+        assert depth == pytest.approx(1.0, abs=1e-9)
 
     def test_symmetric_in_arguments(self):
         a = straight_path((0, 0), (3, 1), tf=2.0)
         b = straight_path((1, -2), (0, 4), tf=3.0)
-        ta, da = min_separation(a, b)
-        tb, db = min_separation(b, a)
-        assert ta == tb
-        assert da == db
+        hit = _penetration(a, 1.0, b, 1.2)
+        assert hit is not None
+        assert _penetration(b, 1.2, a, 1.0) == hit
 
     def test_hold_after_own_horizon(self):
-        # Second agent finishes at t=1 and must hold its goal while the
-        # first is still moving.
+        # Second agent finishes at t=1 and must hold its goal, 2 m from
+        # the first agent's path, while the first is still moving.
         a = straight_path((0, 0), (10, 0), tf=10.0)
         b = straight_path((5, 3), (5, 2), tf=1.0)
+        t, depth = _penetration(a, 1.0, b, 1.25)
+        assert t == pytest.approx(5.0, abs=1e-9)
+        assert depth == pytest.approx(0.25, abs=1e-9)
+        assert _penetration(a, 1.0, b, 0.75) is None
+
+    def test_graze_between_samples_is_found(self):
+        # agent b passes agent a, at rest at the origin, 1e-4 m inside
+        # the combined radius at t = 5 - 0.0025, halfway between two of
+        # the 2001 samples over the horizon; sampling misses the graze
+        a = straight_path((0, 0), (0, 0), tf=10.0)
+        b = straight_path((-49.9625, 1 - 1e-4), (50.0375, 1 - 1e-4), tf=10.0)
         _, dist = min_separation(a, b)
-        assert dist == pytest.approx(2.0, abs=1e-6)
+        assert 1.0 - dist < SEPARATION_TOL
+        t, depth = _penetration(a, 0.5, b, 0.5)
+        assert t == pytest.approx(4.9975, abs=1e-6)
+        assert depth == pytest.approx(1e-4, abs=1e-9)
 
 
 class TestGenWorld:
