@@ -4,9 +4,11 @@
 Plans one diagonal agent through the seeded reference worlds (seeds
 1-50 unless --seeds says otherwise), each with 1-6 obstacles, and
 tabulates convergence, junction counts, energy overhead above the
-unconstrained transfer, and wall-clock time. Every planned seed is
-timed, failed ones included, and the time spent in failed seeds is
-reported beside the total.
+unconstrained transfer, and wall-clock time. Failed seeds whose last
+junction solve did not converge are counted by why that solve stopped
+(its termination code). Every planned seed is timed, failed ones
+included, and the time spent in failed seeds is reported beside the
+total.
 
 With --answers it prints, instead, one line per world and no times:
 the outcome, the junction count, and the repr of the energy, the
@@ -81,6 +83,7 @@ def main(argv=None):
     first, last = args.seeds
 
     converged = failed = 0
+    terminations = {}
     junction_counts = {}
     overheads = []
     times_ms = []
@@ -102,6 +105,9 @@ def main(argv=None):
                 print(answer_line(seed, exc.report, exc))
             else:
                 print(f"  seed {seed:2d}: FAILED ({exc})")
+            if exc.report is not None and not exc.report.converged:
+                code = exc.report.termination
+                terminations[code] = terminations.get(code, 0) + 1
             report = None
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         times_ms.append(elapsed_ms)
@@ -133,6 +139,8 @@ def main(argv=None):
 
     print(f"random batch survey (seeds {first}-{last})")
     print(f"  converged {converged}, failed {failed}")
+    print("  unconverged final solves: " + (", ".join(
+        f"{code} {count}" for code, count in sorted(terminations.items())) or "none"))
     print(f"  junction count histogram: "
           f"{dict(sorted(junction_counts.items()))}")
     if overheads:

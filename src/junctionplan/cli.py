@@ -165,6 +165,7 @@ def _plan_entry(agent: AgentSpec, report, converged: bool,
         "converged": converged,
         "residual": report.residual_norm if report else None,
         "iterations": report.iterations if report else None,
+        "termination": report.termination if report else None,
         "energy": report.energy if report else None,
         "junction_count": len(report.junction_sequence) if report else None,
         "junctions": [j.to_json() for j in report.junction_sequence] if report else [],

@@ -129,6 +129,7 @@ class TestPlan:
         assert entry["residual"] <= 1e-7
         assert entry["junction_count"] == 1
         assert entry["degenerate_junctions"] == []
+        assert entry["termination"] == "converged"
 
     def test_crossing_negotiates(self, crossing_file, tmp_path):
         out = tmp_path / "run"
@@ -255,6 +256,7 @@ class TestPlan:
         report = json.loads((out / "report.json").read_text())
         assert report["agents"][0]["converged"] is False
         assert report["agents"][0]["energy"] is None
+        assert report["agents"][0]["termination"] is None
 
     def test_horizon_too_short_for_a_junction(self, tmp_path):
         from junctionplan import Obstacle

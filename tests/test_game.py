@@ -71,7 +71,8 @@ class TestEncode:
     def test_refuses_non_converged(self, symmetric_scenario):
         agent = symmetric_scenario.agents[0]
         bad = SolveReport(converged=False, residual_norm=1.0, iterations=3,
-                          junction_sequence=(), energy=0.0)
+                          termination="max_iterations", junction_sequence=(),
+                          energy=0.0)
         with pytest.raises(EncodingError):
             encode_message(agent, bad)
 

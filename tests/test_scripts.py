@@ -31,6 +31,15 @@ def test_random_batch_survey_runs():
     assert "converged 46, failed 4" in run_script("random_batch_survey.py")
 
 
+def test_random_batch_survey_counts_why_failed_solves_stopped():
+    # world 2's last solve is stopped at the damping cap; those of worlds
+    # 22, 41 and 47 stall
+    summary = run_script("random_batch_survey.py").splitlines()
+    assert "  unconverged final solves: damping_cap 1, stalled 3" in summary
+    assert "  unconverged final solves: none" in run_script(
+        "random_batch_survey.py", "--seeds", "1", "1").splitlines()
+
+
 def test_random_batch_survey_oracle_answers():
     answers = run_script("random_batch_survey.py", "--seeds", "1", "2", "--answers")
     with_oracle = run_script(

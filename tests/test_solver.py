@@ -363,6 +363,7 @@ class TestSolveJunctions:
         assert report.converged
         assert report.residual_norm == 0.0
         assert report.iterations == 0
+        assert report.termination == "converged"
         assert len(traj.segments) == 1
 
     def test_symmetric_convergence(self):
@@ -425,14 +426,15 @@ class TestSolveJunctions:
             agent, (Junction(0, math.pi / 2, 5.0),), scen
         )
         doc = report.to_json()
-        assert set(doc) == {"converged", "residual", "iterations", "energy",
-                            "degenerate_junctions", "junctions"}
+        assert set(doc) == {"converged", "residual", "iterations", "termination",
+                            "energy", "degenerate_junctions", "junctions"}
+        assert doc["termination"] == "converged"
         assert doc["junctions"][0].keys() == {"obstacle", "theta", "time"}
         assert doc["degenerate_junctions"] == []
 
     def test_report_json_lists_degenerate_junctions(self):
         report = SolveReport(
-            converged=True, residual_norm=0.0, iterations=0,
+            converged=True, residual_norm=0.0, iterations=0, termination="converged",
             junction_sequence=(Junction(0, 0.0, 5.0),), energy=1.0,
             degenerate_junctions=(0,),
         )
@@ -625,6 +627,36 @@ class TestPlanAgent:
             assert np.abs(pa - pb).max() < 1e-9
             assert np.abs(va - vb).max() < 1e-9
             assert np.abs(ua - ub).max() < 1e-9
+
+
+class TestStallRule:
+    # The converging plans nearest the stall rule on reference worlds
+    # 1-5000. On 2495, the nearest, the residual norm comes within 0.327
+    # of the norm STALL_WINDOW iterations earlier; 2992 runs 121
+    # iterations, the most of any solve in a converged plan.
+    @pytest.mark.parametrize("seed, energy", [
+        (2495, 29.085478187770867),
+        (2992, 39.9287511889802),
+        (1274, 20.894543991858676),
+        (485, 25.348866164856553),
+        (148, 40.539188306008775),
+    ])
+    def test_slow_converging_worlds_keep_their_plans(self, seed, energy):
+        _, report = plan_agent(*reference_world(seed))
+        assert report.converged and report.termination == "converged"
+        assert report.energy == pytest.approx(energy, rel=1e-9)
+
+    @pytest.mark.parametrize("seed, termination", [
+        (2, "damping_cap"), (22, "stalled"), (41, "stalled"), (47, "stalled"),
+    ])
+    def test_failing_reference_worlds_stop_before_the_budget(self, seed, termination):
+        with pytest.raises(PlanningFailure,
+                           match=f"did not converge: {termination} after") as excinfo:
+            plan_agent(*reference_world(seed))
+        report = excinfo.value.report
+        assert not report.converged
+        assert report.termination == termination
+        assert report.iterations < solver.MAX_ITERATIONS
 
 
 class TestJunctionType:

@@ -8,12 +8,15 @@ build the Jacobian's right-hand side from its three nonzero rows per
 parameter; the LM loop clamps times and wraps angles on floats. Every
 element still goes through the same arithmetic, so every report and
 every segment must keep its bits. The loop also stops at the first step
-rejected at the damping cap and reports MAX_ITERATIONS, which is what
-the earlier loop reached by repeating that rejection. The reference
-below keeps the array spline, the dense Jacobian and the loop as they
-were before these changes.
+rejected at the damping cap, where the earlier loop went on repeating
+that rejection. The reference below keeps the array spline, the dense
+Jacobian and the loop as they were before these changes, with the same
+stall rule: it stops once its residual norm, after STALL_WINDOW
+iterations or more, is above half the norm STALL_WINDOW iterations
+earlier. It reports a solve that reached the cap as stopped there.
 """
 
+import itertools
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -42,6 +45,7 @@ from junctionplan.solver import (
     MAX_ITERATIONS,
     MIN_SEGMENT,
     RESIDUAL_TOL,
+    STALL_WINDOW,
     TIME_MARGIN,
     _clamp_times,
     _residual_jacobian,
@@ -208,7 +212,9 @@ def reference_solve_junctions(
     initial_junctions: tuple[Junction, ...],
     scenario: Scenario,
 ) -> tuple[PiecewiseTrajectory, SolveReport]:
-    """The LM loop as it ran before the fast-forward at the damping cap."""
+    """The LM loop as it ran before the fast-forward at the damping cap,
+    with the stall rule. Its report counts a solve that reached the cap
+    as stopped at the first rejection there."""
     junctions = tuple(initial_junctions)
     t0, tf = agent.t0, agent.tf_nominal
     params, centers, radii = reference_geometry(agent, junctions, scenario)
@@ -219,8 +225,14 @@ def reference_solve_junctions(
     norm = float(np.linalg.norm(res))
     damping = 1e-3
     iterations = 0
+    history = []
+    capped = None  # the iteration of the first rejection at the cap
     jac = None
     while iterations < MAX_ITERATIONS and norm > RESIDUAL_TOL:
+        if (iterations >= STALL_WINDOW
+                and norm > 0.5 * history[iterations - STALL_WINDOW]):
+            break
+        history.append(norm)
         iterations += 1
         if jac is None:
             jac = reference_residual_jacobian(spline, radii)
@@ -232,6 +244,8 @@ def reference_solve_junctions(
         try:
             step = np.linalg.solve(gram + damping * scale, rhs)
         except np.linalg.LinAlgError:
+            if damping == 1e12 and capped is None:
+                capped = iterations
             damping = min(damping * 10.0, 1e12)
             continue
         candidate = params + step
@@ -245,8 +259,18 @@ def reference_solve_junctions(
             damping = max(damping * 0.3, 1e-12)
             jac = None
         else:
+            if damping == 1e12 and capped is None:
+                capped = iterations
             damping = min(damping * 10.0, 1e12)
 
+    if norm <= RESIDUAL_TOL:
+        termination = "converged"
+    elif capped is not None:
+        termination, iterations = "damping_cap", capped
+    elif iterations == MAX_ITERATIONS:
+        termination = "max_iterations"
+    else:
+        termination = "stalled"
     traj = reference_trajectory(spline)
     junctions = tuple(
         Junction(obstacle_id=j.obstacle_id, theta=theta, time=t)
@@ -258,6 +282,7 @@ def reference_solve_junctions(
         converged=norm <= RESIDUAL_TOL,
         residual_norm=norm,
         iterations=iterations,
+        termination=termination,
         junction_sequence=junctions,
         energy=trajectory_energy(traj),
         degenerate_junctions=degenerate,
@@ -276,6 +301,7 @@ def report_bits(report):
         report.converged,
         bits(report.residual_norm),
         report.iterations,
+        report.termination,
         bits(report.energy),
         report.degenerate_junctions,
         tuple((j.obstacle_id, bits(j.theta), bits(j.time))
@@ -413,6 +439,16 @@ def first_rejection_at_the_cap(norms):
     return None
 
 
+def first_stall(norms):
+    """Iterations the earlier loop ran before the stall rule stopped it,
+    replayed from the start's residual norm and the norms of its
+    candidates in order: only improving steps are accepted, so the norm
+    after k iterations is the least of the first k + 1."""
+    best = list(itertools.accumulate(norms, min))
+    return next(k for k in range(STALL_WINDOW, len(best))
+                if best[k] > 0.5 * best[k - STALL_WINDOW])
+
+
 class TestDampingCap:
     def test_world_2_stops_at_the_first_rejection_at_the_cap(self, monkeypatch):
         agent, scen = reference_world(2)
@@ -435,12 +471,13 @@ class TestDampingCap:
         want = reference_solve_junctions(agent, junctions, scen)
         got = solve_junctions(agent, junctions, scen)
         assert_same_solve(got, want)
-        assert got[1].iterations == MAX_ITERATIONS
+        assert got[1].iterations == 65
+        assert got[1].termination == "damping_cap"
         assert not got[1].converged
         # the start and one candidate per iteration up to the first step
-        # rejected at the cap; the earlier loop went on to 200 candidates,
-        # each a repeat of that last one
-        assert len(want_params) == MAX_ITERATIONS + 1
+        # rejected at the cap; the earlier loop went on until it stalled,
+        # each candidate a repeat of that last one
+        assert len(want_params) == first_stall(want_norms) + 1
         assert len(got_params) == first_rejection_at_the_cap(want_norms) + 1
         assert len(got_params) <= 66
         assert got_params == want_params[:len(got_params)]
