@@ -250,8 +250,9 @@ def cmd_plan(args) -> int:
                     plan.wall_clock_ms,
                 )
                 trajectories[agent_id] = plan.trajectory
-            # every pair the search accepted has the sampled verdict
-            # safe, so the negotiated plans have no conflict to report
+            # every pair the search accepted is safe at every instant,
+            # by the certificate or the exact check, so the negotiated
+            # plans have no conflict to report
             conflicts = []
 
     args.out.mkdir(parents=True, exist_ok=True)

@@ -52,7 +52,8 @@ class EncodingError(PlannerError):
 
 
 class DecodeError(PlannerError):
-    """A trajectory message references ids unknown to the scenario."""
+    """A trajectory message references ids unknown to the scenario, or
+    its junctions leave a segment too short to solve."""
 
 
 class ValidationError(PlannerError):

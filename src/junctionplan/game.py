@@ -12,12 +12,13 @@ acceptance order, pruning a partial assignment as soon as one of its
 pairs is unsafe. It hands back the plans it chose along with the
 arrival times, so callers need not plan the shifted agents again.
 
-A pair verdict is decided exactly, by the obstacle check applied to the
-difference of the two plans (`_penetration`): both hold an endpoint
-outside their own horizon, so a - b is a cubic on each piece between
-the merged knots, and `violated_windows` finds where it comes within
-the combined radius of the origin. Conflict detection, payoffs and
-negotiation share that one check.
+A pair verdict is decided exactly, by the obstacle check's kernel
+applied to the difference of the two plans (`_penetration`): both hold
+an endpoint outside their own horizon, so a - b is a cubic on each piece
+between the merged knots, formed directly as coefficient arrays, and
+`world._first_window` finds where it comes within the combined radius of
+the origin. Conflict detection, payoffs and negotiation share that one
+check.
 
 The negotiation decides most verdicts without it, by a Lipschitz
 certificate on one coarse grid over every horizon the search can plan:
@@ -44,6 +45,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import (
+    ConditioningError,
     DecodeError,
     EncodingError,
     NegotiationError,
@@ -60,11 +62,8 @@ from .solver import (
     solve_coefficients,
 )
 from .trajectory import (
-    CubicSegment,
     KinematicState,
     PiecewiseTrajectory,
-    _segment_index,
-    eval_trajectory,
     sample_positions_held,
     trajectory_energy,
 )
@@ -73,7 +72,9 @@ from .world import (
     Scenario,
     first_violation,
     state_to_json,
-    violated_windows,
+    _coefficients,
+    _first_window,
+    _rebased,
     _state_from_json,
     _require_keys,
     _as_float,
@@ -208,55 +209,40 @@ def decode_message(msg: Message, scenario: Scenario) -> PiecewiseTrajectory:
     """Rebuild the sender's exact trajectory from its message.
 
     One linear solve on the message's junctions; no re-optimization.
+    Raises DecodeError for an id the scenario lacks, or for junctions
+    that leave a segment shorter than solver.MIN_SEGMENT.
     """
     try:
         radius = scenario.agent(msg.agent_id).radius
         for junction in msg.junctions:
             scenario.obstacle(junction.obstacle_id)
-    except ScenarioLookupError as exc:
+        sender = AgentSpec(
+            id=msg.agent_id, radius=radius, start=msg.start, goal=msg.goal,
+            t0=msg.t0, tf_nominal=msg.tf,
+        )
+        return solve_coefficients(sender, msg.junctions, scenario)
+    except (ScenarioLookupError, ConditioningError) as exc:
         raise DecodeError(str(exc)) from exc
-    sender = AgentSpec(
-        id=msg.agent_id, radius=radius, start=msg.start, goal=msg.goal,
-        t0=msg.t0, tf_nominal=msg.tf,
-    )
-    return solve_coefficients(sender, msg.junctions, scenario)
-
-
-def _local_motion(traj: PiecewiseTrajectory, t: float):
-    """(p, v, a2, a3) of traj's cubic at time t re-based to start at t;
-    outside its horizon, the endpoint held at rest."""
-    p, v, u = eval_trajectory(traj, min(max(t, traj.t_start), traj.t_end))
-    if not traj.t_start <= t < traj.t_end:
-        return p, np.zeros(2), np.zeros(2), np.zeros(2)
-    return p, v, 0.5 * u, traj.segments[_segment_index(traj, t)].a3
 
 
 def _penetration(traj_a, r_a: float, traj_b, r_b: float):
     """(time, depth) of the pair's first conflict, or None when safe.
 
-    Decided exactly, as first_violation decides an obstacle: on the
-    merged knots of both plans the difference a - b is one cubic per
-    piece, each agent holding its endpoint outside its own horizon, and
-    violated_windows finds where it comes within R - SEPARATION_TOL of
-    the origin, R = r_a + r_b, as the level R**2 - (R - tol)**2 on g.
-    The conflict is reported at the midpoint of the first window, with
-    the penetration there.
+    Decided exactly, by the kernel that decides obstacles: on the merged
+    knots of both plans the difference a - b is one cubic per piece, each
+    agent holding its endpoint outside its own horizon. Its coefficients
+    are each plan's cubic re-based at every merged knot, as an array, and
+    _first_window finds where it first comes within R - SEPARATION_TOL of
+    the origin, R = r_a + r_b, as the level R**2 - (R - tol)**2 on g, and
+    the penetration at that window's midpoint.
     """
-    knots = sorted({t for traj in (traj_a, traj_b) for seg in traj.segments
-                    for t in (seg.t_start, seg.t_end)})
-    diff = PiecewiseTrajectory(tuple(
-        CubicSegment(*(x - y for x, y in zip(_local_motion(traj_a, t),
-                                             _local_motion(traj_b, t))),
-                     t, t_next)
-        for t, t_next in zip(knots, knots[1:])
-    ))
+    plans = [_coefficients(traj) for traj in (traj_a, traj_b)]
+    knots = sorted({t for _, plan_knots in plans for t in plan_knots})
+    rebased_a, rebased_b = (_rebased(*plan, knots[:-1]) for plan in plans)
     r = r_a + r_b
-    windows = violated_windows(diff, (0.0, 0.0), r,
-                               r * r - (r - SEPARATION_TOL) ** 2)
-    if not windows:
-        return None
-    time = 0.5 * (windows[0][0] + windows[0][1])
-    return time, r - float(np.linalg.norm(eval_trajectory(diff, time)[0]))
+    hit = _first_window(rebased_a - rebased_b, knots, np.zeros((1, 2)), [r],
+                        r * r - (r - SEPARATION_TOL) ** 2)
+    return None if hit is None else hit[1:]
 
 
 class _Profile(NamedTuple):

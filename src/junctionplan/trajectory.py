@@ -179,19 +179,15 @@ def trajectory_energy(traj: PiecewiseTrajectory) -> float:
     return float(sum(segment_energy(seg) for seg in traj.segments))
 
 
-def _segment_index(traj: PiecewiseTrajectory, t: float) -> int:
-    starts = [seg.t_start for seg in traj.segments]
-    # bisect_right sends an exact junction time to the later segment
-    return min(bisect_right(starts, t) - 1, len(starts) - 1)
-
-
 def eval_trajectory(traj: PiecewiseTrajectory, t: float):
     """Evaluate the trajectory at time t, delegating to its segment."""
     if not traj.t_start <= t <= traj.t_end:
         raise OutOfRangeError(
             f"t={t} outside trajectory horizon [{traj.t_start}, {traj.t_end}]"
         )
-    return eval_segment(traj.segments[_segment_index(traj, t)], t)
+    starts = [seg.t_start for seg in traj.segments]
+    # bisect_right sends an exact junction time to the later segment
+    return eval_segment(traj.segments[bisect_right(starts, t) - 1], t)
 
 
 def _pieces(traj: PiecewiseTrajectory, times: np.ndarray) -> list:

@@ -5,19 +5,22 @@ obstacles. Safety is expressed through the squared-distance constraint
 g = combined_r**2 - ||p - center||**2, which is nonpositive exactly when
 the agent (treated as a point against inflated obstacles) is safe.
 
-Obstacle safety is decided exactly, not by sampling: on a cubic segment
-g is a degree-6 polynomial in local time, so the windows where it is
-violated lie between real roots of that polynomial. One stacked
-eigenvalue call finds the roots of every (obstacle, segment) pair of a
-trajectory; np.roots takes the eigenvalues of the same companion
-matrices, so the roots keep its bits. The coefficients are still formed
-per pair with np.convolve, whose BLAS dot fuses the short sums that no
-plain NumPy expression reproduces to the last bit.
+Safety is decided exactly, not by sampling, by one kernel on a path's
+(J, 4, 2) local cubic coefficients and J + 1 knots, for obstacles and,
+in game, agent pairs: on a cubic segment g is a degree-6 polynomial in
+local time, so the windows where it is violated lie between real roots
+of that polynomial. One stacked eigenvalue call finds the roots of every
+(obstacle, segment) pair of a path; np.roots takes the eigenvalues of
+the same companion matrices, so the roots keep its bits. The
+coefficients are still formed per pair with np.convolve, whose BLAS dot
+fuses the short sums that no plain NumPy expression reproduces to the
+last bit.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -28,7 +31,6 @@ from .trajectory import (
     KinematicState,
     PiecewiseTrajectory,
     _vec2,
-    eval_trajectory,
 )
 
 # g values up to this count as safe; matches linear-solve precision and
@@ -166,23 +168,49 @@ def violated_windows(
     np.convolve per segment and axis: its BLAS dot fuses the short sums,
     and no plain NumPy summation order reproduces its last bits.
     """
-    return _windows(traj, np.asarray(center, dtype=float).reshape(1, 2), [r], level)[0]
+    return _windows(*_coefficients(traj), np.reshape(center, (1, 2)), [r], level)[0]
+
+
+def _coefficients(traj: PiecewiseTrajectory) -> tuple[np.ndarray, list]:
+    """traj as the exact check reads it: the (J, 4, 2) local coefficients
+    (p, v, a2, a3) of its J segments, and its J + 1 knots."""
+    segs = traj.segments
+    return (np.array([(seg.p, seg.v, seg.a2, seg.a3) for seg in segs]),
+            [*(seg.t_start for seg in segs), segs[-1].t_end])
+
+
+def _rebased(local: np.ndarray, knots, times) -> np.ndarray:
+    """(len(times), 4, 2) coefficients (p, v, a2, a3) of the pieces
+    (local, knots) re-based to start at each time, the endpoint held at
+    rest outside the knots: eval_trajectory's segment and arithmetic,
+    so every value keeps its bits."""
+    lo, hi = knots[0], knots[-1]
+    t = [min(max(x, lo), hi) for x in times]
+    j = [bisect_right(knots, x, 0, len(knots) - 1) - 1 for x in t]
+    s = np.array([x - knots[i] for x, i in zip(t, j)])[:, None]
+    p0, v0, a2, a3 = local[j].transpose(1, 0, 2)
+    out = np.empty((len(t), 4, 2))
+    out[:, 0] = ((a3 * s + a2) * s + v0) * s + p0
+    out[:, 1] = (3.0 * a3 * s + 2.0 * a2) * s + v0
+    out[:, 2] = 0.5 * (6.0 * a3 * s + 2.0 * a2)
+    out[:, 3] = a3
+    out[[not lo <= x < hi for x in times], 1:] = 0.0
+    return out
 
 
 def _windows(
-    traj: PiecewiseTrajectory, centers: np.ndarray, radii, level: float
+    local: np.ndarray, knots, centers: np.ndarray, radii, level: float
 ) -> list[list[tuple[float, float]]]:
     """violated_windows of K obstacles at once, one list per obstacle.
 
+    local and knots are a path's arrays as _coefficients returns them,
     centers is (K, 2) and radii holds K inflated radii. Row k*J + j of
     the (K*J, 7) coefficient array is g - level for obstacle k on
     segment j, highest power first.
     """
-    segs = traj.segments
-    n_seg = len(segs)
+    n_seg = len(local)
     # p(s) - center in local time per obstacle, segment and axis, lowest
     # power first, squared with np.convolve to keep its bits
-    local = np.array([(seg.p, seg.v, seg.a2, seg.a3) for seg in segs])
     d = np.tile(local.transpose(0, 2, 1), (len(centers), 1, 1, 1))
     d[..., 0] -= centers[:, None]
     square = np.array([np.convolve(x, x) for x in d.reshape(-1, 4)])
@@ -194,7 +222,7 @@ def _windows(
     full = (coef[:, 0] != 0) & (coef[:, -1] != 0)
     roots = np.zeros((len(coef), 6), dtype=complex)
     roots[full] = _companion_roots(coef[full])
-    h = np.tile([seg.t_end - seg.t_start for seg in segs], len(centers))
+    h = np.tile([b - a for a, b in zip(knots, knots[1:])], len(centers))
     inside = (roots.imag == 0) & (roots.real > 0) & (roots.real < h[:, None])
     split = ~full | inside.any(axis=1)
     # an unsplit row is one piece, violated when g exceeds level at its
@@ -208,12 +236,11 @@ def _windows(
     windows: list[list[tuple[float, float]]] = [[] for _ in centers]
     for i in np.flatnonzero(split | whole).tolist():
         k, j = divmod(i, n_seg)
-        seg = segs[j]
         if whole[i]:
-            pieces = [(seg.t_start, seg.t_end)]
+            pieces = [(knots[j], knots[j + 1])]
         else:
             row_roots = roots[i] if full[i] else np.roots(coef[i])
-            pieces = _pieces(coef[i], row_roots, seg)
+            pieces = _pieces(coef[i], row_roots, knots[j], knots[j + 1])
         out = windows[k]
         for start, end in pieces:
             if out and out[-1][1] >= start:
@@ -237,16 +264,34 @@ def _companion_roots(coef: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
-def _pieces(coef, roots, seg) -> list[tuple[float, float]]:
-    """Violated pieces of one segment, cut at the real roots of g - level
-    inside it, each tested at its midpoint."""
-    t0, h = seg.t_start, seg.t_end - seg.t_start
+def _pieces(coef, roots, t0: float, t1: float) -> list[tuple[float, float]]:
+    """Violated pieces of the segment from t0 to t1, cut at the real
+    roots of g - level inside it, each tested at its midpoint."""
+    h = t1 - t0
     roots = roots.real[roots.imag == 0]
     roots = np.sort(roots[(roots > 0) & (roots < h)])
     cuts = np.concatenate([[0.0], roots, [h]])
     violated = np.polyval(coef, 0.5 * (cuts[:-1] + cuts[1:])) > 0
-    times = [t0, *(t0 + roots).tolist(), seg.t_end]
+    times = [t0, *(t0 + roots).tolist(), t1]
     return [(s, e) for s, e, bad in zip(times, times[1:], violated.tolist()) if bad]
+
+
+def _first_window(local: np.ndarray, knots, centers: np.ndarray, radii, level):
+    """(k, time, depth) for the obstacle k of _windows whose first window
+    opens earliest: that window's midpoint, and the penetration of
+    radii[k] there. None when no window opens."""
+    windows = _windows(local, knots, centers, radii, level)
+    opened = [(found[0][0], k) for k, found in enumerate(windows) if found]
+    if not opened:
+        return None
+    k = min(opened)[1]
+    time = 0.5 * (windows[k][0][0] + windows[k][0][1])
+    # the position there as eval_trajectory computes it
+    j = bisect_right(knots, time, 0, len(knots) - 1) - 1
+    p0, v0, a2, a3 = local[j]
+    s = time - knots[j]
+    p = ((a3 * s + a2) * s + v0) * s + p0
+    return k, time, radii[k] - float(np.linalg.norm(p - centers[k]))
 
 
 def first_violation(
@@ -257,26 +302,18 @@ def first_violation(
     Safe means g <= SAFETY_TOL at every instant, decided exactly from
     each obstacle's violated windows, all found by one _windows call.
     Reports the obstacle whose first window opens earliest, at that
-    window's midpoint, with the penetration depth there.
+    window's midpoint, with the penetration depth there (_first_window).
     """
     agent = scenario.agent(agent_id)
     if not scenario.obstacles:
         return None
     radii = [inflated_radius(obs, agent) for obs in scenario.obstacles]
     centers = np.array([obs.center for obs in scenario.obstacles])
-    first = None
-    for obs, combined, windows in zip(
-        scenario.obstacles, radii, _windows(traj, centers, radii, SAFETY_TOL)
-    ):
-        if windows and (first is None or windows[0][0] < first[0][0]):
-            first = (windows[0], obs, combined)
-    if first is None:
+    hit = _first_window(*_coefficients(traj), centers, radii, SAFETY_TOL)
+    if hit is None:
         return None
-    (start, end), obs, combined = first
-    time = 0.5 * (start + end)
-    p, _, _ = eval_trajectory(traj, time)
-    depth = combined - float(np.linalg.norm(p - obs.center))
-    return ViolationRecord(time=time, constraint=obs.id, depth=depth)
+    k, time, depth = hit
+    return ViolationRecord(time=time, constraint=scenario.obstacles[k].id, depth=depth)
 
 
 def gen_world(

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import random
+from bisect import bisect_right
 from itertools import islice, product
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from junctionplan import (
     AgentSpec,
     Bounds,
+    ConditioningError,
+    CubicSegment,
     DecodeError,
     EncodingError,
     Junction,
@@ -20,6 +23,7 @@ from junctionplan import (
     NegotiationError,
     Obstacle,
     Payoff,
+    PiecewiseTrajectory,
     PlannerError,
     Scenario,
     SolveReport,
@@ -28,6 +32,7 @@ from junctionplan import (
     decode_message,
     detect_conflicts,
     encode_message,
+    eval_trajectory,
     gen_world,
     message_from_json,
     message_int_count,
@@ -47,6 +52,7 @@ from junctionplan.game import (
     _penetration,
     _profile,
 )
+from junctionplan.world import violated_windows
 
 from conftest import min_separation
 
@@ -185,6 +191,18 @@ class TestDecode:
                       goal=rest(10, 0), junctions=())
         with pytest.raises(DecodeError):
             decode_message(msg, symmetric_scenario)
+
+    @pytest.mark.parametrize("times", [(5.0, 5.0001), (1e-5,), (9.99999,)])
+    def test_segment_shorter_than_min_segment_rejected(self, symmetric_scenario,
+                                                       times):
+        # valid as a message, but the solve cannot trust a segment
+        # shorter than solver.MIN_SEGMENT
+        msg = Message(agent_id=0, t0=0.0, tf=10.0, start=rest(0, 0),
+                      goal=rest(10, 0),
+                      junctions=tuple(Junction(0, 1.0, t) for t in times))
+        with pytest.raises(DecodeError) as info:
+            decode_message(msg, symmetric_scenario)
+        assert isinstance(info.value.__cause__, ConditioningError)
 
     def test_json_round_trip(self, symmetric_plan):
         _, _, _, _, msg = symmetric_plan
@@ -529,6 +547,40 @@ def tick_pair_plans(scenario, config):
                 yield a, traj_a, b, traj_b
 
 
+def reference_local_motion(traj, t):
+    """(p, v, a2, a3) of traj's cubic at time t re-based to start at t;
+    outside its horizon, the endpoint held at rest. Evaluated through
+    eval_trajectory, as the pair check did before it formed the
+    difference as an array."""
+    p, v, u = eval_trajectory(traj, min(max(t, traj.t_start), traj.t_end))
+    if not traj.t_start <= t < traj.t_end:
+        return p, np.zeros(2), np.zeros(2), np.zeros(2)
+    starts = [seg.t_start for seg in traj.segments]
+    seg = traj.segments[min(bisect_right(starts, t) - 1, len(starts) - 1)]
+    return p, v, 0.5 * u, seg.a3
+
+
+def reference_penetration(traj_a, r_a, traj_b, r_b):
+    """game._penetration with the difference a - b built as a
+    PiecewiseTrajectory of validated CubicSegments and checked by
+    violated_windows."""
+    knots = sorted({t for traj in (traj_a, traj_b) for seg in traj.segments
+                    for t in (seg.t_start, seg.t_end)})
+    diff = PiecewiseTrajectory(tuple(
+        CubicSegment(*(x - y for x, y in zip(reference_local_motion(traj_a, t),
+                                             reference_local_motion(traj_b, t))),
+                     t, t_next)
+        for t, t_next in zip(knots, knots[1:])
+    ))
+    r = r_a + r_b
+    windows = violated_windows(diff, (0.0, 0.0), r,
+                               r * r - (r - game.SEPARATION_TOL) ** 2)
+    if not windows:
+        return None
+    time = 0.5 * (windows[0][0] + windows[0][1])
+    return time, r - float(np.linalg.norm(eval_trajectory(diff, time)[0]))
+
+
 def screened_pairs(scenario, config):
     """(certificate verdict, exact verdict, segment counts) for every
     pair of two agents' converged plans on the negotiation grid."""
@@ -605,6 +657,30 @@ class TestPairScreen:
             assert (exact is None) == sampled_safe
             pairs += 1
         assert pairs == 441 * (3 if name == "ring" else 1)
+
+    @pytest.mark.parametrize("name", ["ring", "crossing", "swap", "staggered",
+                                      "obstacles"])
+    def test_exact_check_keeps_the_object_reference_bits(self, crossing_scenario,
+                                                         name):
+        # every tick pair on the CLI's default grid, or on a 1 s grid to
+        # +/-3 s around 20 random obstacle worlds, whose plans have
+        # several segments
+        if name == "obstacles":
+            config = NegotiationConfig(step=1.0, max_deviation=3.0)
+            pairs = [pair for seed in range(20) for pair in
+                     tick_pair_plans(random_obstacle_world(seed), config)]
+        else:
+            scenario = {"ring": ring_scenario(), "crossing": crossing_scenario,
+                        "swap": swap_scenario(),
+                        "staggered": staggered_crossing(crossing_scenario)}[name]
+            pairs = list(tick_pair_plans(scenario, NegotiationConfig()))
+        hits = 0
+        for a, traj_a, b, traj_b in pairs:
+            got = _penetration(traj_a, a.radius, traj_b, b.radius)
+            want = reference_penetration(traj_a, a.radius, traj_b, b.radius)
+            assert repr(got) == repr(want)
+            hits += got is not None
+        assert 0 < hits <= len(pairs)
 
     @pytest.fixture
     def exact_checks(self, monkeypatch):

@@ -30,6 +30,7 @@ from junctionplan import (
 from junctionplan.world import (
     SAFETY_TOL,
     Bounds,
+    _coefficients,
     _companion_roots,
     _windows,
     gen_world,
@@ -99,7 +100,7 @@ def assert_windows_match(traj, scenario, agent):
     for level in LEVELS:
         want = [reference_violated_windows(traj, c, r, level)
                 for c, r in zip(centers, radii)]
-        assert _windows(traj, centers, radii, level) == want
+        assert _windows(*_coefficients(traj), centers, radii, level) == want
         for c, r, w in zip(centers, radii, want):
             assert violated_windows(traj, c, r, level) == w
     assert_same_record(first_violation(traj, scenario, agent.id),
@@ -195,7 +196,7 @@ class TestDegenerateRows:
         radii = [5.0, 1.5, 0.75]
         want = [reference_violated_windows(traj, c, r, level)
                 for c, r in zip(centers, radii)]
-        assert _windows(traj, centers, radii, level) == want
+        assert _windows(*_coefficients(traj), centers, radii, level) == want
         assert any(want)
 
     def test_parked_at_the_level_distance_is_an_all_zero_row(self):
