@@ -20,15 +20,19 @@ between the merged knots, formed directly as coefficient arrays, and
 the origin. Conflict detection, payoffs and negotiation share that one
 check.
 
-The negotiation decides most verdicts without it, by a Lipschitz
-certificate on one coarse grid over every horizon the search can plan:
-each plan it makes is sampled there once (`sample_positions_held`) and
-bounded in speed by its velocity's Bernstein control points. A coarse
-point closer than the limit is itself an instant of conflict, and
-coarse distances far enough above it, given the two speed bounds, clear
-every instant; any other pair falls back to the exact check. The
-accepted plans are thus safe at every instant, and the CLI's plan
-command reports no conflict after a negotiation and checks nothing
+The negotiation decides almost every verdict without it, by a
+certificate of two orders on one coarse grid over every horizon the
+search can plan: each plan it makes is sampled there once
+(`sample_positions_held`) and bounded in speed, by its velocity's
+Bernstein control points, and in acceleration. A coarse point closer
+than the limit is itself an instant of conflict. Coarse distances far
+enough above it, given the two speed bounds, clear every instant (first
+order); failing that, so do the chords between consecutive coarse
+points, each far enough above it given the two acceleration bounds
+(second order), except on an interval holding a moving start, which
+keeps the first-order bound. Any other pair falls back to the exact
+check. The accepted plans are thus safe at every instant, and the CLI's
+plan command reports no conflict after a negotiation and checks nothing
 itself. A caller that has already planned the agents at their nominal
 horizons hands those plans to the search, which then plans only shifted
 horizons. A deviation that would end an agent's horizon at or before
@@ -247,30 +251,65 @@ def _penetration(traj_a, r_a: float, traj_b, r_b: float):
 
 class _Profile(NamedTuple):
     """One plan as the pair screen sees it: its held positions on the
-    shared coarse grid as complex numbers x + iy, and a bound on its
-    speed."""
+    shared coarse grid as complex numbers x + iy, bounds on its speed and
+    on its acceleration, and the coarse interval in which the hold before
+    its start breaks the velocity (None when it starts at rest or at the
+    grid's first point)."""
 
     positions: np.ndarray
     speed: float
+    accel: float
+    jump: int | None
 
 
-def _speed_bound(traj: PiecewiseTrajectory) -> float:
-    """Largest norm among the Bernstein control points of each
-    segment's velocity. In local time s on a segment of length h the
-    velocity is v + 2 a2 s + 3 a3 s**2, whose control points are v,
-    v + a2 h and v + 2 a2 h + 3 a3 h**2; by the convex-hull property
-    (Farouki & Rajan, CAGD 4, 1987) the speed never exceeds them."""
-    bound = 0.0
+def _motion_bounds(traj: PiecewiseTrajectory) -> tuple[float, float]:
+    """Bounds on the plan's speed and acceleration.
+
+    The speed bound is the largest norm among the Bernstein control
+    points of each segment's velocity. In local time s on a segment of
+    length h, with a2 = (bx, by) and a3 = (cx, cy), the velocity is
+    v + 2 a2 s + 3 a3 s**2, whose control points are v, v + a2 h and
+    v + 2 a2 h + 3 a3 h**2; by the convex-hull property (Farouki & Rajan,
+    CAGD 4, 1987) the speed never exceeds them. The acceleration
+    2 a2 + 6 a3 s is linear in s, so its largest norm is at an end of a
+    segment and the bound is exact. Held parts add nothing to either."""
+    speed = accel = 0.0
     for seg in traj.segments:
-        v, a2, h = seg.v, seg.a2, seg.t_end - seg.t_start
-        for point in (v, v + a2 * h, v + (2.0 * a2 + 3.0 * seg.a3 * h) * h):
-            bound = max(bound, math.hypot(point[0], point[1]))
-    return bound
+        h = seg.t_end - seg.t_start
+        # Python floats: on 2-vectors NumPy's cost per call dominates
+        vx, vy = seg.v.tolist()
+        bx, by = seg.a2.tolist()
+        cx, cy = seg.a3.tolist()
+        speed = max(speed, math.hypot(vx, vy),
+                    math.hypot(vx + bx * h, vy + by * h),
+                    math.hypot(vx + (2.0 * bx + 3.0 * cx * h) * h,
+                               vy + (2.0 * by + 3.0 * cy * h) * h))
+        accel = max(accel, math.hypot(2.0 * bx, 2.0 * by),
+                    math.hypot(2.0 * bx + 6.0 * cx * h,
+                               2.0 * by + 6.0 * cy * h))
+    return speed, accel
 
 
 def _profile(traj: PiecewiseTrajectory, grid: np.ndarray) -> _Profile:
     p = sample_positions_held(traj, grid)
-    return _Profile(p[:, 0] + 1j * p[:, 1], _speed_bound(traj))
+    start = traj.segments[0]
+    jump = None
+    if start.v.any() and start.t_start > grid[0]:
+        jump = int(np.searchsorted(grid, start.t_start)) - 1
+    return _Profile(p[:, 0] + 1j * p[:, 1], *_motion_bounds(traj), jump)
+
+
+def _chord_distances(d: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Distance from the origin to each chord between consecutive points
+    of d (complex), given their norms dist: the perpendicular distance
+    where the origin's foot on the chord's line falls strictly between
+    its ends, else the nearer end."""
+    p, e = d[:-1], np.diff(d)
+    along = p.conjugate() * e
+    inside = (along.real < 0.0) & ((d[1:].conjugate() * e).real > 0.0)
+    chords = np.minimum(dist[:-1], dist[1:])
+    chords[inside] = np.abs(along.imag[inside]) / np.abs(e[inside])
+    return chords
 
 
 def _certified_verdict(grid: np.ndarray, a: _Profile, r_a: float,
@@ -278,21 +317,41 @@ def _certified_verdict(grid: np.ndarray, a: _Profile, r_a: float,
     """The exact pair verdict (True when safe) if the coarse grid proves
     it, else None.
 
-    Held positions move no faster than the speed bound, so the distance
-    between the agents changes at most at rate L = a.speed + b.speed. A
-    coarse distance below the limit R - SEPARATION_TOL is an instant of
-    conflict, also outside the pair's joint horizon, where both agents
-    hold the distance at its end; the smallest coarse distance above the
-    limit by more than L times half the coarse step clears every
-    instant. SCREEN_EPS twice covers rounding in the distances compared.
+    The relative position d = a - b is sampled at the coarse points, and
+    outside the pair's joint horizon both agents hold the distance at its
+    end. A coarse distance below the limit R - SEPARATION_TOL is an
+    instant of conflict. Safety is proved by two bounds, tried in order:
+
+    - first order: held positions move no faster than the speed bound,
+      so |d| changes at most at rate L = a.speed + b.speed, and the
+      smallest coarse distance above the limit by more than L times half
+      the coarse step clears every instant;
+    - second order: where d has a continuous velocity and acceleration
+      at most A = a.accel + b.accel, it stays within A step**2 / 8 of the
+      chord between two coarse points (de Boor, *A Practical Guide to
+      Splines*, ch. 2), so each chord's distance from the origin less
+      that clears its interval. Goals are at rest, so holding after a
+      horizon keeps the velocity continuous; holding before a nonzero
+      start velocity does not, and the interval holding that start
+      keeps the first-order bound on its own two coarse distances.
+
+    SCREEN_EPS twice covers rounding in the distances compared.
     """
-    nearest = float(np.abs(a.positions - b.positions).min())
-    rate = a.speed + b.speed
+    d = a.positions - b.positions
+    dist = np.abs(d)
+    nearest = float(dist.min())
     limit = r_a + r_b - SEPARATION_TOL
     if nearest + 2.0 * SCREEN_EPS < limit:
         return False
     span = grid[-1] - grid[0]
-    if nearest - rate * span / (len(grid) - 1) / 2.0 - 2.0 * SCREEN_EPS > limit:
+    reach = (a.speed + b.speed) * span / (len(grid) - 1) / 2.0
+    if nearest - reach - 2.0 * SCREEN_EPS > limit:
+        return True
+    step = span / (len(grid) - 1)
+    bounds = _chord_distances(d, dist) - (a.accel + b.accel) * step * step / 8.0
+    for k in {a.jump, b.jump} - {None}:
+        bounds[k] = min(dist[k], dist[k + 1]) - reach
+    if float(bounds.min()) - 2.0 * SCREEN_EPS > limit:
         return True
     return None
 
@@ -428,10 +487,12 @@ def negotiate_arrival_times(
     A verdict is what the exact check `_penetration` says. The search
     first tries a certificate that proves it from SCREEN_SAMPLES coarse
     points per plan on one grid over every horizon the search can plan,
-    and a bound on each plan's speed; only a pair the certificate cannot
-    decide is checked exactly. A plan is profiled once, when it enters
-    the plan cache. The returned plans are safe at every instant, and a
-    caller need not check them again.
+    a bound on each plan's speed (first order) and, when that is not
+    enough, the chords between coarse points and a bound on each plan's
+    acceleration (second order); only a pair neither order decides is
+    checked exactly. A plan is profiled once, when it enters the plan
+    cache. The returned plans are safe at every instant, and a caller
+    need not check them again.
 
     nominal optionally holds plans the caller already made at the
     nominal horizons, keyed by agent id; the search takes them as its
@@ -549,21 +610,27 @@ def message_from_json(obj) -> Message:
     for i, item in enumerate(obj["junctions"]):
         where = f"message.junctions[{i}]"
         _require_keys(item, {"obstacle", "theta", "time"}, where)
-        junctions.append(
-            Junction(
-                obstacle_id=_as_int(item["obstacle"], f"{where}.obstacle"),
-                theta=_as_float(item["theta"], f"{where}.theta"),
-                time=_as_float(item["time"], f"{where}.time"),
+        try:
+            junctions.append(
+                Junction(
+                    obstacle_id=_as_int(item["obstacle"], f"{where}.obstacle"),
+                    theta=_as_float(item["theta"], f"{where}.theta"),
+                    time=_as_float(item["time"], f"{where}.time"),
+                )
             )
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+    try:
+        return Message(
+            agent_id=_as_int(obj["agent_id"], "message.agent_id"),
+            t0=_as_float(obj["t0"], "message.t0"),
+            tf=_as_float(obj["tf"], "message.tf"),
+            start=_state_from_json(obj["start"], "message.start"),
+            goal=_state_from_json(obj["goal"], "message.goal"),
+            junctions=tuple(junctions),
         )
-    return Message(
-        agent_id=_as_int(obj["agent_id"], "message.agent_id"),
-        t0=_as_float(obj["t0"], "message.t0"),
-        tf=_as_float(obj["tf"], "message.tf"),
-        start=_state_from_json(obj["start"], "message.start"),
-        goal=_state_from_json(obj["goal"], "message.goal"),
-        junctions=tuple(junctions),
-    )
+    except ValueError as exc:
+        raise SchemaError(f"message: {exc}") from exc
 
 
 def negotiation_to_json(arrival_times: dict[int, float],
