@@ -7,10 +7,10 @@ the exact trajectory with one linear solve. Conflicts between agents
 are resolved by shifting arrival times: the accepted assignment is the
 smallest total deviation (on a fixed grid) that makes every pairwise
 separation safe. The search decides each pair of shifted plans at most
-once, caching the verdict, and enumerates joint assignments lazily in
-acceptance order, pruning a partial assignment as soon as one of its
-pairs is unsafe. It hands back the plans it chose along with the
-arrival times, so callers need not plan the shifted agents again.
+once, caching the verdict, and finds that assignment by a depth-first
+branch and bound that drops a partial assignment once a pair is unsafe
+or it cannot beat the best one found. It hands back the plans it chose
+with the arrival times, so callers need not plan shifted agents again.
 
 A pair verdict is decided exactly, by the obstacle check's kernel
 applied to the difference of the two plans (`_penetration`): both hold
@@ -24,19 +24,20 @@ The negotiation decides almost every verdict without it, by a
 certificate of two orders on one coarse grid over every horizon the
 search can plan: each plan it makes is sampled there once
 (`sample_positions_held`) and bounded in speed, by its velocity's
-Bernstein control points, and in acceleration. A coarse point closer
-than the limit is itself an instant of conflict. Coarse distances far
-enough above it, given the two speed bounds, clear every instant (first
-order); failing that, so do the chords between consecutive coarse
-points, each far enough above it given the two acceleration bounds
-(second order), except on an interval holding a moving start, which
-keeps the first-order bound. Any other pair falls back to the exact
-check. The accepted plans are thus safe at every instant, and the CLI's
-plan command reports no conflict after a negotiation and checks nothing
-itself. A caller that has already planned the agents at their nominal
-horizons hands those plans to the search, which then plans only shifted
-horizons. A deviation that would end an agent's horizon at or before
-its start is a grid point with no plan, like one whose solve fails.
+Bernstein control points split at each segment's midpoint, and in
+acceleration. A coarse point closer than the limit is itself an instant
+of conflict. Coarse distances far enough above it, given the two speed
+bounds, clear every instant (first order); failing that, so do the
+chords between consecutive coarse points, each far enough above it
+given the two acceleration bounds (second order), except on an interval
+holding a moving start, which keeps the first-order bound. Any other
+pair falls back to the exact check. The accepted plans are thus safe at
+every instant, and the CLI's plan command reports no conflict after a
+negotiation and checks nothing itself. A caller that has already
+planned the agents at their nominal horizons hands those plans to the
+search, which then plans only shifted horizons. A deviation that would
+end an agent's horizon at or before its start is a grid point with no
+plan, like one whose solve fails.
 """
 
 from __future__ import annotations
@@ -265,14 +266,16 @@ class _Profile(NamedTuple):
 def _motion_bounds(traj: PiecewiseTrajectory) -> tuple[float, float]:
     """Bounds on the plan's speed and acceleration.
 
-    The speed bound is the largest norm among the Bernstein control
-    points of each segment's velocity. In local time s on a segment of
-    length h, with a2 = (bx, by) and a3 = (cx, cy), the velocity is
-    v + 2 a2 s + 3 a3 s**2, whose control points are v, v + a2 h and
-    v + 2 a2 h + 3 a3 h**2; by the convex-hull property (Farouki & Rajan,
-    CAGD 4, 1987) the speed never exceeds them. The acceleration
-    2 a2 + 6 a3 s is linear in s, so its largest norm is at an end of a
-    segment and the bound is exact. Held parts add nothing to either."""
+    In local time s on a segment of length h, with a2 = (bx, by) and
+    a3 = (cx, cy), the velocity v + 2 a2 s + 3 a3 s**2 has the Bernstein
+    control points b0 = v, b1 = v + a2 h, b2 = v + 2 a2 h + 3 a3 h**2.
+    Split at h/2 (de Casteljau), they are b0, (b0 + b1)/2, v(h/2),
+    (b1 + b2)/2 and b2, each v + (p a2 + q a3 h) h, and by the convex-hull
+    property (Farouki & Rajan, CAGD 4, 1987) the speed never exceeds
+    their largest norm: on a rest-to-rest cubic, over distance D in time
+    T, that is the peak 1.5 D/T, where b1 alone is 3 D/T. The
+    acceleration 2 a2 + 6 a3 s is linear in s, so its bound, at a
+    segment's end, is exact. Held parts add nothing to either."""
     speed = accel = 0.0
     for seg in traj.segments:
         h = seg.t_end - seg.t_start
@@ -280,10 +283,10 @@ def _motion_bounds(traj: PiecewiseTrajectory) -> tuple[float, float]:
         vx, vy = seg.v.tolist()
         bx, by = seg.a2.tolist()
         cx, cy = seg.a3.tolist()
-        speed = max(speed, math.hypot(vx, vy),
-                    math.hypot(vx + bx * h, vy + by * h),
-                    math.hypot(vx + (2.0 * bx + 3.0 * cx * h) * h,
-                               vy + (2.0 * by + 3.0 * cy * h) * h))
+        speed = max(speed, *(math.hypot(vx + (p * bx + q * cx * h) * h,
+                                        vy + (p * by + q * cy * h) * h)
+                             for p, q in ((0.0, 0.0), (0.5, 0.0), (1.0, 0.75),
+                                          (1.5, 1.5), (2.0, 3.0))))
         accel = max(accel, math.hypot(2.0 * bx, 2.0 * by),
                     math.hypot(2.0 * bx + 6.0 * cx * h,
                                2.0 * by + 6.0 * cy * h))
@@ -403,45 +406,40 @@ def payoff(msg: Message, all_msgs: list[Message], scenario: Scenario) -> Payoff:
     return Payoff(value=trajectory_energy(traj))
 
 
-def _ordered_assignments(count: int, m: int, accept):
-    """Tick tuples in negotiation order whose every prefix is accepted.
-
-    The order is total |tick|, then max |tick|, then lexicographic. Each
-    (total, max) level is a depth-first search over positions with ticks
-    rising from -max to max; a prefix is extended only when the rest of
-    the level can still be met and ``accept(prefix)`` holds, so nothing
-    of size (2m+1)**count is ever built.
-    """
-
-    for total in range(count * m + 1):
-        for d in range(min(total, m) + 1):
-            if d * count >= total:
-                yield from _extend(count, accept, (), total, d, False)
+def _least_assignment(count: int, m: int, accept) -> tuple | None:
+    """The count ticks in [-m, m] whose every prefix is accepted, least
+    by (total |tick|, max |tick|, ticks), or None: a depth-first branch
+    and bound (Land & Doig, *Econometrica* 28, 1960) that visits each
+    accepted prefix at most once."""
+    best = _branch(count, sorted(range(-m, m + 1), key=abs), accept,
+                   (), 0, 0, None)
+    return None if best is None else best[2]
 
 
-def _extend(count: int, accept, prefix: tuple, rest: int, d: int, has_d: bool):
-    """The accepted completions of prefix to count ticks in [-d, d] whose
-    |tick| sum to rest more, one of them reaching d unless has_d.
+def _branch(count: int, order: list, accept, prefix: tuple, total: int,
+            peak: int, best: tuple | None) -> tuple | None:
+    """The least key of an accepted completion of prefix, whose |tick|
+    sum to total and peak at peak, if it is below best; else best.
 
-    A module function rather than a closure over itself: a recursive
-    closure is a reference cycle that would keep accept, and with it a
-    negotiation's plans and screen profiles, alive until the cyclic
-    garbage collector runs.
+    Ticks go in order, by rising |tick| and negative first. Zeros
+    complete a prefix to the least key any completion has, so a tick is
+    skipped when that key is not below best, and so is every later one
+    once its (total, max) exceeds best's. A module function: a recursive
+    closure is a reference cycle that would keep a negotiation's plans
+    alive until the cyclic garbage collector runs.
     """
     if len(prefix) == count:
-        yield prefix
-        return
-    left = count - len(prefix) - 1
-    for t in range(-d, d + 1):
-        remaining = rest - abs(t)
-        hit = has_d or abs(t) == d
-        if not 0 <= remaining <= left * d:
-            continue
-        if not hit and (left == 0 or remaining < d):
-            continue
+        return total, peak, prefix
+    zeros = (0,) * (count - len(prefix) - 1)
+    for t in order:
         candidate = prefix + (t,)
-        if accept(candidate):
-            yield from _extend(count, accept, candidate, remaining, d, hit)
+        key = (total + abs(t), max(peak, abs(t)), candidate + zeros)
+        if best is not None and key >= best:
+            if key[:2] > best[:2]:
+                break
+        elif accept(candidate):
+            best = _branch(count, order, accept, candidate, *key[:2], best)
+    return best
 
 
 class NegotiatedPlan(NamedTuple):
@@ -470,19 +468,19 @@ def negotiate_arrival_times(
     """Pick arrival times that remove all inter-agent conflicts.
 
     Deviations are multiples of the grid step up to the budget. The
-    search enumerates joint assignments in increasing total absolute
+    accepted assignment is the conflict-free one of least total absolute
     deviation, breaking ties by the smaller worst-case deviation and
     then by giving the earlier (more negative) deviation to the lower
-    agent id, and accepts the first assignment whose replanned
-    trajectories are conflict-free. Requires all goals at rest so
-    finished agents can hold their goal state.
+    agent id. Requires all goals at rest so finished agents can hold
+    their goal state.
 
     Whether a pair conflicts depends only on that pair's two deviations,
-    so each pair verdict is decided once and cached, and the enumeration
-    is a lazy depth-first search over agents in id order that drops a
-    partial assignment as soon as its newest agent has no converged plan
-    or conflicts with an earlier one. Memory grows with the agent count
-    and the verdict cache, not with the number of joint assignments.
+    so each pair verdict is decided once and cached. The search is a
+    depth-first branch and bound over agents in id order that drops a
+    partial assignment once its newest agent has no converged plan or
+    conflicts with an earlier one, or it cannot beat the best assignment
+    found. Memory grows with the agent count and the verdict cache, not
+    with the number of joint assignments.
 
     A verdict is what the exact check `_penetration` says. The search
     first tries a certificate that proves it from SCREEN_SAMPLES coarse
@@ -574,7 +572,7 @@ def negotiate_arrival_times(
                 f"agent {agent.id} has no converged plan at its nominal horizon"
             )
 
-    ticks = next(_ordered_assignments(len(agents), m, accept), None)
+    ticks = _least_assignment(len(agents), m, accept)
     if ticks is None:
         raise NegotiationError(
             f"no conflict-free assignment within +/-{config.max_deviation} s"

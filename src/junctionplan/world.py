@@ -69,9 +69,11 @@ class AgentSpec:
     def __post_init__(self):
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"agent radius must be positive, got {self.radius}")
-        if not self.tf_nominal > self.t0:
+        if not (np.isfinite(self.t0) and np.isfinite(self.tf_nominal)
+                and self.tf_nominal > self.t0):
             raise ValueError(
-                f"horizon [{self.t0}, {self.tf_nominal}] must be non-empty"
+                f"horizon [{self.t0}, {self.tf_nominal}] must be finite and "
+                "non-empty"
             )
 
 

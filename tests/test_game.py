@@ -3,7 +3,7 @@ import json
 import math
 import random
 from bisect import bisect_right
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -49,7 +49,8 @@ from junctionplan import game
 from junctionplan.game import (
     _certified_verdict,
     _conflicts_between,
-    _ordered_assignments,
+    _least_assignment,
+    _motion_bounds,
     _penetration,
     _profile,
 )
@@ -338,12 +339,14 @@ def brute_force_negotiation(scenario, config):
     }, feasible
 
 
-def ring_scenario(turn=0.0):
-    """The ring of test_three_agents_match_grid_oracle: three agents
+def ring_scenario(turn=0.0, count=3, radius=0.6):
+    """By default the ring of test_three_agents_match_grid_oracle: count
+    agents on a circle of radius 6 m, each flying to the antipode, all
     converging on the origin simultaneously, rotated by turn radians."""
-    angles = [2 * math.pi * k / 3 + turn for k in range(3)]
+    angles = [2 * math.pi * k / count + turn for k in range(count)]
     return Scenario(agents=tuple(
-        AgentSpec(id=k, radius=0.6, start=rest(6 * math.cos(a), 6 * math.sin(a)),
+        AgentSpec(id=k, radius=radius,
+                  start=rest(6 * math.cos(a), 6 * math.sin(a)),
                   goal=rest(-6 * math.cos(a), -6 * math.sin(a)),
                   t0=0.0, tf_nominal=10.0)
         for k, a in enumerate(angles)
@@ -371,12 +374,13 @@ def staggered_crossing(crossing_scenario):
 
 
 def negotiation_order(ticks):
-    return (sum(abs(x) for x in ticks), max(abs(x) for x in ticks), ticks)
+    sizes = [abs(x) for x in ticks]
+    return (sum(sizes), max(sizes, default=0), ticks)
 
 
 class TestOrderedAssignments:
     @settings(max_examples=60, deadline=None)
-    @given(count=st.integers(1, 4), m=st.integers(0, 3),
+    @given(count=st.integers(0, 4), m=st.integers(0, 3),
            seed=st.integers(0, 2**32), rate=st.floats(0.3, 1.0))
     def test_matches_sorted_product_filtered_by_prefixes(self, count, m,
                                                          seed, rate):
@@ -389,13 +393,29 @@ class TestOrderedAssignments:
                                 key=negotiation_order)
             if all(accept(ticks[:k]) for k in range(1, count + 1))
         ]
-        assert list(_ordered_assignments(count, m, accept)) == expected
+        calls = []
+
+        def recording(prefix):
+            calls.append(prefix)
+            return accept(prefix)
+
+        assert _least_assignment(count, m, recording) == (
+            expected[0] if expected else None)
+        # each prefix is asked once, and only after its own prefix passed
+        assert len(calls) == len(set(calls))
+        assert all(accept(prefix[:-1]) for prefix in calls if len(prefix) > 1)
 
     def test_lazy_on_a_huge_grid(self):
-        # 21**12 (about 7e15) assignments: only the first few are built
-        first = list(islice(_ordered_assignments(12, 10, lambda p: True), 3))
-        zeros = (0,) * 12
-        assert first == [zeros, (-1,) + zeros[1:], (0, -1) + zeros[2:]]
+        # 21**12 (about 7e15) assignments, all accepted: the first leaf,
+        # all zeros, is least, and it bounds every other tick
+        calls = []
+
+        def accept(prefix):
+            calls.append(prefix)
+            return True
+
+        assert _least_assignment(12, 10, accept) == (0,) * 12
+        assert len(calls) == 12
 
 
 class TestNegotiation:
@@ -527,6 +547,38 @@ class TestNegotiation:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("count,expected", [
+        (6, None),
+        (7, {0: 5.0, 1: 6.0, 2: 7.0, 3: 8.5, 4: 10.5, 5: 12.0, 6: 14.5}),
+    ], ids=["fails", "succeeds"])
+    def test_ring_is_decided_within_an_accept_budget(self, monkeypatch,
+                                                     count, expected):
+        # the CLI's default grid. Walking each (total, max) level from the
+        # start took 2,530,977 accept calls to fail the ring of 6 and
+        # 7,514,825 to solve the ring of 7; the budget is a tenth of that
+        calls = [0]
+        original = game._least_assignment
+
+        def counting(size, m, accept):
+            def counted(prefix):
+                calls[0] += 1
+                return accept(prefix)
+            return original(size, m, counted)
+
+        monkeypatch.setattr(game, "_least_assignment", counting)
+        scenario = ring_scenario(count=count, radius=0.5)
+        if expected is None:
+            with pytest.raises(NegotiationError):
+                negotiate_arrival_times(scenario, NegotiationConfig())
+        else:
+            assert negotiate_arrival_times(
+                scenario, NegotiationConfig()).arrival_times == expected
+        assert 0 < calls[0] <= {6: 2_530_977, 7: 7_514_825}[count] // 10
+
+    def test_no_agents_negotiate_to_an_empty_result(self):
+        result = negotiate_arrival_times(Scenario(agents=(), obstacles=()))
+        assert result == ({}, {})
 
     def test_nonzero_goal_velocity_rejected(self):
         a = AgentSpec(id=0, radius=0.5, start=rest(0, 0),
@@ -844,6 +896,32 @@ class TestPairScreen:
         # 154 certified safe, 129 conflicts and 325 left to the exact
         # check, over 37 plans whose start breaks the velocity
         assert min(verdicts.values()) >= 100 and jumps >= 30, (verdicts, jumps)
+
+    def test_speed_bound_covers_the_sampled_peak(self):
+        # one random cubic per case, on scales from millimetres to
+        # kilometres; the split bound lies between the sampled peak speed
+        # and the largest norm of the unsplit control points
+        rng = np.random.default_rng(29)
+        for _ in range(500):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            h = 10.0 ** rng.uniform(-2, 1)
+            v, a2, a3 = (rng.normal(size=2) * scale / h ** k for k in (1, 2, 3))
+            seg = CubicSegment(rng.normal(size=2), v, a2, a3, 1.0, 1.0 + h)
+            speed, _ = _motion_bounds(PiecewiseTrajectory((seg,)))
+            s = np.linspace(0.0, h, 2001)[:, None]
+            sampled = np.hypot(*(v + 2 * a2 * s + 3 * a3 * s * s).T).max()
+            control = max(np.hypot(*b) for b in (v, v + a2 * h,
+                                                 v + 2 * a2 * h + 3 * a3 * h * h))
+            assert sampled * (1 - 1e-12) <= speed <= control * (1 + 1e-12)
+
+    def test_speed_bound_is_the_peak_of_a_rest_to_rest_plan(self,
+                                                             crossing_scenario):
+        # 10 m in 10 s from rest to rest peaks at 1.5 * D / T at mid-horizon,
+        # where the unsplit control points give 3 * D / T
+        for agent in crossing_scenario.agents:
+            traj, _ = plan_agent(agent, crossing_scenario)
+            speed, _ = _motion_bounds(traj)
+            assert speed == pytest.approx(1.5, rel=1e-12)
 
     @pytest.mark.parametrize("turn", [0.0, 3.279721632089693],
                              ids=["seed0", "rotated"])

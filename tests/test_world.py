@@ -335,6 +335,17 @@ class TestScenarioJson:
         with pytest.raises(SchemaError):
             scenario_from_json(doc)
 
+    @pytest.mark.parametrize("field,value", [("tf", "Infinity"),
+                                             ("t0", "-Infinity")])
+    def test_infinite_horizon_is_a_schema_error(self, field, value):
+        # json reads Infinity and -Infinity as floats; the horizon
+        # [t0, tf] must still be finite, named by its agent
+        doc = scenario_to_json(self.scenario())
+        doc["agents"][0][field] = "INF"
+        text = json.dumps(doc).replace('"INF"', value)
+        with pytest.raises(SchemaError, match=r"agents\[0\]"):
+            scenario_from_json(json.loads(text))
+
     def test_invalid_json_text(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
