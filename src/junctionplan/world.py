@@ -9,12 +9,12 @@ Safety is decided exactly, not by sampling, by one kernel on a path's
 (J, 4, 2) local cubic coefficients and J + 1 knots, for obstacles and,
 in game, agent pairs: on a cubic segment g is a degree-6 polynomial in
 local time, so the windows where it is violated lie between real roots
-of that polynomial. One stacked eigenvalue call finds the roots of every
-(obstacle, segment) pair of a path; np.roots takes the eigenvalues of
-the same companion matrices, so the roots keep its bits. The
-coefficients are still formed per pair with np.convolve, whose BLAS dot
-fuses the short sums that no plain NumPy expression reproduces to the
-last bit.
+of that polynomial. The kernel keeps only the NumPy calls that fix bits
+of its answer: np.convolve per (obstacle, segment, axis), whose BLAS
+dot fuses short sums that no plain summation reproduces, and one
+stacked LAPACK eigenvalue call on the companion matrices, which is what
+np.roots computes one matrix at a time. The rest runs on Python floats
+in the array form's order, so every window keeps its bits.
 """
 
 from __future__ import annotations
@@ -27,11 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import GenerationError, ScenarioLookupError, SchemaError, ValidationError
-from .trajectory import (
-    KinematicState,
-    PiecewiseTrajectory,
-    _vec2,
-)
+from .trajectory import KinematicState, PiecewiseTrajectory, _vec2
 
 # g values up to this count as safe; matches linear-solve precision and
 # keeps exact boundary contact (g = 0) feasible.
@@ -162,13 +158,8 @@ def violated_windows(
     the segment; each piece between consecutive roots is violated when g
     exceeds level at its midpoint. Windows that meet, at a knot or at a
     root where g only touches level, are joined. Returns (start, end)
-    pairs in time order.
-
-    The roots of all segments come from one stacked eigenvalue call on
-    their companion matrices, which is what np.roots computes one matrix
-    at a time, so they keep its bits. The coefficients stay one
-    np.convolve per segment and axis: its BLAS dot fuses the short sums,
-    and no plain NumPy summation order reproduces its last bits.
+    pairs in time order, with the bits of np.roots and np.polyval row
+    by row (see _windows).
     """
     return _windows(*_coefficients(traj), np.reshape(center, (1, 2)), [r], level)[0]
 
@@ -207,44 +198,39 @@ def _windows(
 
     local and knots are a path's arrays as _coefficients returns them,
     centers is (K, 2) and radii holds K inflated radii. Row k*J + j of
-    the (K*J, 7) coefficient array is g - level for obstacle k on
-    segment j, highest power first.
+    coef is g - level for obstacle k on segment j, highest power first.
+
+    Only the NumPy calls that fix bits of the answer remain: one
+    np.convolve per obstacle, segment and axis, whose BLAS dot fuses the
+    short sums of the square; one stacked LAPACK eigenvalue call for all
+    rows (_companion_roots); and np.roots for the rare row of lower
+    degree or with a root at s = 0. The rest is arithmetic on Python
+    floats in the order the array form used, so every window keeps its
+    bits.
     """
     n_seg = len(local)
     # p(s) - center in local time per obstacle, segment and axis, lowest
-    # power first, squared with np.convolve to keep its bits
-    d = np.tile(local.transpose(0, 2, 1), (len(centers), 1, 1, 1))
+    # power first, squared by np.convolve
+    d = local.transpose(0, 2, 1)[None].repeat(len(centers), 0)
     d[..., 0] -= centers[:, None]
-    square = np.array([np.convolve(x, x) for x in d.reshape(-1, 4)])
-    poly = -(square[0::2] + square[1::2])
-    poly[:, 0] += np.repeat([r**2 - level for r in radii], n_seg)
-    coef = poly[:, ::-1]
+    square = [np.convolve(x, x).tolist() for x in d.reshape(-1, 4)]
+    tops = [r**2 - level for r in radii for _ in range(n_seg)]
+    coef = []
+    for top, sx, sy in zip(tops, square[0::2], square[1::2]):
+        poly = [-(a + b) for a, b in zip(sx, sy)]
+        poly[0] += top
+        coef.append(poly[::-1])
 
     # rows of lower degree or with a root at s = 0 are left to np.roots
-    full = (coef[:, 0] != 0) & (coef[:, -1] != 0)
-    roots = np.zeros((len(coef), 6), dtype=complex)
-    roots[full] = _companion_roots(coef[full])
-    h = np.tile([b - a for a, b in zip(knots, knots[1:])], len(centers))
-    inside = (roots.imag == 0) & (roots.real > 0) & (roots.real < h[:, None])
-    split = ~full | inside.any(axis=1)
-    # an unsplit row is one piece, violated when g exceeds level at its
-    # midpoint: np.polyval's Horner steps, all rows at once
-    mid = 0.5 * h
-    value = np.zeros_like(mid)
-    for c in coef.T:
-        value = value * mid + c
-    whole = ~split & (value > 0)
-
+    full = [row[0] != 0 and row[-1] != 0 for row in coef]
+    stacked = iter(_companion_roots([row for row, f in zip(coef, full) if f]).tolist()
+                   if any(full) else [])
     windows: list[list[tuple[float, float]]] = [[] for _ in centers]
-    for i in np.flatnonzero(split | whole).tolist():
+    for i, (row, f) in enumerate(zip(coef, full)):
         k, j = divmod(i, n_seg)
-        if whole[i]:
-            pieces = [(knots[j], knots[j + 1])]
-        else:
-            row_roots = roots[i] if full[i] else np.roots(coef[i])
-            pieces = _pieces(coef[i], row_roots, knots[j], knots[j + 1])
+        roots = next(stacked) if f else np.roots(row).tolist()
         out = windows[k]
-        for start, end in pieces:
+        for start, end in _pieces(row, roots, knots[j], knots[j + 1]):
             if out and out[-1][1] >= start:
                 out[-1] = (out[-1][0], end)
             else:
@@ -252,9 +238,9 @@ def _windows(
     return windows
 
 
-def _companion_roots(coef: np.ndarray) -> np.ndarray:
-    """np.roots of each row of the (M, 7) coef, whose first and last
-    entries are nonzero, from one stacked eigvals call.
+def _companion_roots(coef) -> np.ndarray:
+    """np.roots of each of the M rows of 7 coefficients in coef, whose
+    first and last entries are nonzero, from one stacked eigvals call.
 
     np.roots takes the eigenvalues of the companion matrix built here
     (ones on the subdiagonal, first row -p[1:] / p[0]), one matrix at a
@@ -262,20 +248,29 @@ def _companion_roots(coef: np.ndarray) -> np.ndarray:
     """
     companion = np.zeros((len(coef), 6, 6))
     companion[:, np.arange(1, 6), np.arange(5)] = 1.0
-    companion[:, 0] = -coef[:, 1:] / coef[:, :1]
+    companion[:, 0] = [[-c / p[0] for c in p[1:]] for p in coef]
     return np.linalg.eigvals(companion)
 
 
 def _pieces(coef, roots, t0: float, t1: float) -> list[tuple[float, float]]:
     """Violated pieces of the segment from t0 to t1, cut at the real
-    roots of g - level inside it, each tested at its midpoint."""
+    roots of g - level inside it, each tested at its midpoint.
+
+    coef is the row's 7 floats, highest power first, and roots its
+    roots as Python numbers; the midpoint value takes np.polyval's
+    Horner steps from 0.0."""
     h = t1 - t0
-    roots = roots.real[roots.imag == 0]
-    roots = np.sort(roots[(roots > 0) & (roots < h)])
-    cuts = np.concatenate([[0.0], roots, [h]])
-    violated = np.polyval(coef, 0.5 * (cuts[:-1] + cuts[1:])) > 0
-    times = [t0, *(t0 + roots).tolist(), t1]
-    return [(s, e) for s, e, bad in zip(times, times[1:], violated.tolist()) if bad]
+    cuts = sorted([z.real for z in roots if z.imag == 0 and 0 < z.real < h])
+    ends = [0.0, *cuts, h]
+    times = [t0, *[t0 + s for s in cuts], t1]
+    pieces = []
+    for a, b, start, end in zip(ends, ends[1:], times, times[1:]):
+        x, value = 0.5 * (a + b), 0.0
+        for c in coef:
+            value = value * x + c
+        if value > 0:
+            pieces.append((start, end))
+    return pieces
 
 
 def _first_window(local: np.ndarray, knots, centers: np.ndarray, radii, level):
@@ -482,7 +477,10 @@ def scenario_from_json(obj) -> Scenario:
             )
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
-    return Scenario(agents=tuple(agents), obstacles=tuple(obstacles))
+    try:
+        return Scenario(agents=tuple(agents), obstacles=tuple(obstacles))
+    except ValidationError as exc:
+        raise SchemaError(f"scenario: {exc}") from exc
 
 
 def save_scenario(scenario: Scenario, path) -> None:

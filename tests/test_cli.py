@@ -612,3 +612,35 @@ class TestEntryPoint:
         capsys.readouterr()
         assert run(["plan", world, "--out", tmp_path / "run"]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def invalid_scenario_docs():
+    """Scenario files that parse but fail Scenario's own checks: a
+    duplicate agent id, and a start inside an inflated obstacle."""
+    agent = {"id": 0, "radius": 0.5, "start": {"p": [-5.0, 0.0], "v": [0.0, 0.0]},
+             "goal": {"p": [5.0, 0.0], "v": [0.0, 0.0]}, "t0": 0.0, "tf": 10.0}
+    duplicate = {"agents": [agent, agent], "obstacles": []}
+    inside = {"agents": [agent],
+              "obstacles": [{"id": 0, "center": [-5.0, 0.5], "radius": 1.0}]}
+    return {"duplicate agent ids": (duplicate, "agent ids must be unique"),
+            "start inside obstacle": (inside, "start inside inflated obstacle 0")}
+
+
+class TestInvalidScenarioFile:
+    @pytest.mark.parametrize("kind", sorted(invalid_scenario_docs()))
+    @pytest.mark.parametrize("command", ["plan", "check", "oracle", "bench"])
+    def test_is_an_input_error(self, tmp_path, capsys, command, kind):
+        doc, message = invalid_scenario_docs()[kind]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        csv_path = tmp_path / "trajectories.csv"
+        _write_trajectory_csv(csv_path, [])
+        args = {"plan": [path, "--out", tmp_path / "run"],
+                "check": [path, csv_path],
+                "oracle": [path],
+                "bench": [path, "--repeat", 1]}[command]
+        assert run([command, *args]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario: ")
+        assert message in err
+        assert not (tmp_path / "run").exists()

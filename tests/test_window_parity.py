@@ -217,3 +217,109 @@ class TestDegenerateRows:
         record = first_violation(traj, scen, 0)
         assert record is not None
         assert_same_record(record, reference_first_violation(traj, scen, 0))
+
+
+def bits(windows):
+    """windows as the hex strings of their floats, so that == compares
+    every bit, the sign of zero included."""
+    return [[(float.hex(s), float.hex(e)) for s, e in found] for found in windows]
+
+
+# row kinds the random paths mix in; all but "generic" make one segment's
+# rows take the np.roots path, the last two only at level 0 for obstacle 0
+ROW_KINDS = ("generic", "a3 = 0", "a3 = a2 = 0", "starts at the level", "all zero")
+
+
+def random_case(rng, kind, n_seg, n_obs):
+    """A random cubic path of n_seg segments, n_obs obstacle centers and
+    their radii.
+
+    Coefficients, centers and radii share one scale between 1e-3 and
+    1e3. For the last two kinds one segment starts at m * (3, 4) from
+    obstacle 0 of radius 5 m, m a power of two, so that g(0) = 0 holds
+    exactly at level 0; for "all zero" it also stays parked there."""
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    knots = np.cumsum(np.concatenate([[rng.uniform(-5.0, 5.0)],
+                                      rng.uniform(0.2, 3.0, n_seg)])).tolist()
+    coef = rng.normal(size=(n_seg, 4, 2)) * scale
+    special = int(rng.integers(n_seg))
+    if kind == "a3 = 0":
+        coef[special, 3] = 0.0
+    elif kind == "a3 = a2 = 0":
+        coef[special, 2:] = 0.0
+
+    def path():
+        return PiecewiseTrajectory(tuple(CubicSegment(*c, t0, t1)
+                                         for c, t0, t1 in zip(coef, knots, knots[1:])))
+
+    traj = path()
+    # centers near points of the path, so that windows open and close
+    times = rng.uniform(knots[0], knots[-1], n_obs)
+    centers = np.array([eval_trajectory(traj, t)[0] for t in times])
+    centers += rng.normal(size=(n_obs, 2)) * scale
+    radii = (rng.uniform(0.2, 2.0, n_obs) * scale).tolist()
+    if kind in ("starts at the level", "all zero"):
+        m = 2.0 ** int(np.round(np.log2(scale)))
+        centers[0] = m * rng.integers(-8, 9, 2)
+        coef[special, 0] = centers[0] + m * np.array([3.0, 4.0])
+        if kind == "all zero":
+            coef[special, 1:] = 0.0
+        radii[0] = 5.0 * m
+        traj = path()
+    return traj, centers, radii
+
+
+class TestRandomPaths:
+    def test_windows_keep_the_per_segment_bits(self, monkeypatch):
+        rng = np.random.default_rng(3030)
+        root_rows = []
+        roots = np.roots
+
+        def counted_roots(p):
+            root_rows.append(p)
+            return roots(p)
+
+        opened = 0
+        for case in range(150):
+            kind = ROW_KINDS[case % len(ROW_KINDS)]
+            traj, centers, radii = random_case(rng, kind, int(rng.integers(1, 5)),
+                                               int(rng.integers(1, 7)))
+            pair_level = radii[0] ** 2 - (radii[0] - 1e-9) ** 2
+            for level in LEVELS + (pair_level,):
+                want = [reference_violated_windows(traj, c, r, level)
+                        for c, r in zip(centers, radii)]
+                monkeypatch.setattr(np, "roots", counted_roots)
+                got = _windows(*_coefficients(traj), centers, radii, level)
+                monkeypatch.setattr(np, "roots", roots)
+                assert bits(got) == bits(want), (case, kind, level)
+                opened += sum(map(bool, want))
+        # windows open often, and every degenerate kind reached np.roots:
+        # degree 4, degree 2, a root at s = 0 and the all-zero row
+        assert opened > 1000
+        degrees = {len(np.trim_zeros(np.asarray(p), "f")) - 1 for p in root_rows}
+        assert {4, 2, -1} <= degrees
+        assert any(p[-1] == 0 and p[0] != 0 for p in root_rows)
+
+
+class TestCallBudget:
+    def test_one_convolve_per_row_and_axis_and_one_eigvals(self, monkeypatch):
+        # one _windows call makes 2 convolve calls for each of the
+        # 3 segments x 6 obstacles, and its roots come from at most one
+        # eigvals call, not one LAPACK call per row
+        traj, centers, radii = random_case(np.random.default_rng(7), "generic", 3, 6)
+        calls = {"convolve": 0, "eigvals": 0}
+        convolve, eigvals = np.convolve, np.linalg.eigvals
+
+        def counted_convolve(a, v, *args, **kwargs):
+            calls["convolve"] += 1
+            return convolve(a, v, *args, **kwargs)
+
+        def counted_eigvals(a):
+            calls["eigvals"] += 1
+            return eigvals(a)
+
+        monkeypatch.setattr(np, "convolve", counted_convolve)
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        _windows(*_coefficients(traj), centers, radii, 0.0)
+        assert calls["convolve"] == 2 * 18
+        assert calls["eigvals"] <= 1

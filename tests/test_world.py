@@ -346,6 +346,26 @@ class TestScenarioJson:
         with pytest.raises(SchemaError, match=r"agents\[0\]"):
             scenario_from_json(json.loads(text))
 
+    @pytest.mark.parametrize("edit,message", [
+        ("duplicate_agent", "agent ids must be unique"),
+        ("duplicate_obstacle", "obstacle ids must be unique"),
+        ("start_inside", "agent 0 start inside inflated obstacle 2"),
+    ])
+    def test_invalid_scenario_is_a_schema_error(self, tmp_path, edit, message):
+        # Scenario's own checks surface from load_scenario as a bad input
+        doc = scenario_to_json(self.scenario())
+        if edit == "duplicate_agent":
+            doc["agents"].append(doc["agents"][0])
+        elif edit == "duplicate_obstacle":
+            doc["obstacles"].append(doc["obstacles"][0])
+        else:
+            doc["obstacles"][0]["center"] = doc["agents"][0]["start"]["p"]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"^scenario: {message}$") as info:
+            load_scenario(path)
+        assert isinstance(info.value.__cause__, ValidationError)
+
     def test_invalid_json_text(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
