@@ -49,8 +49,8 @@ from junctionplan import (  # noqa: E402
     compare,
     discrete_min_energy_constrained,
     plan_agent,
-    segment_energy,
     solve_boundary,
+    trajectory_energy,
 )
 from junctionplan.world import reference_world  # noqa: E402
 
@@ -130,7 +130,7 @@ def main(argv=None):
         converged += 1
         n = len(report.junction_sequence)
         junction_counts[n] = junction_counts.get(n, 0) + 1
-        base = segment_energy(
+        base = trajectory_energy(
             solve_boundary(agent.start, agent.goal, agent.t0, agent.tf_nominal)
         )
         overheads.append(report.energy / base - 1.0)

@@ -20,8 +20,8 @@ from junctionplan import (
     discrete_min_energy_constrained,
     inflated_radius,
     plan_agent,
-    segment_energy,
     solve_boundary,
+    trajectory_energy,
 )
 
 
@@ -50,7 +50,7 @@ def main():
     touch = contact_point(obstacle, combined, junction.theta)
 
     print("symmetric obstacle demo")
-    print(f"  unconstrained energy   {segment_energy(unconstrained):.6f}")
+    print(f"  unconstrained energy   {trajectory_energy(unconstrained):.6f}")
     print(f"  junction energy        {report.energy:.6f}")
     print(f"  oracle cost (N=2000)   {oracle.cost:.6f}")
     print(f"  relative gap           {compare(trajectory, oracle):+.2e}")

@@ -27,10 +27,8 @@ from .trajectory import (
     CubicSegment,
     KinematicState,
     PiecewiseTrajectory,
-    eval_segment,
     eval_trajectory,
     sample_trajectory,
-    segment_energy,
     solve_boundary,
     trajectory_energy,
 )

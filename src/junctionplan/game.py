@@ -77,7 +77,6 @@ from .world import (
     Scenario,
     first_violation,
     state_to_json,
-    _coefficients,
     _first_window,
     _rebased,
     _state_from_json,
@@ -241,9 +240,9 @@ def _penetration(traj_a, r_a: float, traj_b, r_b: float):
     the origin, R = r_a + r_b, as the level R**2 - (R - tol)**2 on g, and
     the penetration at that window's midpoint.
     """
-    plans = [_coefficients(traj) for traj in (traj_a, traj_b)]
-    knots = sorted({t for _, plan_knots in plans for t in plan_knots})
-    rebased_a, rebased_b = (_rebased(*plan, knots[:-1]) for plan in plans)
+    knots = sorted({*traj_a.knots, *traj_b.knots})
+    rebased_a, rebased_b = (_rebased(traj.local, traj.knots, knots[:-1])
+                            for traj in (traj_a, traj_b))
     r = r_a + r_b
     hit = _first_window(rebased_a - rebased_b, knots, np.zeros((1, 2)), [r],
                         r * r - (r - SEPARATION_TOL) ** 2)
@@ -277,12 +276,12 @@ def _motion_bounds(traj: PiecewiseTrajectory) -> tuple[float, float]:
     acceleration 2 a2 + 6 a3 s is linear in s, so its bound, at a
     segment's end, is exact. Held parts add nothing to either."""
     speed = accel = 0.0
-    for seg in traj.segments:
-        h = seg.t_end - seg.t_start
-        # Python floats: on 2-vectors NumPy's cost per call dominates
-        vx, vy = seg.v.tolist()
-        bx, by = seg.a2.tolist()
-        cx, cy = seg.a3.tolist()
+    knots = traj.knots
+    # Python floats, from one tolist: on 2-vectors NumPy's cost per call
+    # dominates
+    for (_, (vx, vy), (bx, by), (cx, cy)), t0, t1 in zip(traj.local.tolist(),
+                                                         knots, knots[1:]):
+        h = t1 - t0
         speed = max(speed, *(math.hypot(vx + (p * bx + q * cx * h) * h,
                                         vy + (p * by + q * cy * h) * h)
                              for p, q in ((0.0, 0.0), (0.5, 0.0), (1.0, 0.75),
@@ -295,10 +294,9 @@ def _motion_bounds(traj: PiecewiseTrajectory) -> tuple[float, float]:
 
 def _profile(traj: PiecewiseTrajectory, grid: np.ndarray) -> _Profile:
     p = sample_positions_held(traj, grid)
-    start = traj.segments[0]
     jump = None
-    if start.v.any() and start.t_start > grid[0]:
-        jump = int(np.searchsorted(grid, start.t_start)) - 1
+    if traj.local[0, 1].any() and traj.t_start > grid[0]:
+        jump = int(np.searchsorted(grid, traj.t_start)) - 1
     return _Profile(p[:, 0] + 1j * p[:, 1], *_motion_bounds(traj), jump)
 
 

@@ -27,11 +27,12 @@ local coefficients as (x, y) pairs, and the residuals read from them.
 NumPy and LAPACK keep the calls whose bits their kernels fix: the
 linear solves, the boundary-velocity product, the residual norm,
 np.cos/np.sin and the cube of 1/h. Junction objects and the
-PiecewiseTrajectory are built once, when the solve returns, each
-segment straight from the spline's floats. The Jacobian is exact: the
-velocity derivatives come from implicit differentiation of
-M(h) V = R(h, P), one solve with two right-hand sides per parameter,
-whose right-hand sides have three nonzero rows each.
+PiecewiseTrajectory are built once, when the solve returns, its
+coefficient array from the spline's floats by one np.array call. The
+Jacobian is exact: the velocity derivatives come from implicit
+differentiation of M(h) V = R(h, P), one solve with two right-hand
+sides per parameter, whose right-hand sides have three nonzero rows
+each.
 Activation sequences are discovered greedily: plan, find the first
 violated obstacle, seed a junction there, replan. Violations and the
 seed's time window are found exactly, from the roots of each segment's
@@ -53,7 +54,6 @@ from .errors import (
     PlanningFailure,
 )
 from .trajectory import (
-    CubicSegment,
     PiecewiseTrajectory,
     eval_trajectory,
     trajectory_energy,
@@ -305,11 +305,7 @@ def _spline(params: list[float], fixed: _Fixed) -> _Spline:
 
 def _trajectory(s: _Spline) -> PiecewiseTrajectory:
     """The spline's segments, each in its own local time."""
-    return PiecewiseTrajectory(segments=tuple(
-        CubicSegment(*coefficients, t_start, t_end)
-        for *coefficients, t_start, t_end
-        in zip(s.points, s.vel, s.a2, s.a3, s.knots, s.knots[1:])
-    ))
+    return PiecewiseTrajectory(list(zip(s.points, s.vel, s.a2, s.a3)), s.knots)
 
 
 def solve_coefficients(

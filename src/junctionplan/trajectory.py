@@ -6,11 +6,12 @@ those cubics, solves the two-point boundary value problem that fixes
 their coefficients, and evaluates exact control energies.
 
 Positions are in meters, times in seconds, and the energy is the
-integral of the squared control magnitude over the segment.
+integral of the squared control magnitude over the trajectory.
 
-A segment is held in local time s = t - t_start, where it is fixed by
-its start state and two more coefficients; every evaluation, sampling
-and energy works in that form.
+A plan of J segments is one read-only (J, 4, 2) array of local
+coefficients (p, v, a2, a3) and its J + 1 knots: segment j runs in local
+time s = t - knots[j], where it is fixed by its start state and two more
+coefficients. Every evaluation, sampling and energy reads that array.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,18 +54,14 @@ class KinematicState:
         return KinematicState(p=(px, py), v=(0.0, 0.0))
 
 
-@dataclass(frozen=True, eq=False)
-class CubicSegment:
-    """One unconstrained motion primitive, in local time.
+class CubicSegment(NamedTuple):
+    """Read-only view of one segment of a PiecewiseTrajectory.
 
-    Position is p + v*s + a2*s**2 + a3*s**3 with s = t - t_start, so
-    velocity and control follow by differentiation. p (m) and v (m/s)
-    are the state at t_start, a2 is in m/s^2 and a3 in m/s^3; t_start
-    and t_end are absolute times in s.
+    Position is p + v*s + a2*s**2 + a3*s**3 with s = t - t_start; p, v,
+    a2 and a3 are rows of the trajectory's coefficient array.
 
-    c1..c4 are a derived read-only view of the same cubic in absolute
-    time, c1*t**3 + c2*t**2 + c3*t + c4, for readers that evaluate it
-    independently of this module.
+    c1..c4 are the same cubic in absolute time, c1*t**3 + c2*t**2 + c3*t
+    + c4, for readers that evaluate it independently of this module.
     """
 
     p: np.ndarray
@@ -72,16 +70,6 @@ class CubicSegment:
     a3: np.ndarray
     t_start: float
     t_end: float
-
-    def __post_init__(self):
-        for name in ("p", "v", "a2", "a3"):
-            object.__setattr__(self, name, _vec2(getattr(self, name), name))
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise ValueError("segment times must be finite")
-        if not self.t_start < self.t_end:
-            raise ValueError(
-                f"t_start must precede t_end, got [{self.t_start}, {self.t_end}]"
-            )
 
     @property
     def c1(self) -> np.ndarray:
@@ -104,51 +92,64 @@ class CubicSegment:
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseTrajectory:
-    """Ordered cubic segments joined end to end."""
+    """J cubic segments joined end to end.
 
-    segments: tuple[CubicSegment, ...]
+    local is a read-only (J, 4, 2) array whose row j holds segment j's
+    local coefficients (p, v, a2, a3): on [knots[j], knots[j + 1]] the
+    position is p + v*s + a2*s**2 + a3*s**3 with s = t - knots[j].
+    knots holds the J + 1 strictly increasing times as Python floats.
+    """
+
+    local: np.ndarray
+    knots: tuple[float, ...]
 
     def __post_init__(self):
-        segments = tuple(self.segments)
-        if not segments:
-            raise ValueError("trajectory needs at least one segment")
-        for prev, nxt in zip(segments, segments[1:]):
-            if prev.t_end != nxt.t_start:
-                raise ValueError(
-                    f"segments not contiguous: {prev.t_end} != {nxt.t_start}"
-                )
-        object.__setattr__(self, "segments", segments)
+        # C order keeps each (2,) row contiguous for the energy's dots
+        local = np.array(self.local, dtype=float, order="C")
+        knots = tuple(map(float, self.knots))
+        if local.ndim != 3 or local.shape[1:] != (4, 2) or not len(local):
+            raise ValueError(
+                f"coefficients must have shape (J >= 1, 4, 2), got {local.shape}"
+            )
+        if not np.isfinite(local).all():
+            raise ValueError("coefficients must be finite")
+        if len(knots) != len(local) + 1:
+            raise ValueError(
+                f"{len(local)} segments need {len(local) + 1} knots, got {len(knots)}"
+            )
+        if not (all(map(math.isfinite, knots))
+                and all(a < b for a, b in zip(knots, knots[1:]))):
+            raise ValueError(
+                f"knots must be finite and strictly increasing, got {knots}"
+            )
+        local.setflags(write=False)
+        object.__setattr__(self, "local", local)
+        object.__setattr__(self, "knots", knots)
 
     @property
     def t_start(self) -> float:
-        return self.segments[0].t_start
+        return self.knots[0]
 
     @property
     def t_end(self) -> float:
-        return self.segments[-1].t_end
+        return self.knots[-1]
 
-
-def eval_segment(seg: CubicSegment, t: float):
-    """Evaluate position, velocity, and control of a segment at time t."""
-    if not seg.t_start <= t <= seg.t_end:
-        raise OutOfRangeError(
-            f"t={t} outside segment interval [{seg.t_start}, {seg.t_end}]"
-        )
-    s = t - seg.t_start
-    p = ((seg.a3 * s + seg.a2) * s + seg.v) * s + seg.p
-    v = (3.0 * seg.a3 * s + 2.0 * seg.a2) * s + seg.v
-    u = 6.0 * seg.a3 * s + 2.0 * seg.a2
-    return p, v, u
+    @property
+    def segments(self) -> tuple[CubicSegment, ...]:
+        """Each segment as a view of its row of local."""
+        knots = self.knots
+        return tuple(CubicSegment(*row, t0, t1)
+                     for row, t0, t1 in zip(self.local, knots, knots[1:]))
 
 
 def solve_boundary(
     x0: KinematicState, xf: KinematicState, t0: float, tf: float
-) -> CubicSegment:
+) -> PiecewiseTrajectory:
     """Solve the two-point boundary value problem on [t0, tf].
 
     Returns the unique cubic whose position and velocity match x0 at t0
-    and xf at tf, in closed form: in local time s = t - t0 it is the
-    cubic Hermite interpolant of the two states.
+    and xf at tf, as a one-segment trajectory, in closed form: in local
+    time s = t - t0 it is the cubic Hermite interpolant of the two states.
     """
     if tf <= t0:
         raise DegenerateHorizonError(f"horizon [{t0}, {tf}] is empty")
@@ -158,67 +159,68 @@ def solve_boundary(
     slope = (xf.p - x0.p) / h
     a2 = (3.0 * slope - 2.0 * x0.v - xf.v) / h
     a3 = (x0.v + xf.v - 2.0 * slope) / h**2
-    return CubicSegment(x0.p, x0.v, a2, a3, t0, tf)
+    return PiecewiseTrajectory([(x0.p, x0.v, a2, a3)], (t0, tf))
 
 
-def segment_energy(seg: CubicSegment) -> float:
-    """Exact integral of the squared control over the segment.
+def trajectory_energy(traj: PiecewiseTrajectory) -> float:
+    """Exact integral of the squared control, summed over segments.
 
     The control 2 a2 + 6 a3 s is linear in local time, so over a segment
     of length h the integral is 4 h (a2.a2 + 3 h a2.a3 + 3 h**2 a3.a3).
     """
-    h = seg.t_end - seg.t_start
-    return float(
-        4.0 * h * (seg.a2 @ seg.a2 + 3.0 * h * (seg.a2 @ seg.a3)
-                   + 3.0 * h**2 * (seg.a3 @ seg.a3))
-    )
-
-
-def trajectory_energy(traj: PiecewiseTrajectory) -> float:
-    """Total control energy, summed over segments."""
-    return float(sum(segment_energy(seg) for seg in traj.segments))
+    knots = traj.knots
+    lengths = [b - a for a, b in zip(knots, knots[1:])]
+    return float(sum(
+        float(4.0 * h * (a2 @ a2 + 3.0 * h * (a2 @ a3) + 3.0 * h**2 * (a3 @ a3)))
+        for (_, _, a2, a3), h in zip(traj.local, lengths)
+    ))
 
 
 def eval_trajectory(traj: PiecewiseTrajectory, t: float):
-    """Evaluate the trajectory at time t, delegating to its segment."""
-    if not traj.t_start <= t <= traj.t_end:
+    """Position, velocity and control at time t, in the local Horner
+    form of the segment holding t."""
+    knots = traj.knots
+    if not knots[0] <= t <= knots[-1]:
         raise OutOfRangeError(
-            f"t={t} outside trajectory horizon [{traj.t_start}, {traj.t_end}]"
+            f"t={t} outside trajectory horizon [{knots[0]}, {knots[-1]}]"
         )
-    starts = [seg.t_start for seg in traj.segments]
     # bisect_right sends an exact junction time to the later segment
-    return eval_segment(traj.segments[bisect_right(starts, t) - 1], t)
+    j = bisect_right(knots, t, 0, len(knots) - 1) - 1
+    p0, v0, a2, a3 = traj.local[j]
+    s = t - knots[j]
+    p = ((a3 * s + a2) * s + v0) * s + p0
+    v = (3.0 * a3 * s + 2.0 * a2) * s + v0
+    u = 6.0 * a3 * s + 2.0 * a2
+    return p, v, u
 
 
 def _pieces(traj: PiecewiseTrajectory, times: np.ndarray) -> list:
-    """(segment, index) pairs: index selects the samples that segment
+    """One index per segment, selecting the samples that segment
     evaluates. An exact knot time goes to the later segment, as in
     eval_trajectory. Sorted times, such as a uniform grid, split into one
     slice per segment; times in any other order are picked by masks."""
-    segments = traj.segments
-    knots = [seg.t_start for seg in segments[1:]]
-    if not knots or np.all(times[1:] >= times[:-1]):
-        bounds = [0, *np.searchsorted(times, knots).tolist(), len(times)]
-        return [(seg, slice(lo, hi))
-                for seg, lo, hi in zip(segments, bounds, bounds[1:])]
-    idx = np.searchsorted(knots, times, side="right")
-    return [(seg, idx == j) for j, seg in enumerate(segments)]
+    inner = traj.knots[1:-1]
+    if not inner or np.all(times[1:] >= times[:-1]):
+        bounds = [0, *np.searchsorted(times, inner).tolist(), len(times)]
+        return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    idx = np.searchsorted(inner, times, side="right")
+    return [idx == j for j in range(len(traj.local))]
 
 
 def _sample(traj: PiecewiseTrajectory, times: np.ndarray, derivatives: bool):
     """Axis-major (2, len(times)) positions, plus velocities and controls
     when derivatives is set, each segment evaluated on its own samples.
 
-    Every element is the local Horner form of eval_segment, in the same
-    operation order, so a sample has the same bits as eval_segment gives
-    and however the times are grouped.
+    Every element is the local Horner form of eval_trajectory, in the
+    same operation order, so a sample has the same bits as
+    eval_trajectory gives and however the times are grouped.
     """
     shape = (2, times.shape[0])
     p = np.empty(shape)
     v, u = (np.empty(shape), np.empty(shape)) if derivatives else (None, None)
-    for seg, sel in _pieces(traj, times):
-        s = times[sel] - seg.t_start
-        p0, v0, a2, a3 = (c[:, None] for c in (seg.p, seg.v, seg.a2, seg.a3))
+    for (p0, v0, a2, a3), t0, sel in zip(traj.local[..., None], traj.knots,
+                                         _pieces(traj, times)):
+        s = times[sel] - t0
         p[:, sel] = ((a3 * s + a2) * s + v0) * s + p0
         if derivatives:
             v[:, sel] = (3.0 * a3 * s + 2.0 * a2) * s + v0
@@ -231,10 +233,11 @@ def sample_trajectory(traj: PiecewiseTrajectory, times: np.ndarray):
 
     Returns (positions, velocities, controls), each of shape (len(times), 2)
     and each the transposed view of an axis-major array, so a column is
-    contiguous.
+    contiguous. A NaN time is outside the horizon.
     """
     times = np.asarray(times, dtype=float)
-    if times.size and (times.min() < traj.t_start or times.max() > traj.t_end):
+    if times.size and not (times.min() >= traj.t_start
+                           and times.max() <= traj.t_end):
         raise OutOfRangeError("sample times outside trajectory horizon")
     p, v, u = _sample(traj, times, derivatives=True)
     return p.T, v.T, u.T

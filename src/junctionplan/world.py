@@ -5,16 +5,17 @@ obstacles. Safety is expressed through the squared-distance constraint
 g = combined_r**2 - ||p - center||**2, which is nonpositive exactly when
 the agent (treated as a point against inflated obstacles) is safe.
 
-Safety is decided exactly, not by sampling, by one kernel on a path's
-(J, 4, 2) local cubic coefficients and J + 1 knots, for obstacles and,
-in game, agent pairs: on a cubic segment g is a degree-6 polynomial in
-local time, so the windows where it is violated lie between real roots
-of that polynomial. The kernel keeps only the NumPy calls that fix bits
-of its answer: np.convolve per (obstacle, segment, axis), whose BLAS
-dot fuses short sums that no plain summation reproduces, and one
-stacked LAPACK eigenvalue call on the companion matrices, which is what
-np.roots computes one matrix at a time. The rest runs on Python floats
-in the array form's order, so every window keeps its bits.
+Safety is decided exactly, not by sampling, by one kernel on a
+PiecewiseTrajectory's arrays, its (J, 4, 2) local cubic coefficients
+and J + 1 knots, for obstacles and, in game, agent pairs: on a cubic
+segment g is a degree-6 polynomial in local time, so the windows where
+it is violated lie between real roots of that polynomial. The kernel
+keeps only the NumPy calls that fix bits of its answer: np.convolve per
+(obstacle, segment, axis), whose BLAS dot fuses short sums that no plain
+summation reproduces, and one stacked LAPACK eigenvalue call on the
+companion matrices, which is what np.roots computes one matrix at a
+time. The rest runs on Python floats in the array form's order, so
+every window keeps its bits.
 """
 
 from __future__ import annotations
@@ -161,15 +162,8 @@ def violated_windows(
     pairs in time order, with the bits of np.roots and np.polyval row
     by row (see _windows).
     """
-    return _windows(*_coefficients(traj), np.reshape(center, (1, 2)), [r], level)[0]
-
-
-def _coefficients(traj: PiecewiseTrajectory) -> tuple[np.ndarray, list]:
-    """traj as the exact check reads it: the (J, 4, 2) local coefficients
-    (p, v, a2, a3) of its J segments, and its J + 1 knots."""
-    segs = traj.segments
-    return (np.array([(seg.p, seg.v, seg.a2, seg.a3) for seg in segs]),
-            [*(seg.t_start for seg in segs), segs[-1].t_end])
+    return _windows(traj.local, traj.knots, np.reshape(center, (1, 2)), [r],
+                    level)[0]
 
 
 def _rebased(local: np.ndarray, knots, times) -> np.ndarray:
@@ -196,8 +190,8 @@ def _windows(
 ) -> list[list[tuple[float, float]]]:
     """violated_windows of K obstacles at once, one list per obstacle.
 
-    local and knots are a path's arrays as _coefficients returns them,
-    centers is (K, 2) and radii holds K inflated radii. Row k*J + j of
+    local and knots are a path's arrays as a PiecewiseTrajectory holds
+    them, centers is (K, 2) and radii holds K inflated radii. Row k*J + j of
     coef is g - level for obstacle k on segment j, highest power first.
 
     Only the NumPy calls that fix bits of the answer remain: one
@@ -306,7 +300,7 @@ def first_violation(
         return None
     radii = [inflated_radius(obs, agent) for obs in scenario.obstacles]
     centers = np.array([obs.center for obs in scenario.obstacles])
-    hit = _first_window(*_coefficients(traj), centers, radii, SAFETY_TOL)
+    hit = _first_window(traj.local, traj.knots, centers, radii, SAFETY_TOL)
     if hit is None:
         return None
     k, time, depth = hit

@@ -6,6 +6,7 @@ from junctionplan import (
     Bounds,
     KinematicState,
     Obstacle,
+    PiecewiseTrajectory,
     PlanningFailure,
     Scenario,
     gen_world,
@@ -17,6 +18,14 @@ from junctionplan.world import reference_world  # noqa: F401 (shared by the test
 # Seeds of the 50 reference worlds; 46 plan and converge, worlds 2, 22,
 # 41 and 47 fail.
 REFERENCE_SEEDS = range(1, 51)
+
+
+def piecewise(*pieces):
+    """The PiecewiseTrajectory of contiguous pieces (p, v, a2, a3, t0, t1),
+    each in local time s = t - t0; a CubicSegment is such a piece."""
+    assert all(a[5] == b[4] for a, b in zip(pieces, pieces[1:])), "pieces leave a gap"
+    return PiecewiseTrajectory([piece[:4] for piece in pieces],
+                               [pieces[0][4], *(piece[5] for piece in pieces)])
 
 
 def min_separation(traj_a, traj_b):

@@ -30,7 +30,7 @@ from junctionplan import (
     discrete_min_energy,
     discrete_min_energy_constrained,
     encode_message,
-    eval_segment,
+    eval_trajectory,
     first_violation,
     inflated_radius,
     message_int_count,
@@ -41,14 +41,14 @@ from junctionplan import (
     plan_agent,
     PlanningFailure,
     save_scenario,
-    segment_energy,
     solve_boundary,
     trajectory_energy,
 )
 from junctionplan.cli import main
 from junctionplan.game import _conflicts_between, _penetration
 
-from conftest import REFERENCE_SEEDS, reference_world, single_obstacle_instances
+from conftest import (REFERENCE_SEEDS, piecewise, reference_world,
+                      single_obstacle_instances)
 
 
 @pytest.fixture
@@ -109,12 +109,12 @@ def batch():
         if not report.converged:
             failures += 1
             continue
-        seg = solve_boundary(agent.start, agent.goal, agent.t0,
-                             agent.tf_nominal)
+        straight = solve_boundary(agent.start, agent.goal, agent.t0,
+                                  agent.tf_nominal)
         instances.append(
             BatchInstance(seed=seed, scenario=scenario, agent=agent,
                           trajectory=traj, report=report,
-                          unconstrained_energy=segment_energy(seg))
+                          unconstrained_energy=trajectory_energy(straight))
         )
     # the suite needs a meaningful sample of converged plans
     assert len(instances) >= 40, f"only {len(instances)} converged plans"
@@ -123,14 +123,15 @@ def batch():
 
 def test_criterion_1_unconstrained_exactness(announce):
     with criterion("1 unconstrained exactness", announce):
-        seg = solve_boundary(rest(0, 0), rest(1, 0), 0.0, 1.0)
+        traj = solve_boundary(rest(0, 0), rest(1, 0), 0.0, 1.0)
+        seg = traj.segments[0]
         assert seg.c1[0] == pytest.approx(-2.0, rel=1e-9)
         assert abs(seg.c1[1]) < 1e-12
         assert seg.c2[0] == pytest.approx(3.0, rel=1e-9)
         assert abs(seg.c2[1]) < 1e-12
-        assert segment_energy(seg) == pytest.approx(12.0, rel=1e-9)
-        p0, v0, _ = eval_segment(seg, 0.0)
-        pf, vf, _ = eval_segment(seg, 1.0)
+        assert trajectory_energy(traj) == pytest.approx(12.0, rel=1e-9)
+        p0, v0, _ = eval_trajectory(traj, 0.0)
+        pf, vf, _ = eval_trajectory(traj, 1.0)
         assert np.abs(p0 - [0, 0]).max() < 1e-9
         assert np.abs(v0).max() < 1e-9
         assert np.abs(pf - [1, 0]).max() < 1e-9
@@ -184,10 +185,10 @@ def test_criterion_3_continuity_suite(batch, announce):
             starts = [s.t_start for s in inst.trajectory.segments]
             for junction in inst.report.junction_sequence:
                 idx = starts.index(junction.time)
-                pa, va, ua = eval_segment(inst.trajectory.segments[idx - 1],
-                                          junction.time)
-                pb, vb, ub = eval_segment(inst.trajectory.segments[idx],
-                                          junction.time)
+                pa, va, ua = eval_trajectory(
+                    piecewise(inst.trajectory.segments[idx - 1]), junction.time)
+                pb, vb, ub = eval_trajectory(
+                    piecewise(inst.trajectory.segments[idx]), junction.time)
                 assert np.abs(pa - pb).max() <= 1e-9
                 assert np.abs(va - vb).max() <= 1e-9
                 assert np.abs(ua - ub).max() <= 1e-9

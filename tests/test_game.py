@@ -13,7 +13,6 @@ from junctionplan import (
     AgentSpec,
     Bounds,
     ConditioningError,
-    CubicSegment,
     DecodeError,
     EncodingError,
     Junction,
@@ -23,7 +22,6 @@ from junctionplan import (
     NegotiationError,
     Obstacle,
     Payoff,
-    PiecewiseTrajectory,
     PlannerError,
     Scenario,
     SchemaError,
@@ -56,7 +54,7 @@ from junctionplan.game import (
 )
 from junctionplan.world import violated_windows
 
-from conftest import min_separation
+from conftest import min_separation, piecewise
 
 
 def rest(x, y):
@@ -155,7 +153,7 @@ class TestDecode:
         scen = Scenario(agents=(agent,), obstacles=())
         _, _, msg = plan_and_encode(agent, scen)
         rebuilt = decode_message(msg, scen)
-        seg = solve_boundary(agent.start, agent.goal, 0.0, 6.0)
+        seg = solve_boundary(agent.start, agent.goal, 0.0, 6.0).segments[0]
         only = rebuilt.segments[0]
         assert np.abs(only.c1 - seg.c1).max() < 1e-12
         assert np.abs(only.c4 - seg.c4).max() < 1e-12
@@ -640,15 +638,14 @@ def reference_local_motion(traj, t):
 
 
 def reference_penetration(traj_a, r_a, traj_b, r_b):
-    """game._penetration with the difference a - b built as a
-    PiecewiseTrajectory of validated CubicSegments and checked by
-    violated_windows."""
+    """game._penetration with the difference a - b built piece by piece
+    and checked by violated_windows."""
     knots = sorted({t for traj in (traj_a, traj_b) for seg in traj.segments
                     for t in (seg.t_start, seg.t_end)})
-    diff = PiecewiseTrajectory(tuple(
-        CubicSegment(*(x - y for x, y in zip(reference_local_motion(traj_a, t),
-                                             reference_local_motion(traj_b, t))),
-                     t, t_next)
+    diff = piecewise(*(
+        (*(x - y for x, y in zip(reference_local_motion(traj_a, t),
+                                 reference_local_motion(traj_b, t))),
+         t, t_next)
         for t, t_next in zip(knots, knots[1:])
     ))
     r = r_a + r_b
@@ -906,8 +903,8 @@ class TestPairScreen:
             scale = 10.0 ** rng.uniform(-3, 3)
             h = 10.0 ** rng.uniform(-2, 1)
             v, a2, a3 = (rng.normal(size=2) * scale / h ** k for k in (1, 2, 3))
-            seg = CubicSegment(rng.normal(size=2), v, a2, a3, 1.0, 1.0 + h)
-            speed, _ = _motion_bounds(PiecewiseTrajectory((seg,)))
+            traj = piecewise((rng.normal(size=2), v, a2, a3, 1.0, 1.0 + h))
+            speed, _ = _motion_bounds(traj)
             s = np.linspace(0.0, h, 2001)[:, None]
             sampled = np.hypot(*(v + 2 * a2 * s + 3 * a3 * s * s).T).max()
             control = max(np.hypot(*b) for b in (v, v + a2 * h,

@@ -11,7 +11,6 @@ from junctionplan import (
     KinematicState,
     Obstacle,
     OracleConfig,
-    PiecewiseTrajectory,
     Scenario,
     compare,
     discrete_min_energy,
@@ -299,8 +298,7 @@ class TestDiscreteMinEnergyConstrained:
 class TestCompare:
     def test_gap_against_own_discretization_shrinks(self, symmetric_scenario):
         agent = symmetric_scenario.agents[0]
-        seg = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
-        traj = PiecewiseTrajectory(segments=(seg,))
+        traj = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
         gaps = []
         for steps in (500, 1000, 2000):
             plan = discrete_min_energy(agent.start, agent.goal, 0.0, 10.0,
@@ -310,8 +308,7 @@ class TestCompare:
         assert gaps[2] < 0.01
 
     def test_mismatched_horizon_rejected(self):
-        seg = solve_boundary(rest(0, 0), rest(1, 0), 0.0, 1.0)
-        traj = PiecewiseTrajectory(segments=(seg,))
+        traj = solve_boundary(rest(0, 0), rest(1, 0), 0.0, 1.0)
         plan = discrete_min_energy(rest(0, 0), rest(1, 0), 0.0, 2.0, 100)
         with pytest.raises(ComparisonError):
             compare(traj, plan)
@@ -320,8 +317,7 @@ class TestCompare:
         # The continuous solve is the energy optimum: the discrete cost
         # converges to it monotonically as the grid refines.
         x0, xf = rest(0, 0), rest(3, 2)
-        seg = solve_boundary(x0, xf, 0.0, 4.0)
-        continuous = trajectory_energy(PiecewiseTrajectory(segments=(seg,)))
+        continuous = trajectory_energy(solve_boundary(x0, xf, 0.0, 4.0))
         previous_gap = None
         for steps in (250, 500, 1000, 2000):
             plan = discrete_min_energy(x0, xf, 0.0, 4.0, steps)

@@ -13,15 +13,11 @@ import csv
 import numpy as np
 import pytest
 
-from junctionplan import (
-    CubicSegment,
-    PiecewiseTrajectory,
-    sample_trajectory,
-)
+from junctionplan import sample_trajectory
 from junctionplan.cli import CSV_HEADER, _csv_rows, _write_trajectory_csv
 from junctionplan.trajectory import sample_positions_held
 
-from conftest import min_separation
+from conftest import min_separation, piecewise
 
 
 def gathered_sample(traj, times):
@@ -75,8 +71,8 @@ def random_trajectory(junctions, seed, t0=0.3, tf=9.7):
     unrounded floats, so samples land on both sides of them."""
     rng = np.random.default_rng(seed)
     knots = np.concatenate(([t0], np.sort(rng.uniform(t0, tf, junctions)), [tf]))
-    return PiecewiseTrajectory(tuple(
-        CubicSegment(*rng.normal(scale=3.0, size=(4, 2)), a, b)
+    return piecewise(*(
+        (*rng.normal(scale=3.0, size=(4, 2)), a, b)
         for a, b in zip(knots[:-1], knots[1:])
     ))
 

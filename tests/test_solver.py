@@ -16,23 +16,22 @@ from junctionplan import (
     SolveReport,
     constraint_value,
     contact_point,
-    eval_segment,
     eval_trajectory,
     first_violation,
     inflated_radius,
     initial_guess,
     plan_agent,
     residuals,
-    segment_energy,
     solve_boundary,
     solve_coefficients,
     solve_junctions,
+    trajectory_energy,
 )
 from junctionplan import solver
 from junctionplan.solver import _residual_jacobian, _setup, _spline
 from junctionplan.world import ViolationRecord
 
-from conftest import reference_world
+from conftest import piecewise, reference_world
 
 
 def rest(x, y):
@@ -185,8 +184,8 @@ class TestAssembleSystem:
         assert a.shape == (16, 16)
         assert_matches_dense_block_solve(agent, (junction,), scen)
         traj = solve_coefficients(agent, (junction,), scen)
-        pa, va, ua = eval_segment(traj.segments[0], 5.0)
-        pb, vb, ub = eval_segment(traj.segments[1], 5.0)
+        pa, va, ua = eval_trajectory(piecewise(traj.segments[0]), 5.0)
+        pb, vb, ub = eval_trajectory(piecewise(traj.segments[1]), 5.0)
         assert np.abs(pa - pb).max() < 1e-9
         assert np.abs(va - vb).max() < 1e-9
         assert np.abs(ua - ub).max() < 1e-9
@@ -248,7 +247,8 @@ class TestSolveCoefficients:
     def test_reduces_to_solve_boundary(self):
         agent, scen = symmetric_agent_and_obstacle()
         traj = solve_coefficients(agent, (), scen)
-        seg = solve_boundary(agent.start, agent.goal, agent.t0, agent.tf_nominal)
+        seg = solve_boundary(agent.start, agent.goal, agent.t0,
+                             agent.tf_nominal).segments[0]
         only = traj.segments[0]
         assert np.abs(only.c1 - seg.c1).max() < 1e-12
         assert np.abs(only.c2 - seg.c2).max() < 1e-12
@@ -261,8 +261,8 @@ class TestSolveCoefficients:
         agent, scen, junctions = junction_case(case)
         traj = solve_coefficients(agent, junctions, scen)
         for before, after in zip(traj.segments, traj.segments[1:]):
-            pa, va, ua = eval_segment(before, before.t_end)
-            pb, vb, ub = eval_segment(after, after.t_start)
+            pa, va, ua = eval_trajectory(piecewise(before), before.t_end)
+            pb, vb, ub = eval_trajectory(piecewise(after), after.t_start)
             assert np.abs(pa - pb).max() <= 1e-11
             assert np.abs(va - vb).max() <= 1e-11
             assert np.abs(ua - ub).max() <= 1e-11 * max(np.abs(ua).max(),
@@ -417,8 +417,8 @@ class TestSolveJunctions:
         agent, scen = symmetric_agent_and_obstacle()
         start = Junction(obstacle_id=0, theta=math.pi / 2, time=5.0)
         _, report = solve_junctions(agent, (start,), scen)
-        seg = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
-        assert report.energy >= segment_energy(seg) - 1e-9
+        straight = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
+        assert report.energy >= trajectory_energy(straight) - 1e-9
 
     def test_report_json_schema(self):
         agent, scen = symmetric_agent_and_obstacle()
@@ -444,10 +444,7 @@ class TestSolveJunctions:
 class TestInitialGuess:
     def test_symmetric_tie_break_left(self):
         agent, scen = symmetric_agent_and_obstacle()
-        seg = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
-        from junctionplan import PiecewiseTrajectory
-
-        traj = PiecewiseTrajectory(segments=(seg,))
+        traj = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
         violation = first_violation(traj, scen, 0)
         guess = initial_guess(traj, violation, scen, agent)
         assert guess.obstacle_id == 0
@@ -459,10 +456,7 @@ class TestInitialGuess:
                           t0=0.0, tf_nominal=10.0)
         obstacle = Obstacle(id=0, center=(5.0, 0.3), radius=0.75)
         scen = Scenario(agents=(agent,), obstacles=(obstacle,))
-        seg = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
-        from junctionplan import PiecewiseTrajectory
-
-        traj = PiecewiseTrajectory(segments=(seg,))
+        traj = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
         violation = first_violation(traj, scen, 0)
         guess = initial_guess(traj, violation, scen, agent)
         # path passes below the center, so the contact guess points down
@@ -474,10 +468,7 @@ class TestInitialGuess:
         # inflated radius 1.0 grazes the path by a hair
         obstacle = Obstacle(id=0, center=(5.0, 0.999999), radius=0.75)
         scen = Scenario(agents=(agent,), obstacles=(obstacle,))
-        seg = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
-        from junctionplan import PiecewiseTrajectory
-
-        traj = PiecewiseTrajectory(segments=(seg,))
+        traj = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
         violation = first_violation(traj, scen, 0)
         assert violation is not None
         guess = initial_guess(traj, violation, scen, agent)
@@ -487,10 +478,7 @@ class TestInitialGuess:
 
     def test_time_outside_every_window_rejected(self):
         agent, scen = symmetric_agent_and_obstacle()
-        seg = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
-        from junctionplan import PiecewiseTrajectory
-
-        traj = PiecewiseTrajectory(segments=(seg,))
+        traj = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
         elsewhere = ViolationRecord(time=1.0, constraint=0, depth=0.1)
         with pytest.raises(ValueError, match="not violated at t=1.0"):
             initial_guess(traj, elsewhere, scen, agent)
@@ -512,8 +500,8 @@ class TestPlanAgent:
         assert report.converged
         assert len(report.junction_sequence) == 1
         assert first_violation(traj, scen, 0) is None
-        seg = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
-        assert report.energy > segment_energy(seg)
+        straight = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
+        assert report.energy > trajectory_energy(straight)
 
     def test_corridor_two_junctions_ordered(self):
         agent = AgentSpec(id=0, radius=0.2, start=rest(0, 0), goal=rest(20, 0),
@@ -622,8 +610,8 @@ class TestPlanAgent:
         traj, report = plan_agent(agent, scen)
         for junction in report.junction_sequence:
             idx = [s.t_start for s in traj.segments].index(junction.time)
-            pa, va, ua = eval_segment(traj.segments[idx - 1], junction.time)
-            pb, vb, ub = eval_segment(traj.segments[idx], junction.time)
+            pa, va, ua = eval_trajectory(piecewise(traj.segments[idx - 1]), junction.time)
+            pb, vb, ub = eval_trajectory(piecewise(traj.segments[idx]), junction.time)
             assert np.abs(pa - pb).max() < 1e-9
             assert np.abs(va - vb).max() < 1e-9
             assert np.abs(ua - ub).max() < 1e-9

@@ -25,7 +25,6 @@ import pytest
 
 from junctionplan import (
     AgentSpec,
-    CubicSegment,
     Junction,
     KinematicState,
     Obstacle,
@@ -55,7 +54,7 @@ from junctionplan.solver import (
     _wrap_angle,
 )
 
-from conftest import REFERENCE_SEEDS, reference_world
+from conftest import REFERENCE_SEEDS, piecewise, reference_world
 
 
 class ReferenceSpline(NamedTuple):
@@ -125,8 +124,8 @@ def reference_spline(
 
 def reference_trajectory(s: ReferenceSpline) -> PiecewiseTrajectory:
     """The spline's segments, each in its own local time."""
-    return PiecewiseTrajectory(segments=tuple(
-        CubicSegment(s.points[k], s.vel[k], s.a2[k], s.a3[k], s.knots[k], s.knots[k + 1])
+    return piecewise(*(
+        (s.points[k], s.vel[k], s.a2[k], s.a3[k], s.knots[k], s.knots[k + 1])
         for k in range(len(s.h))
     ))
 

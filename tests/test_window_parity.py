@@ -13,11 +13,9 @@ import pytest
 
 from junctionplan import (
     AgentSpec,
-    CubicSegment,
     Junction,
     KinematicState,
     Obstacle,
-    PiecewiseTrajectory,
     PlanningFailure,
     Scenario,
     ViolationRecord,
@@ -30,14 +28,13 @@ from junctionplan import (
 from junctionplan.world import (
     SAFETY_TOL,
     Bounds,
-    _coefficients,
     _companion_roots,
     _windows,
     gen_world,
     violated_windows,
 )
 
-from conftest import reference_world
+from conftest import piecewise, reference_world
 
 LEVELS = (-SAFETY_TOL, 0.0, SAFETY_TOL)
 
@@ -100,7 +97,7 @@ def assert_windows_match(traj, scenario, agent):
     for level in LEVELS:
         want = [reference_violated_windows(traj, c, r, level)
                 for c, r in zip(centers, radii)]
-        assert _windows(*_coefficients(traj), centers, radii, level) == want
+        assert _windows(traj.local, traj.knots, centers, radii, level) == want
         for c, r, w in zip(centers, radii, want):
             assert violated_windows(traj, c, r, level) == w
     assert_same_record(first_violation(traj, scenario, agent.id),
@@ -163,23 +160,23 @@ def degenerate_trajectory():
     """Three segments whose rows against the obstacle at the origin with
     inflated radius 5 are, at level 0: of degree 2, with a root at s = 0,
     and all zero."""
-    return PiecewiseTrajectory((
+    return piecewise(
         # constant velocity along y = 3: a3 = a2 = 0, inside for |x| < 4
-        CubicSegment((-6.0, 3.0), (2.0, 0.0), (0.0, 0.0), (0.0, 0.0), 0.0, 6.0),
+        ((-6.0, 3.0), (2.0, 0.0), (0.0, 0.0), (0.0, 0.0), 0.0, 6.0),
         # starts on the circle at (3, 4) and heads inward
-        CubicSegment((3.0, 4.0), (-1.0, -1.0), (0.1, 0.0), (0.0, 0.01), 6.0, 8.0),
+        ((3.0, 4.0), (-1.0, -1.0), (0.1, 0.0), (0.0, 0.01), 6.0, 8.0),
         # parked on the circle
-        CubicSegment((3.0, 4.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), 8.0, 9.0),
-    ))
+        ((3.0, 4.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), 8.0, 9.0),
+    )
 
 
 class TestDegenerateRows:
     def test_each_row_kind_alone(self):
         traj = degenerate_trajectory()
-        windows = [violated_windows(PiecewiseTrajectory((seg,)), (0.0, 0.0), 5.0, 0.0)
+        windows = [violated_windows(piecewise(seg), (0.0, 0.0), 5.0, 0.0)
                    for seg in traj.segments]
         for seg, got in zip(traj.segments, windows):
-            single = PiecewiseTrajectory((seg,))
+            single = piecewise(seg)
             assert got == reference_violated_windows(single, np.zeros(2), 5.0, 0.0)
         (lower_degree,), (on_circle,), parked = windows
         assert lower_degree[0] == pytest.approx(1.0, abs=1e-12)
@@ -196,13 +193,12 @@ class TestDegenerateRows:
         radii = [5.0, 1.5, 0.75]
         want = [reference_violated_windows(traj, c, r, level)
                 for c, r in zip(centers, radii)]
-        assert _windows(*_coefficients(traj), centers, radii, level) == want
+        assert _windows(traj.local, traj.knots, centers, radii, level) == want
         assert any(want)
 
     def test_parked_at_the_level_distance_is_an_all_zero_row(self):
         # distance sqrt(r**2 - level) = 4 with r = 5 and level 9
-        seg = CubicSegment((4.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), 0.0, 1.0)
-        traj = PiecewiseTrajectory((seg,))
+        traj = piecewise(((4.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), 0.0, 1.0))
         assert violated_windows(traj, (0.0, 0.0), 5.0, 9.0) == []
         assert violated_windows(traj, (0.0, 0.0), 5.0, 9.0 - 1e-6) == [(0.0, 1.0)]
 
@@ -249,8 +245,7 @@ def random_case(rng, kind, n_seg, n_obs):
         coef[special, 2:] = 0.0
 
     def path():
-        return PiecewiseTrajectory(tuple(CubicSegment(*c, t0, t1)
-                                         for c, t0, t1 in zip(coef, knots, knots[1:])))
+        return piecewise(*((*c, t0, t1) for c, t0, t1 in zip(coef, knots, knots[1:])))
 
     traj = path()
     # centers near points of the path, so that windows open and close
@@ -289,7 +284,7 @@ class TestRandomPaths:
                 want = [reference_violated_windows(traj, c, r, level)
                         for c, r in zip(centers, radii)]
                 monkeypatch.setattr(np, "roots", counted_roots)
-                got = _windows(*_coefficients(traj), centers, radii, level)
+                got = _windows(traj.local, traj.knots, centers, radii, level)
                 monkeypatch.setattr(np, "roots", roots)
                 assert bits(got) == bits(want), (case, kind, level)
                 opened += sum(map(bool, want))
@@ -320,6 +315,6 @@ class TestCallBudget:
 
         monkeypatch.setattr(np, "convolve", counted_convolve)
         monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
-        _windows(*_coefficients(traj), centers, radii, 0.0)
+        _windows(traj.local, traj.knots, centers, radii, 0.0)
         assert calls["convolve"] == 2 * 18
         assert calls["eigvals"] <= 1

@@ -12,7 +12,6 @@ from junctionplan import (
     GenerationError,
     KinematicState,
     Obstacle,
-    PiecewiseTrajectory,
     Scenario,
     ScenarioLookupError,
     SchemaError,
@@ -31,7 +30,7 @@ from junctionplan import (
 from junctionplan.game import SEPARATION_TOL, _penetration
 from junctionplan.world import ViolationRecord
 
-from conftest import min_separation
+from conftest import min_separation, piecewise
 
 
 def rest(x, y):
@@ -39,8 +38,7 @@ def rest(x, y):
 
 
 def straight_path(start, goal, t0=0.0, tf=1.0):
-    seg = solve_boundary(rest(*start), rest(*goal), t0, tf)
-    return PiecewiseTrajectory(segments=(seg,))
+    return solve_boundary(rest(*start), rest(*goal), t0, tf)
 
 
 class TestConstraintValue:
@@ -162,10 +160,8 @@ class TestFirstViolation:
         whole = straight_path((0, 0), (10, 0), tf=10.0)
         p, v, _ = eval_trajectory(whole, 5.0)
         middle = KinematicState(p=p, v=v)
-        split = PiecewiseTrajectory(segments=(
-            solve_boundary(agent.start, middle, 0.0, 5.0),
-            solve_boundary(middle, agent.goal, 5.0, 10.0),
-        ))
+        split = piecewise(*solve_boundary(agent.start, middle, 0.0, 5.0).segments,
+                          *solve_boundary(middle, agent.goal, 5.0, 10.0).segments)
         for traj in (whole, split):
             assert first_violation(traj, scen, 0).time == pytest.approx(5.0, abs=1e-12)
 
