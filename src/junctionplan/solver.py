@@ -26,9 +26,13 @@ parameter list, the spline's contact points, slopes, velocities and
 local coefficients as (x, y) pairs, and the residuals read from them.
 NumPy and LAPACK keep the calls whose bits their kernels fix: the
 linear solves, the boundary-velocity product, the residual norm,
-np.cos/np.sin and the cube of 1/h. Junction objects and the
-PiecewiseTrajectory are built once, when the solve returns, its
-coefficient array from the spline's floats by one np.array call. The
+np.cos/np.sin and the cube of 1/h. The solves call the LAPACK gufuncs
+that np.linalg.solve wraps directly (_lapack), because at this size the
+wrapper costs more than the solve; a singular system still raises
+LinAlgError. The residual norm is sqrt(r.dot(r)), np.linalg.norm's
+formula. Junction objects and the PiecewiseTrajectory are built once,
+when the solve returns, its coefficient array from the spline's floats
+by one np.array call. The
 Jacobian is exact: the velocity derivatives come from implicit
 differentiation of M(h) V = R(h, P), one solve with two right-hand
 sides per parameter, whose right-hand sides have three nonzero rows
@@ -47,7 +51,9 @@ from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
+from . import _lapack
 from .errors import (
     ConditioningError,
     OrderingError,
@@ -293,7 +299,7 @@ def _spline(params: list[float], fixed: _Fixed) -> _Spline:
     ]).reshape(n, 2)
     rhs -= np.array(boundary).reshape(n, 2) @ fixed.ends
     # a junction-free system is empty: skip the solve's call overhead
-    inner = np.linalg.solve(m, rhs).tolist() if n else []
+    inner = _lapack.solve(m, rhs).tolist() if n else []
     vel = [fixed.v_start, *inner, fixed.v_goal]
     a3 = []
     a2 = []
@@ -383,7 +389,7 @@ def _residual_jacobian(s: _Spline, fixed: _Fixed) -> np.ndarray:
     # are fixed
     zero = [0.0] * (2 * n)
     d_vel = [(zero, zero)]
-    d_vel += [(row[0::2], row[1::2]) for row in np.linalg.solve(s.m, d_f).tolist()]
+    d_vel += [(row[0::2], row[1::2]) for row in _lapack.solve(s.m, d_f).tolist()]
     d_vel.append((zero, zero))
     # d a3 per segment, from dV at both ends; theta_(j-1) and theta_j also
     # move the chord of segment j, t_(j-1) shortens it and t_j lengthens it
@@ -461,6 +467,10 @@ def solve_junctions(
     the arithmetic, so the evaluation runs on floats and keeps NumPy for
     the linear solves, the boundary-velocity product, np.cos/np.sin, the
     residual norm and the cube of 1/h, whose bits its kernels fix. The
+    solves go straight to LAPACK's gufuncs (_lapack.solve), skipping
+    np.linalg.solve's wrapper but not its error state, so a singular
+    damped system raises LinAlgError and its step is rejected like a
+    step that does not lower the residual norm, sqrt(r.dot(r)). The
     Jacobian is exact, by implicit differentiation of the junction
     system, and is recomputed only after an accepted step, from that
     step's spline, together with the normal equations J^T J and -J^T r
@@ -496,7 +506,7 @@ def solve_junctions(
     spline = _spline(params, fixed)
     res = _residuals(spline)
 
-    norm = float(np.linalg.norm(res))
+    norm = math.sqrt(res.dot(res))
     damping = 1e-3
     norms = []  # the residual norm before each iteration run
     termination = "converged"
@@ -517,8 +527,8 @@ def solve_junctions(
             # magnitude of the residual surface.
             scale = np.diag(np.maximum(gram.diagonal(), 1e-30))
         try:
-            step = np.linalg.solve(gram + damping * scale, rhs)
-        except np.linalg.LinAlgError:
+            step = _lapack.solve(gram + damping * scale, rhs)
+        except LinAlgError:
             step = None
         if step is not None:
             candidate = [p + d for p, d in zip(params, step.tolist())]
@@ -526,7 +536,7 @@ def solve_junctions(
             candidate[0::2] = [_wrap_angle(v) for v in candidate[0::2]]
             cand_spline = _spline(candidate, fixed)
             cand_res = _residuals(cand_spline)
-            cand_norm = float(np.linalg.norm(cand_res))
+            cand_norm = math.sqrt(cand_res.dot(cand_res))
             if cand_norm < norm:
                 params, spline, res, norm = candidate, cand_spline, cand_res, cand_norm
                 damping = max(damping * 0.3, MIN_DAMPING)
@@ -586,15 +596,15 @@ def initial_guess(
 
     p, v, _ = eval_trajectory(traj, t_guess)
     offset = p - obstacle.center
-    speed = float(np.linalg.norm(v))
+    speed = math.sqrt(v.dot(v))
     if speed > CENTER_COINCIDENCE:
         direction = v / speed
     else:
         chord = agent.goal.p - agent.start.p
-        length = float(np.linalg.norm(chord))
+        length = math.sqrt(chord.dot(chord))
         direction = chord / length if length > 0 else np.array([1.0, 0.0])
     cross = offset - (offset @ direction) * direction
-    if float(np.linalg.norm(cross)) < CENTER_COINCIDENCE:
+    if math.sqrt(cross.dot(cross)) < CENTER_COINCIDENCE:
         # Path runs through the center: take the left side of travel.
         left = np.array([-direction[1], direction[0]])
         theta = math.atan2(left[1], left[0])

@@ -176,6 +176,19 @@ def trajectory_energy(traj: PiecewiseTrajectory) -> float:
     ))
 
 
+def _segment(knots, t: float) -> int:
+    """Index of the segment of knots holding t, for t inside them; an
+    exact knot time goes to the later segment, the last knot to the last."""
+    return bisect_right(knots, t, 0, len(knots) - 1) - 1
+
+
+def _position(p0, v0, a2, a3, s):
+    """Position p0 + v0*s + a2*s**2 + a3*s**3 at local time s by Horner's
+    rule; every reader of a plan's positions calls it, so all of them
+    agree bit for bit."""
+    return ((a3 * s + a2) * s + v0) * s + p0
+
+
 def eval_trajectory(traj: PiecewiseTrajectory, t: float):
     """Position, velocity and control at time t, in the local Horner
     form of the segment holding t."""
@@ -184,11 +197,10 @@ def eval_trajectory(traj: PiecewiseTrajectory, t: float):
         raise OutOfRangeError(
             f"t={t} outside trajectory horizon [{knots[0]}, {knots[-1]}]"
         )
-    # bisect_right sends an exact junction time to the later segment
-    j = bisect_right(knots, t, 0, len(knots) - 1) - 1
+    j = _segment(knots, t)
     p0, v0, a2, a3 = traj.local[j]
     s = t - knots[j]
-    p = ((a3 * s + a2) * s + v0) * s + p0
+    p = _position(p0, v0, a2, a3, s)
     v = (3.0 * a3 * s + 2.0 * a2) * s + v0
     u = 6.0 * a3 * s + 2.0 * a2
     return p, v, u
@@ -221,7 +233,7 @@ def _sample(traj: PiecewiseTrajectory, times: np.ndarray, derivatives: bool):
     for (p0, v0, a2, a3), t0, sel in zip(traj.local[..., None], traj.knots,
                                          _pieces(traj, times)):
         s = times[sel] - t0
-        p[:, sel] = ((a3 * s + a2) * s + v0) * s + p0
+        p[:, sel] = _position(p0, v0, a2, a3, s)
         if derivatives:
             v[:, sel] = (3.0 * a3 * s + 2.0 * a2) * s + v0
             u[:, sel] = 6.0 * a3 * s + 2.0 * a2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from junctionplan import (
     solve_junctions,
     trajectory_energy,
 )
-from junctionplan import solver
+from junctionplan import _lapack, solver
 from junctionplan.solver import _residual_jacobian, _setup, _spline
 from junctionplan.world import ViolationRecord
 
@@ -645,6 +646,112 @@ class TestStallRule:
         assert not report.converged
         assert report.termination == termination
         assert report.iterations < solver.MAX_ITERATIONS
+
+
+def counted_solves(monkeypatch, singular=lambda k: False):
+    """Count _lapack.solve calls by kind, from the shape of the right-hand
+    side: the damped LM system has one column, the spline two and the
+    Jacobian 4n. Damped solve k (from 0) gets a zero matrix when
+    singular(k), so that the real solve raises LinAlgError. Returns the
+    counts and the damped matrices."""
+    calls = {"damped": 0, "spline": 0, "jacobian": 0}
+    damped = []
+    solve = _lapack.solve
+
+    def counted(a, b):
+        kind = "damped" if b.ndim == 1 else "spline" if b.shape[1] == 2 else "jacobian"
+        calls[kind] += 1
+        if kind == "damped":
+            damped.append(a)
+            if singular(len(damped) - 1):
+                a = np.zeros_like(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(_lapack, "solve", counted)
+    return calls, damped
+
+
+class TestCallBudget:
+    def test_one_solve_per_iteration_candidate_and_accepted_step(self, monkeypatch):
+        # the last solve of batch50 world 2 rejects its last step at the
+        # damping cap after a mix of accepted and rejected steps
+        agent, scen = reference_world(2)
+        calls, _ = counted_solves(monkeypatch)
+        norms = []  # the residual norm of every spline of one solve
+        residuals_of = solver._residuals
+        solve = solver.solve_junctions
+
+        def last_solve(*args):
+            calls.update(dict.fromkeys(calls, 0))
+            norms.clear()
+            return solve(*args)
+
+        def recorded(spline):
+            res = residuals_of(spline)
+            norms.append(math.sqrt(res.dot(res)))
+            return res
+
+        monkeypatch.setattr(solver, "_residuals", recorded)
+        monkeypatch.setattr(solver, "solve_junctions", last_solve)
+        with pytest.raises(PlanningFailure) as excinfo:
+            plan_agent(agent, scen)
+        report = excinfo.value.report
+        assert report.termination == "damping_cap"
+        # a step is accepted when its candidate's norm beats the best so far
+        best, accepted = norms[0], 0
+        for norm in norms[1:]:
+            if norm < best:
+                best, accepted = norm, accepted + 1
+        assert 0 < accepted < report.iterations
+        assert calls == {
+            "damped": report.iterations,
+            "spline": report.iterations + 1,
+            # the first, then one after each accepted step; the last step
+            # was rejected
+            "jacobian": accepted + 1,
+        }
+
+
+class TestSingularDampedStep:
+    def test_singular_step_is_rejected_and_the_damping_rises(self, monkeypatch):
+        agent, scen = symmetric_agent_and_obstacle()
+        start = (Junction(obstacle_id=0, theta=math.pi / 2 + 0.4, time=4.1),)
+        params, fixed = _setup(agent, start, scen)
+        jac = _residual_jacobian(_spline(params, fixed), fixed)
+        gram = jac.T @ jac
+        scale = np.diag(np.maximum(gram.diagonal(), 1e-30))
+        calls, damped = counted_solves(monkeypatch, lambda k: k == 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = solve_junctions(agent, start, scen)
+        # the first step fails, and the next damped system has ten times
+        # the damping, with the Jacobian and the normal equations unchanged
+        assert np.array_equal(damped[0], gram + 1e-3 * scale)
+        assert np.array_equal(damped[1], gram + (1e-3 * 10.0) * scale)
+        assert calls["spline"] == report.iterations  # no candidate for the first
+        assert report.converged
+
+    def test_singular_system_at_the_cap_ends_damping_cap(self, monkeypatch):
+        agent, scen = symmetric_agent_and_obstacle()
+        start = (Junction(obstacle_id=0, theta=math.pi / 2 + 0.4, time=4.1),)
+        calls, damped = counted_solves(monkeypatch, lambda k: True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = solve_junctions(agent, start, scen)
+        # every step is rejected: the damping rises tenfold from 1e-3 to
+        # the cap, where one more rejection ends the solve
+        damping, iterations = 1e-3, 1
+        while damping != solver.MAX_DAMPING:
+            damping, iterations = min(damping * 10.0, solver.MAX_DAMPING), iterations + 1
+        assert report.termination == "damping_cap" and not report.converged
+        assert report.iterations == iterations
+        assert calls == {"damped": iterations, "spline": 1, "jacobian": 1}
+        diagonals = [a.diagonal() for a in damped]
+        assert all((b > a).all() for a, b in zip(diagonals, diagonals[1:]))
+        off = ~np.eye(len(damped[0]), dtype=bool)
+        assert all(np.array_equal(a[off], damped[0][off]) for a in damped)
+        # the iterate never moved
+        assert report.junction_sequence[0].time == 4.1
 
 
 class TestJunctionType:
