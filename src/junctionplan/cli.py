@@ -5,10 +5,12 @@ success, 1 for a safety violation found by check, 2 for input or
 generation errors, 3 for planning or negotiation failures, 4 when the
 oracle finishes with a penetration warning.
 
-plan and bench run the same steps: _plan_agents solves each agent at
-its nominal horizon, and when every agent converged _nominal_conflicts
-checks those plans pairwise; negotiation follows only a conflict. bench
-times these calls, and plan also writes the artifacts.
+plan and bench run the same steps through _run: it solves each agent
+at its nominal horizon, checks those plans pairwise when every agent
+converged, and negotiates arrival times only on a conflict. bench times
+its two phases; plan builds the report.json entries and the messages
+from its plans as it writes them. _plan_entry is report.json's one list
+of per-agent fields.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     GenerationError,
-    NegotiationError,
     PlannerError,
     PlanningFailure,
     ScenarioLookupError,
@@ -37,7 +39,6 @@ from .game import (
     encode_message,
     message_to_json,
     negotiate_arrival_times,
-    negotiation_to_json,
     NegotiatedPlan,
     NegotiationConfig,
 )
@@ -156,11 +157,17 @@ def _trajectory_rows(agent_id: int, traj, samples: int) -> list[str]:
     return _csv_rows(agent_id, times, *sample_trajectory(traj, times))
 
 
-def _plan_entry(agent: AgentSpec, report, converged: bool,
-                elapsed_ms: float) -> dict:
-    """One agent's report entry. A converged entry carries the agent's
-    message under "message"; report is None when no solve finished."""
-    entry = {
+def _write_json(path: Path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def _plan_entry(plan: NegotiatedPlan, converged: bool) -> dict:
+    """One agent's report.json entry; plan.report is None when no solve
+    finished."""
+    agent, report = plan.spec, plan.report
+    return {
         "id": agent.id,
         "converged": converged,
         "residual": report.residual_norm if report else None,
@@ -171,123 +178,111 @@ def _plan_entry(agent: AgentSpec, report, converged: bool,
         "junctions": [j.to_json() for j in report.junction_sequence] if report else [],
         "degenerate_junctions": list(report.degenerate_junctions) if report else [],
         "tf": agent.tf_nominal,
-        "wall_clock_ms": elapsed_ms,
+        "wall_clock_ms": plan.wall_clock_ms,
     }
-    if converged:
-        entry["message"] = message_to_json(encode_message(agent, report))
-    return entry
 
 
-def _plan_agents(agents: list[AgentSpec], scenario):
-    """Plan each agent at its nominal horizon, in the order given.
+class _Run(NamedTuple):
+    """What _run found. plans holds one record per agent, keyed by id in
+    id order: the negotiated plan after a negotiation, else the nominal
+    one. failed lists the agents without a converged nominal plan;
+    negotiation is report.json's, None unless one succeeded."""
 
-    Returns each agent's report entry, every trajectory a solve left
-    (a failed agent's best infeasible iterate included) and the
-    converged plans, all keyed by agent id.
-    """
-    results: dict[int, dict] = {}
-    trajectories: dict[int, object] = {}
-    nominal: dict[int, NegotiatedPlan] = {}
+    plans: dict[int, NegotiatedPlan]
+    failed: list[int]
+    conflicts: list
+    negotiation: dict | None
+    error: PlannerError | None
+    plan_ms: float
+    negotiation_ms: float
+
+
+def _run(scenario, config: NegotiationConfig) -> _Run:
+    """Plan each agent at its nominal horizon, in id order; when every
+    agent converged, check those plans pairwise, and negotiate arrival
+    times only on a conflict. Times the two phases."""
+    agents = sorted(scenario.agents, key=lambda a: a.id)
+    plans: dict[int, NegotiatedPlan] = {}
+    failed = []
+    started = time.perf_counter()
     for agent in agents:
-        started = time.perf_counter()
+        solve_started = time.perf_counter()
+        converged = False
         try:
             traj, report = plan_agent(agent, scenario)
+            converged = report.converged
         except PlanningFailure as exc:
             # best infeasible iterate: the inner solve may have converged
             # but the plan as a whole did not
             traj, report = exc.trajectory, exc.report
-            converged = False
+        if not converged:
+            failed.append(agent.id)
+        elapsed_ms = (time.perf_counter() - solve_started) * 1000.0
+        plans[agent.id] = NegotiatedPlan(agent, traj, report, elapsed_ms)
+    plan_ms = (time.perf_counter() - started) * 1e3
+
+    started = time.perf_counter()
+    conflicts, negotiation, error = [], None, None
+    # a failed agent leaves nothing to negotiate
+    if len(agents) > 1 and not failed:
+        conflicts = _conflicts_between(
+            [(a.id, a.radius, plans[a.id].trajectory) for a in agents]
+        )
+    if conflicts:
+        try:
+            negotiated = negotiate_arrival_times(scenario, config, plans)
+        except PlannerError as exc:
+            error = exc
         else:
-            converged = report.converged
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        results[agent.id] = _plan_entry(agent, report, converged, elapsed_ms)
-        if traj is not None:
-            trajectories[agent.id] = traj
-        if converged:
-            nominal[agent.id] = NegotiatedPlan(agent, traj, report, elapsed_ms)
-    return results, trajectories, nominal
-
-
-def _nominal_conflicts(agents: list[AgentSpec],
-                       nominal: dict[int, NegotiatedPlan]) -> list:
-    """Conflicts among the nominal plans. A failed agent leaves nothing
-    to negotiate, so unless every agent converged none are checked."""
-    if len(agents) < 2 or len(nominal) < len(agents):
-        return []
-    return _conflicts_between(
-        [(a.id, a.radius, nominal[a.id].trajectory) for a in agents]
-    )
+            arrival = negotiated.arrival_times
+            negotiation = {
+                "arrival_times": {str(a.id): arrival[a.id] for a in agents},
+                "total_deviation": sum(abs(arrival[a.id] - a.tf_nominal)
+                                       for a in agents),
+            }
+            plans = {a.id: negotiated.plans[a.id] for a in agents}
+            # every pair the search accepted is safe at every instant,
+            # by the certificate or the exact check, so the negotiated
+            # plans have no conflict to report
+            conflicts = []
+    negotiation_ms = (time.perf_counter() - started) * 1e3
+    return _Run(plans, failed, conflicts, negotiation, error, plan_ms,
+                negotiation_ms)
 
 
 def cmd_plan(args) -> int:
     if args.samples < 2:
         raise SchemaError("--samples must be at least 2")
-    scenario = load_scenario(args.scenario)
-    negotiation_config = _negotiation_config(args)
-    agents = sorted(scenario.agents, key=lambda a: a.id)
-
-    results, trajectories, nominal = _plan_agents(agents, scenario)
-    all_converged = len(nominal) == len(agents)
-    negotiation = None
-    negotiation_failed = False
-    conflicts = _nominal_conflicts(agents, nominal)
-    if conflicts:
-        try:
-            negotiated = negotiate_arrival_times(
-                scenario, negotiation_config, nominal
-            )
-        except (NegotiationError, PlannerError) as exc:
-            print(f"negotiation failed: {exc}", file=sys.stderr)
-            negotiation_failed = True
-        else:
-            negotiation = negotiation_to_json(
-                negotiated.arrival_times,
-                {a.id: a.tf_nominal for a in agents},
-            )
-            for agent_id, plan in negotiated.plans.items():
-                results[agent_id] = _plan_entry(
-                    plan.spec, plan.report, plan.report.converged,
-                    plan.wall_clock_ms,
-                )
-                trajectories[agent_id] = plan.trajectory
-            # every pair the search accepted is safe at every instant,
-            # by the certificate or the exact check, so the negotiated
-            # plans have no conflict to report
-            conflicts = []
+    run = _run(load_scenario(args.scenario), _negotiation_config(args))
+    if run.error is not None:
+        print(f"negotiation failed: {run.error}", file=sys.stderr)
 
     args.out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for agent in agents:
-        if agent.id in trajectories:
-            rows.extend(
-                _trajectory_rows(agent.id, trajectories[agent.id], args.samples)
-            )
+    for agent_id, plan in run.plans.items():
+        if plan.trajectory is not None:
+            rows.extend(_trajectory_rows(agent_id, plan.trajectory, args.samples))
     _write_trajectory_csv(args.out / "trajectories.csv", rows)
-    report_doc = {
-        "agents": [
-            {k: v for k, v in results[a.id].items() if k != "message"}
-            for a in agents
-        ],
-        "negotiation": negotiation,
+    _write_json(args.out / "report.json", {
+        "agents": [_plan_entry(plan, agent_id not in run.failed)
+                   for agent_id, plan in run.plans.items()],
+        "negotiation": run.negotiation,
         "conflicts": [
             {"pair": list(c.pair), "time": c.time, "penetration": c.penetration}
-            for c in conflicts
+            for c in run.conflicts
         ],
-    }
-    with open(args.out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report_doc, fh, indent=2)
-        fh.write("\n")
-    for agent in agents:
-        msg = results[agent.id].get("message")
-        if msg is not None:
-            with open(args.out / f"message_{agent.id}.json", "w",
-                      encoding="utf-8") as fh:
-                json.dump(msg, fh, indent=2)
-                fh.write("\n")
+    })
+    for agent_id, plan in run.plans.items():
+        path = args.out / f"message_{agent_id}.json"
+        if agent_id in run.failed:
+            # a rerun into the same directory must not leave a message
+            # of an earlier run's plan
+            path.unlink(missing_ok=True)
+        else:
+            _write_json(path, message_to_json(encode_message(plan.spec,
+                                                             plan.report)))
     print(args.out / "report.json")
-    if not all_converged or negotiation_failed:
-        return EXIT_PLANNING
-    return EXIT_OK
+    return EXIT_PLANNING if run.failed or run.error is not None else EXIT_OK
 
 
 def _read_trajectory_csv(path: Path) -> dict[int, dict[str, np.ndarray]]:
@@ -396,8 +391,8 @@ def cmd_oracle(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.agent is None:
         if len(scenario.agents) != 1:
-            raise SchemaError("--agent is required when the scenario has "
-                              "multiple agents")
+            raise SchemaError(f"the scenario has {len(scenario.agents)} "
+                              "agents; without --agent it must have one")
         agent = scenario.agents[0]
     else:
         agent = scenario.agent(args.agent)
@@ -431,31 +426,19 @@ def cmd_bench(args) -> int:
         raise SchemaError("--repeat must be at least 1")
     scenario = load_scenario(args.scenario)
     negotiation_config = _negotiation_config(args)
-    agents = sorted(scenario.agents, key=lambda a: a.id)
     phases = {"unconstrained_ms": [], "junction_ms": [], "negotiation_ms": []}
-    negotiation_error = None
     for _ in range(args.repeat):
         started = time.perf_counter()
-        for agent in agents:
+        for agent in scenario.agents:
             solve_boundary(agent.start, agent.goal, agent.t0, agent.tf_nominal)
         phases["unconstrained_ms"].append((time.perf_counter() - started) * 1e3)
-
-        started = time.perf_counter()
-        _, _, nominal = _plan_agents(agents, scenario)
-        phases["junction_ms"].append((time.perf_counter() - started) * 1e3)
-
-        started = time.perf_counter()
-        try:
-            if _nominal_conflicts(agents, nominal):
-                negotiate_arrival_times(scenario, negotiation_config, nominal)
-        except (NegotiationError, PlannerError) as exc:
-            negotiation_error = exc
-        phases["negotiation_ms"].append((time.perf_counter() - started) * 1e3)
+        run = _run(scenario, negotiation_config)
+        phases["junction_ms"].append(run.plan_ms)
+        phases["negotiation_ms"].append(run.negotiation_ms)
     # planning and negotiation are deterministic: every repeat fails alike
-    failed = [a.id for a in agents if a.id not in nominal]
     doc = {
         "repeat": args.repeat,
-        "failures": len(failed),
+        "failures": len(run.failed),
         "phases": {
             name: {
                 "min": min(samples),
@@ -467,14 +450,12 @@ def cmd_bench(args) -> int:
         },
     }
     print(json.dumps(doc, indent=2))
-    if failed:
-        print(f"planning failed for agent(s) {', '.join(map(str, failed))}",
+    if run.failed:
+        print(f"planning failed for agent(s) {', '.join(map(str, run.failed))}",
               file=sys.stderr)
-    if negotiation_error is not None:
-        print(f"negotiation failed: {negotiation_error}", file=sys.stderr)
-    if failed or negotiation_error is not None:
-        return EXIT_PLANNING
-    return EXIT_OK
+    if run.error is not None:
+        print(f"negotiation failed: {run.error}", file=sys.stderr)
+    return EXIT_PLANNING if run.failed or run.error is not None else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -541,9 +522,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except PlanningFailure as exc:
         print(f"planning failed: {exc}", file=sys.stderr)
-        return EXIT_PLANNING
-    except NegotiationError as exc:
-        print(f"negotiation failed: {exc}", file=sys.stderr)
         return EXIT_PLANNING
     except PlannerError as exc:
         print(f"error: {exc}", file=sys.stderr)

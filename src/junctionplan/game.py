@@ -409,17 +409,25 @@ def _least_assignment(count: int, m: int, accept) -> tuple | None:
     by (total |tick|, max |tick|, ticks), or None: a depth-first branch
     and bound (Land & Doig, *Econometrica* 28, 1960) that visits each
     accepted prefix at most once."""
-    best = _branch(count, sorted(range(-m, m + 1), key=abs), accept,
-                   (), 0, 0, None)
+    best = _branch(count, m, accept, (), 0, 0, None)
     return None if best is None else best[2]
 
 
-def _branch(count: int, order: list, accept, prefix: tuple, total: int,
+def _ticks(m: int):
+    """The ticks in [-m, m] by rising |tick|, negative first, made one
+    at a time: a search that stops early never holds the whole grid."""
+    yield 0
+    for k in range(1, m + 1):
+        yield -k
+        yield k
+
+
+def _branch(count: int, m: int, accept, prefix: tuple, total: int,
             peak: int, best: tuple | None) -> tuple | None:
     """The least key of an accepted completion of prefix, whose |tick|
     sum to total and peak at peak, if it is below best; else best.
 
-    Ticks go in order, by rising |tick| and negative first. Zeros
+    Ticks go in _ticks order, by rising |tick| and negative first. Zeros
     complete a prefix to the least key any completion has, so a tick is
     skipped when that key is not below best, and so is every later one
     once its (total, max) exceeds best's. A module function: a recursive
@@ -429,25 +437,27 @@ def _branch(count: int, order: list, accept, prefix: tuple, total: int,
     if len(prefix) == count:
         return total, peak, prefix
     zeros = (0,) * (count - len(prefix) - 1)
-    for t in order:
+    for t in _ticks(m):
         candidate = prefix + (t,)
         key = (total + abs(t), max(peak, abs(t)), candidate + zeros)
         if best is not None and key >= best:
             if key[:2] > best[:2]:
                 break
         elif accept(candidate):
-            best = _branch(count, order, accept, candidate, *key[:2], best)
+            best = _branch(count, m, accept, candidate, *key[:2], best)
     return best
 
 
 class NegotiatedPlan(NamedTuple):
-    """One agent's plan at its negotiated arrival time, as planned by
-    the search: the shifted spec, its converged trajectory and report,
-    and the wall-clock ms of that `plan_agent` call."""
+    """One agent's plan at one arrival time: the spec (shifted to that
+    time), its trajectory and report, and the wall-clock ms of that
+    `plan_agent` call. The search holds converged plans only. The CLI
+    also keeps a failed agent's record, whose trajectory and report are
+    its best infeasible iterate, or None where no solve finished."""
 
     spec: AgentSpec
-    trajectory: PiecewiseTrajectory
-    report: SolveReport
+    trajectory: PiecewiseTrajectory | None
+    report: SolveReport | None
     wall_clock_ms: float
 
 
@@ -627,12 +637,3 @@ def message_from_json(obj) -> Message:
         )
     except ValueError as exc:
         raise SchemaError(f"message: {exc}") from exc
-
-
-def negotiation_to_json(arrival_times: dict[int, float],
-                        nominal: dict[int, float]) -> dict:
-    total = sum(abs(arrival_times[k] - nominal[k]) for k in arrival_times)
-    return {
-        "arrival_times": {str(k): v for k, v in sorted(arrival_times.items())},
-        "total_deviation": total,
-    }

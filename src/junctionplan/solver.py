@@ -161,17 +161,6 @@ class SolveReport:
     # no information there, so convergence is only nominal.
     degenerate_junctions: tuple[int, ...] = field(default=())
 
-    def to_json(self) -> dict:
-        return {
-            "converged": self.converged,
-            "residual": self.residual_norm,
-            "iterations": self.iterations,
-            "termination": self.termination,
-            "energy": self.energy,
-            "degenerate_junctions": list(self.degenerate_junctions),
-            "junctions": [j.to_json() for j in self.junction_sequence],
-        }
-
 
 def contact_point(obstacle: Obstacle, combined_r: float, theta: float) -> np.ndarray:
     """Point on the inflated circle at contact angle theta."""

@@ -35,6 +35,13 @@ def run(args):
     return main([str(a) for a in args])
 
 
+# report.json's key order: the top level, and each agent's entry
+REPORT_KEYS = ["agents", "negotiation", "conflicts"]
+ENTRY_KEYS = ["id", "converged", "residual", "iterations", "termination",
+              "energy", "junction_count", "junctions", "degenerate_junctions",
+              "tf", "wall_clock_ms"]
+
+
 def write_scenario(tmp_path, scenario, name="scenario.json"):
     path = tmp_path / name
     save_scenario(scenario, path)
@@ -124,10 +131,13 @@ class TestPlan:
         out = tmp_path / "run"
         assert run(["plan", symmetric_file, "--out", out]) == 0
         report = json.loads((out / "report.json").read_text())
+        assert list(report) == REPORT_KEYS
         entry = report["agents"][0]
+        assert list(entry) == ENTRY_KEYS
         assert entry["converged"] is True
         assert entry["residual"] <= 1e-7
         assert entry["junction_count"] == 1
+        assert list(entry["junctions"][0]) == ["obstacle", "theta", "time"]
         assert entry["degenerate_junctions"] == []
         assert entry["termination"] == "converged"
 
@@ -164,10 +174,11 @@ class TestPlan:
             shifted = AgentSpec(id=agent.id, radius=agent.radius,
                                 start=agent.start, goal=agent.goal,
                                 t0=agent.t0, tf_nominal=entry["tf"])
-            _, fresh = plan_agent(shifted, crossing_scenario)
-            expected = cli_mod._plan_entry(shifted, fresh, True, 0.0)
+            traj, fresh = plan_agent(shifted, crossing_scenario)
+            expected = cli_mod._plan_entry(
+                game.NegotiatedPlan(shifted, traj, fresh, 0.0), True)
             msg = json.loads((out / f"message_{agent.id}.json").read_text())
-            assert msg == expected.pop("message")
+            assert msg == game.message_to_json(game.encode_message(shifted, fresh))
             assert entry["wall_clock_ms"] > 0
             assert {**entry, "wall_clock_ms": 0.0} == expected
 
@@ -256,9 +267,44 @@ class TestPlan:
         out = tmp_path / "run"
         assert run(["plan", path, "--out", out]) == 3
         report = json.loads((out / "report.json").read_text())
+        assert list(report) == REPORT_KEYS
+        entry = report["agents"][0]
+        assert list(entry) == ENTRY_KEYS
+        # no solve finished, so every solve field is empty
+        assert entry == dict.fromkeys(ENTRY_KEYS) | {
+            "id": 0, "converged": False, "junctions": [],
+            "degenerate_junctions": [], "tf": 1e-4,
+            "wall_clock_ms": entry["wall_clock_ms"]}
+
+    def test_report_json_lists_degenerate_junctions(self):
+        agent = AgentSpec(id=0, radius=0.25, start=rest(0, 0), goal=rest(1, 0),
+                          t0=0.0, tf_nominal=10.0)
+        report = solver.SolveReport(
+            converged=True, residual_norm=0.0, iterations=0,
+            termination="converged",
+            junction_sequence=(solver.Junction(0, 0.0, 5.0),), energy=1.0,
+            degenerate_junctions=(0,),
+        )
+        entry = cli_mod._plan_entry(game.NegotiatedPlan(agent, None, report, 0.0),
+                                    True)
+        assert entry["degenerate_junctions"] == [0]
+        assert entry["junctions"] == [{"obstacle": 0, "theta": 0.0, "time": 5.0}]
+
+    def test_rerun_removes_a_non_converged_agents_message(self, tmp_path):
+        out = tmp_path / "run"
+        agent = AgentSpec(id=0, radius=0.25, start=rest(0, 0), goal=rest(10, 0),
+                          t0=0.0, tf_nominal=10.0)
+        path = write_scenario(tmp_path, Scenario(agents=(agent,), obstacles=()))
+        assert run(["plan", path, "--out", out]) == 0
+        assert json.loads((out / "message_0.json").read_text())["tf"] == 10.0
+        short = AgentSpec(id=0, radius=0.25, start=rest(0, 0), goal=rest(1e-4, 0),
+                          t0=0.0, tf_nominal=1e-4)
+        path = write_scenario(tmp_path, Scenario(agents=(short,), obstacles=()))
+        assert run(["plan", path, "--out", out]) == 3
+        report = json.loads((out / "report.json").read_text())
         assert report["agents"][0]["converged"] is False
-        assert report["agents"][0]["energy"] is None
-        assert report["agents"][0]["termination"] is None
+        # the first run's plan no longer describes agent 0
+        assert not (out / "message_0.json").exists()
 
     def test_horizon_too_short_for_a_junction(self, tmp_path):
         from junctionplan import Obstacle
@@ -459,8 +505,16 @@ class TestOracleCommand:
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["relative_gap"]) < 0.01
 
-    def test_multi_agent_requires_agent_flag(self, crossing_file):
+    def test_multi_agent_requires_agent_flag(self, crossing_file, capsys):
         assert run(["oracle", crossing_file]) == 2
+        assert "the scenario has 2 agents" in capsys.readouterr().err
+
+    def test_zero_agents_is_input_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, Scenario(agents=(), obstacles=()))
+        assert run(["oracle", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "the scenario has 0 agents" in err
+        assert "multiple" not in err
 
     def test_unknown_agent_is_input_error(self, symmetric_file):
         assert run(["oracle", symmetric_file, "--agent", 99]) == EXIT_INPUT

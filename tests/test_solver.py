@@ -14,7 +14,6 @@ from junctionplan import (
     OrderingError,
     PlanningFailure,
     Scenario,
-    SolveReport,
     constraint_value,
     contact_point,
     eval_trajectory,
@@ -420,26 +419,6 @@ class TestSolveJunctions:
         _, report = solve_junctions(agent, (start,), scen)
         straight = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
         assert report.energy >= trajectory_energy(straight) - 1e-9
-
-    def test_report_json_schema(self):
-        agent, scen = symmetric_agent_and_obstacle()
-        _, report = solve_junctions(
-            agent, (Junction(0, math.pi / 2, 5.0),), scen
-        )
-        doc = report.to_json()
-        assert set(doc) == {"converged", "residual", "iterations", "termination",
-                            "energy", "degenerate_junctions", "junctions"}
-        assert doc["termination"] == "converged"
-        assert doc["junctions"][0].keys() == {"obstacle", "theta", "time"}
-        assert doc["degenerate_junctions"] == []
-
-    def test_report_json_lists_degenerate_junctions(self):
-        report = SolveReport(
-            converged=True, residual_norm=0.0, iterations=0, termination="converged",
-            junction_sequence=(Junction(0, 0.0, 5.0),), energy=1.0,
-            degenerate_junctions=(0,),
-        )
-        assert report.to_json()["degenerate_junctions"] == [0]
 
 
 class TestInitialGuess:
