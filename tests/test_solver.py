@@ -27,7 +27,7 @@ from junctionplan import (
     solve_junctions,
     trajectory_energy,
 )
-from junctionplan import _lapack, solver
+from junctionplan import _lapack, cli, game, solver
 from junctionplan.solver import _residual_jacobian, _setup, _spline
 from junctionplan.world import ViolationRecord
 
@@ -419,6 +419,20 @@ class TestSolveJunctions:
         _, report = solve_junctions(agent, (start,), scen)
         straight = solve_boundary(agent.start, agent.goal, 0.0, 10.0)
         assert report.energy >= trajectory_energy(straight) - 1e-9
+
+    def test_report_json_schema(self):
+        agent, scen = symmetric_agent_and_obstacle()
+        traj, report = solve_junctions(
+            agent, (Junction(0, math.pi / 2, 5.0),), scen
+        )
+        # report.json's entry for this solve, as the CLI writes it
+        doc = cli._plan_entry(game.NegotiatedPlan(agent, traj, report, 0.0),
+                              report.converged)
+        assert set(doc) >= {"converged", "residual", "iterations", "termination",
+                            "energy", "degenerate_junctions", "junctions"}
+        assert doc["termination"] == "converged"
+        assert doc["junctions"][0].keys() == {"obstacle", "theta", "time"}
+        assert doc["degenerate_junctions"] == []
 
 
 class TestInitialGuess:
